@@ -11,10 +11,12 @@ and keeps the cone axis forward, ``(S e)_0 > 0``.  Every such S factors as
       = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U)     (canonical)
 
 with nu > 0, c in R^(n-1), a = sqrt(1 + ||c||^2), P = sqrt(I + c c^T),
-alpha = ||c||, V and U orthogonal, and T_alpha the hyperbolic boost.  This
-module implements the membership test, both factorizations, their inverses
-(composition), a seeded sampler, and a residual report for the six block
-identities behind the factorization.
+alpha = ||c||, c = alpha V e1, V and U orthogonal, and T_alpha the
+hyperbolic boost.  This module implements the membership test, both
+factorizations, their inverses (composition), a seeded sampler, and a
+residual report for the six block identities behind the factorization.
+Both compositions share one O(n^2) blockwise assembly of the compact form;
+the canonical one only reads c off as ``alpha * V[:, 0]``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ._validate import (
 )
 from .kernels import (
     RankOneSqrt,
-    boost_matrix,
+    _require_orthogonal,
     haar_orthogonal,
     householder_to_direction,
     orthogonality_residual,
@@ -72,14 +74,8 @@ class NotAutomorphismError(ValueError):
         self.check = check
 
 
-def _frozen_vector(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def _frozen_matrix(M: np.ndarray) -> np.ndarray:
-    out = np.array(M, dtype=float)
+def _frozen(A: np.ndarray) -> np.ndarray:
+    out = np.array(A, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -142,8 +138,8 @@ class CompactFactorization:
 
     def __post_init__(self) -> None:
         nu = as_positive_float(self.nu, "nu")
-        c = _frozen_vector(self.c)
-        U = _frozen_matrix(self.U)
+        c = _frozen(self.c)
+        U = _frozen(self.U)
         if c.ndim != 1 or c.size < 1 or not np.all(np.isfinite(c)):
             raise ValueError("c must be a finite vector of length n-1 >= 1")
         if U.shape != (c.size, c.size) or not np.all(np.isfinite(U)):
@@ -186,8 +182,8 @@ class CanonicalFactorization:
     def __post_init__(self) -> None:
         nu = as_positive_float(self.nu, "nu")
         alpha = as_nonnegative_float(self.alpha, "alpha")
-        V = _frozen_matrix(self.V)
-        U = _frozen_matrix(self.U)
+        V = _frozen(self.V)
+        U = _frozen(self.U)
         if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] < 1:
             raise ValueError(f"V must be square of size >= 1, got shape {V.shape}")
         if U.shape != V.shape:
@@ -250,9 +246,9 @@ def split_blocks(S) -> BlockView:
     S = as_square_matrix(S, "S", min_n=2)
     return BlockView(
         a=float(S[0, 0]),
-        b=_frozen_vector(S[0, 1:]),
-        c=_frozen_vector(S[1:, 0]),
-        D=_frozen_matrix(S[1:, 1:]),
+        b=_frozen(S[0, 1:]),
+        c=_frozen(S[1:, 0]),
+        D=_frozen(S[1:, 1:]),
     )
 
 
@@ -313,10 +309,10 @@ def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
     return nu, S / nu
 
 
-def _describe_rejection(check: AutCheckResult) -> str:
+def _describe_rejection(check: AutCheckResult, tol: float) -> str:
     reasons = []
-    if not check.mu > 0.0:
-        reasons.append(f"congruence scale mu={check.mu:.6g} is not positive")
+    if not check.mu > tol:
+        reasons.append(f"congruence scale mu={check.mu:.6g} <= tol {tol:.3g}")
     if not check.cone_forward:
         reasons.append("cone-reversing: (S e)_0 <= 0")
     reasons.append(f"congruence residual {check.residual_congruence:.3e}")
@@ -336,7 +332,7 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     check = check_automorphism(S, tol)
     if not check.is_automorphism:
         raise NotAutomorphismError(
-            "cannot factor: " + _describe_rejection(check), check
+            "cannot factor: " + _describe_rejection(check, tol), check
         )
     nu, S_hat = normalize(S, check)
     blocks = split_blocks(S_hat)
@@ -369,15 +365,6 @@ def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
     return CanonicalFactorization(nu=compact.nu, alpha=alpha, V=V, U=compact.U)
 
 
-def _require_orthogonal(M: np.ndarray, name: str, tol: float) -> None:
-    res = orthogonality_residual(M)
-    if res > tol * M.shape[0]:
-        raise ValueError(
-            f"{name} is not orthogonal within tolerance: residual {res:.3e} "
-            f"> {tol * M.shape[0]:.3e}"
-        )
-
-
 def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Multiply a compact factorization back into a dense matrix.
 
@@ -391,45 +378,39 @@ def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.nda
         raise TypeError(f"expected CompactFactorization, got {type(f).__name__}")
     tol = as_nonnegative_float(tol, "tol")
     _require_orthogonal(f.U, "U", tol)
-    root = RankOneSqrt.from_vector(f.c)
-    cU = f.c @ f.U
-    n = f.n
+    return _assemble(f.nu, f.c, f.U)
+
+
+def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``nu * [[a, c^T], [c, P]] @ diag(1, U)``, built blockwise in O(n^2)."""
+    root = RankOneSqrt.from_vector(c)
+    cU = c @ U
+    n = 1 + c.size
     S = np.empty((n, n))
     S[0, 0] = root.a
     S[0, 1:] = cU
-    S[1:, 0] = f.c
-    S[1:, 1:] = f.U + root.beta * np.outer(f.c, cU)
-    S *= f.nu
+    S[1:, 0] = c
+    S[1:, 1:] = U + root.beta * np.outer(c, cU)
+    S *= nu
     return S
-
-
-def _embed(M: np.ndarray) -> np.ndarray:
-    """diag(1, M) for an m x m block."""
-    m = M.shape[0]
-    out = np.zeros((m + 1, m + 1))
-    out[0, 0] = 1.0
-    out[1:, 1:] = M
-    return out
 
 
 def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Multiply a canonical factorization back into a dense matrix.
 
-    Evaluates the four-factor product
-    ``nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U)`` literally, as an
-    independent route from compose_compact (the two agree: the product of
-    the first three factors equals ``[[a, c^T], [c, P]]`` for
-    ``c = alpha V e1``).  Both orthogonality gates are enforced here.
+    The first three factors multiply out to ``[[a, c^T], [c, P]]`` with
+    ``c = alpha V e1``, so the product
+    ``nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U)`` is assembled
+    blockwise from ``(nu, alpha V[:, 0], U)`` exactly as compose_compact
+    does, in O(n^2) and without forming T_alpha.  Both orthogonality gates
+    (``<= tol * (n-1)``) are enforced here.
     """
     if not isinstance(f, CanonicalFactorization):
         raise TypeError(f"expected CanonicalFactorization, got {type(f).__name__}")
     tol = as_nonnegative_float(tol, "tol")
     _require_orthogonal(f.V, "V", tol)
     _require_orthogonal(f.U, "U", tol)
-    T = boost_matrix(f.alpha, f.n)
-    S = _embed(f.V) @ T @ _embed(f.V.T) @ _embed(f.U)
-    S *= f.nu
-    return S
+    return _assemble(f.nu, f.alpha * f.V[:, 0], f.U)
 
 
 def sample_automorphism(
@@ -482,12 +463,7 @@ def _sample_cone_points(
     return X
 
 
-def property_report(
-    S,
-    n_samples: int = 10000,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> PropertyReport:
+def property_report(S, n_samples: int = 10000, seed: int = 0) -> PropertyReport:
     """Evaluate the six block identities and cone-image statistics for S.
 
     S must be normalized (mu = 1) or normalizable: when ``|mu - 1| > 0.1``
@@ -507,7 +483,6 @@ def property_report(
     """
     S = as_square_matrix(S, "S", min_n=2)
     n_samples = as_index(n_samples, "n_samples", minimum=0)
-    as_nonnegative_float(tol, "tol")
     seed = as_index(seed, "seed", minimum=0)
     n = S.shape[0]
     col0 = S[:, 0]
@@ -578,4 +553,8 @@ def algebra_automorphism(D, tol: float = DEFAULT_TOL) -> np.ndarray:
     D = as_square_matrix(D, "D", min_n=1)
     tol = as_nonnegative_float(tol, "tol")
     _require_orthogonal(D, "D", tol)
-    return _embed(D)
+    n = D.shape[0] + 1
+    out = np.zeros((n, n))
+    out[0, 0] = 1.0
+    out[1:, 1:] = D
+    return out

@@ -141,7 +141,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     S = parse_matrix(_read_input(args.input))
     result = check_automorphism(S, args.tol)
-    report = property_report(S, n_samples=args.samples, tol=args.tol, seed=args.seed)
+    report = property_report(S, n_samples=args.samples, seed=args.seed)
     ok = (
         result.is_automorphism
         and report.max_identity_residual() <= args.tol

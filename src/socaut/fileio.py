@@ -28,7 +28,7 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL
 from .automorphism import CanonicalFactorization, CompactFactorization
-from .kernels import orthogonality_residual
+from .kernels import _require_orthogonal
 
 __all__ = [
     "FileFormatError",
@@ -298,13 +298,8 @@ def parse_factorization(text: str):
             raise InvalidFactorizationError(
                 f"alpha must be >= 0, got {format_float(alpha)}"
             )
-        for name, M in (("V", V), ("U", U)):
-            res = orthogonality_residual(M)
-            if res > tol * m:
-                raise InvalidFactorizationError(
-                    f"{name} is not orthogonal within the declared tolerance: "
-                    f"residual {res:.3e} > {tol * m:.3e}"
-                )
+        _require_orthogonal(V, "V", tol, InvalidFactorizationError)
+        _require_orthogonal(U, "U", tol, InvalidFactorizationError)
         return CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U), tol
 
     c = _parse_vector(obj["c"], "c")
@@ -312,12 +307,7 @@ def parse_factorization(text: str):
         raise FileFormatError(f"c has length {c.size} but U is {m}x{m}")
     if nu <= 0.0:
         raise InvalidFactorizationError(f"nu must be > 0, got {format_float(nu)}")
-    res = orthogonality_residual(U)
-    if res > tol * m:
-        raise InvalidFactorizationError(
-            f"U is not orthogonal within the declared tolerance: "
-            f"residual {res:.3e} > {tol * m:.3e}"
-        )
+    _require_orthogonal(U, "U", tol, InvalidFactorizationError)
     return CompactFactorization(nu=nu, c=c, U=U), tol
 
 

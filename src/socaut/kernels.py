@@ -2,8 +2,9 @@
 
 Everything here is closed-form or a thin, documented wrapper over numpy:
 rank-one-update square roots ``sqrt(I + c c^T)``, Householder reflectors
-aligned with a direction, an orthogonality residual, Haar-distributed
-orthogonal samples, and the hyperbolic boost block.
+aligned with a direction, an orthogonality residual and the one gate built
+on it (``residual <= tol * m``), Haar-distributed orthogonal samples, and
+the hyperbolic boost block.
 """
 
 from __future__ import annotations
@@ -112,8 +113,10 @@ def householder_to_direction(c) -> np.ndarray:
     if norm == 0.0:
         return np.eye(m)
     w = c / norm
-    w = w.copy()
-    w[0] -= 1.0
+    u0 = float(w[0])
+    # w = u - e1.  For u0 > 0 the head u0 - 1 cancels; use the equal
+    # -||u[1:]||^2 / (1 + u0), exact to rounding even when u is near e1.
+    w[0] = -float(w[1:] @ w[1:]) / (1.0 + u0) if u0 > 0.0 else u0 - 1.0
     wnorm2 = float(w @ w)
     if math.sqrt(wnorm2) <= PARALLEL_TOL:
         return np.eye(m)
@@ -130,6 +133,19 @@ def orthogonality_residual(M) -> float:
     G = M.T @ M
     G[np.diag_indices_from(G)] -= 1.0
     return float(np.linalg.norm(G))
+
+
+def _require_orthogonal(
+    M: np.ndarray, name: str, tol: float, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``orthogonality_residual(M) <= tol * m``."""
+    res = orthogonality_residual(M)
+    bound = tol * M.shape[0]
+    if res > bound:
+        raise error(
+            f"{name} is not orthogonal within tolerance: residual {res:.3e} "
+            f"> {bound:.3e}"
+        )
 
 
 def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:

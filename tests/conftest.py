@@ -25,6 +25,10 @@ def congruence_defect(S, mu=None) -> float:
     return float(np.linalg.norm(G - mu * J))
 
 
+#: Angles (rad) between c and e1 at which the reflector head u0 - 1 cancels.
+THETAS_NEAR_E1 = tuple(10.0**-k for k in range(3, 11))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260821)

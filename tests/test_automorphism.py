@@ -34,7 +34,9 @@ from socaut import (
     sqrt_rank_one,
     unit,
 )
-from conftest import random_automorphisms, rel_fro
+from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestSplitBlocks:
@@ -196,6 +198,11 @@ class TestFactorCompact:
         with pytest.raises(NotAutomorphismError):
             factor_compact(np.diag([1.0, 2.0]))
 
+    def test_rejection_names_the_mu_gate(self):
+        # 0 < mu <= tol: the residual is 0, so only the mu gate can explain it.
+        with pytest.raises(NotAutomorphismError, match=r"mu=1e-12 <= tol 1e-09"):
+            factor_compact(1e-6 * np.eye(3))
+
 
 class TestFactorCanonical:
     def test_identity(self):
@@ -246,6 +253,17 @@ class TestFactorCanonical:
                 f = factor_canonical(S)
                 assert rel_fro(compose_canonical(f), S) <= 1e-12
 
+    def test_round_trip_with_c_near_e1(self):
+        # c at an angle theta from e1: V's first column carries c, so an
+        # inaccurate reflector shows up directly in the reconstruction.
+        alpha, n = 2.0, 3
+        bound = 64 * n * EPS * (1.0 + alpha * alpha)
+        for theta in THETAS_NEAR_E1:
+            c = alpha * np.array([math.cos(theta), math.sin(theta)])
+            S = compose_compact(CompactFactorization(nu=1.0, c=c, U=np.eye(2)))
+            S_back = compose_canonical(factor_canonical(S))
+            assert np.linalg.norm(S_back - S) / np.linalg.norm(S) <= bound, theta
+
 
 class TestCompose:
     def test_compact_identity(self):
@@ -289,22 +307,29 @@ class TestCompose:
             assert defect <= 1e-10 * max(1.0, np.linalg.norm(S) ** 2)
 
     def test_two_routes_agree(self):
-        # The canonical product nu*diag(1,V) T diag(1,V^T) diag(1,U) equals
-        # the compact assembly with c = alpha V e1 — computed independently.
+        # Oracle: the literal four-factor product
+        # nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U), against the
+        # blockwise assembly both compositions use (c = alpha V e1).
+        def embed(M):
+            out = np.eye(M.shape[0] + 1)
+            out[1:, 1:] = M
+            return out
+
         rng = np.random.default_rng(999)
-        for m in (1, 2, 4, 19):
-            for _ in range(5):
+        for m in (1, 2, 4, 19, 100):
+            n = m + 1
+            for alpha in (0.0, 1.0, 10.0, 1e4):
                 nu = float(rng.uniform(0.1, 10.0))
-                alpha = float(rng.uniform(0.0, 10.0))
                 V = sample_haar_orthogonal(m, seed=int(rng.integers(1 << 30)))
                 U = sample_haar_orthogonal(m, seed=int(rng.integers(1 << 30)))
+                literal = nu * embed(V) @ boost_matrix(alpha, n) @ embed(V.T) @ embed(U)
+                bound = 64 * n * EPS * (1.0 + alpha * alpha) * np.linalg.norm(literal)
                 canonical = compose_canonical(CanonicalFactorization(nu, alpha, V, U))
-                e1 = np.zeros(m)
-                e1[0] = 1.0
+                assert np.linalg.norm(canonical - literal) <= bound, (m, alpha)
                 compact = compose_compact(
-                    CompactFactorization(nu=nu, c=alpha * (V @ e1), U=U)
+                    CompactFactorization(nu=nu, c=alpha * V[:, 0], U=U)
                 )
-                assert_allclose(canonical, compact, rtol=1e-10, atol=1e-10)
+                assert np.linalg.norm(compact - literal) <= bound, (m, alpha)
 
     def test_determinant_is_unimodular_up_to_scale(self):
         rng = np.random.default_rng(44)

@@ -20,6 +20,7 @@ from socaut import (
     signature_matrix,
     sqrt_rank_one,
 )
+from conftest import THETAS_NEAR_E1
 
 
 def eigh_sqrt(A):
@@ -144,6 +145,16 @@ class TestHouseholder:
                 # reflectors are symmetric and involutive
                 assert_allclose(V, V.T, atol=0.0)
                 assert_allclose(V @ V, np.eye(m), atol=1e-14)
+
+    @pytest.mark.parametrize("theta", THETAS_NEAR_E1)
+    def test_near_e1_keeps_full_accuracy(self, theta):
+        eps = np.finfo(float).eps
+        for m in (2, 5):
+            u = np.zeros(m)
+            u[0], u[1] = math.cos(theta), math.sin(theta)
+            V = householder_to_direction(2.0 * u)
+            assert np.linalg.norm(V[:, 0] - u) <= 4 * eps
+            assert orthogonality_residual(V) <= 4 * eps * m
 
     def test_antipodal_direction(self):
         V = householder_to_direction(np.array([-2.0, 0.0]))
