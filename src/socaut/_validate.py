@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default tolerance for every residual gate in the package.  Comparisons are
-#: scaled: a residual r passes when r <= tol * max(1, scale) for the natural
-#: scale of the quantity involved.
+#: Default tolerance for every gate in the package.  Only some gates scale
+#: it: the congruence residual and the cone-classification slack pass when
+#: r <= tol * max(1, scale); the congruence scale mu must exceed tol (an
+#: absolute gate); an m x m orthogonal factor passes when its residual
+#: ||M^T M - I||_F <= tol * m.
 DEFAULT_TOL = 1e-9
 
 

@@ -118,22 +118,19 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"COUNT must be >= 1, got {args.count}")
-    matrices = [
-        sample_automorphism(
+    out_dir = None if args.output is None else Path(args.output)
+    for i in range(args.count):
+        S = sample_automorphism(
             args.n,
             alpha_max=args.alpha_max,
             nu_range=(args.nu_min, args.nu_max),
             seed=args.seed + i,
         )
-        for i in range(args.count)
-    ]
-    if args.output is not None:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, S in enumerate(matrices):
+        if out_dir is not None:
+            # Made after a draw, so arguments the sampler refuses leave no directory.
+            out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / f"automorphism_{i:04d}.json").write_text(dumps_matrix(S))
-    elif not args.quiet:
-        for S in matrices:
+        elif not args.quiet:
             sys.stdout.write(dumps_matrix(S, compact=True) + "\n")
     return EXIT_OK
 

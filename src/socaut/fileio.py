@@ -11,11 +11,18 @@ Factorization document: JSON text with ``form`` ("canonical" or "compact"),
 optional bookkeeping fields: ``tol`` (the tolerance the factors were
 validated at; also applied when loading) and ``reconstruction_residual``.
 
+Every array field (``data``, ``V``, ``U``, ``c``) goes through one codec:
+``_parse_array`` checks shape and entry types row by row, then converts the
+field with one ``np.array`` call; ``_rows`` writes it through one ``%.17g``
+row template.  Entries are walked one by one only on the error path, to name
+the offender.
+
 Structural problems (bad syntax, missing or mismatched fields, non-numbers,
-wrong shapes) raise FileFormatError.  Well-formed documents whose payload
-breaks a mathematical invariant (``nu <= 0``, ``alpha < 0``, orthogonality
-residual beyond the declared tolerance) raise InvalidFactorizationError —
-the CLI maps the former to exit 2 and the latter to exit 1.
+non-finite numbers, wrong shapes) raise FileFormatError.  Well-formed
+documents whose payload breaks a mathematical invariant (``nu <= 0``,
+``alpha < 0``, orthogonality residual beyond the declared tolerance) raise
+InvalidFactorizationError — the CLI maps the former to exit 2 and the latter
+to exit 1.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._validate import DEFAULT_TOL
+from ._validate import DEFAULT_TOL, as_square_matrix
 from .automorphism import CanonicalFactorization, CompactFactorization
 from .kernels import _require_orthogonal
 
@@ -51,9 +58,14 @@ class InvalidFactorizationError(ValueError):
     """Well-formed factorization document violating a mathematical invariant."""
 
 
+#: 17 significant digits round-trip every double exactly.
+_FLOAT_FORMAT = "%.17g"
+_NUMBER_TYPES = {int, float}
+
+
 def format_float(x: float) -> str:
     """Serialize a double with 17 significant digits (exact round-trip)."""
-    return format(float(x), ".17g")
+    return _FLOAT_FORMAT % float(x)
 
 
 def _reject_constant(token: str):
@@ -63,7 +75,10 @@ def _reject_constant(token: str):
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{where} is not a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        out = math.inf
     if not math.isfinite(out):
         raise FileFormatError(f"{where} is not finite")
     return out
@@ -91,29 +106,39 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], what: str) ->
         raise FileFormatError(f"{what} has unexpected field(s): {', '.join(unknown)}")
 
 
-def _parse_vector(value, name: str) -> np.ndarray:
+def _parse_array(value, name: str, square: bool) -> np.ndarray:
+    """Parse an array field: a square matrix of rows, or a vector of numbers."""
     if not isinstance(value, list) or not value:
-        raise FileFormatError(f"field {name!r} must be a non-empty array of numbers")
-    return np.array(
-        [_require_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
-    )
-
-
-def _parse_square(value, name: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise FileFormatError(f"field {name!r} must be a non-empty array of rows")
+        kind = "rows" if square else "numbers"
+        raise FileFormatError(f"field {name!r} must be a non-empty array of {kind}")
+    rows = value if square else [value]
     m = len(value)
-    out = np.empty((m, m))
-    for i, row in enumerate(value):
-        if not isinstance(row, list):
-            raise FileFormatError(f"{name} row {i} is not an array")
-        if len(row) != m:
-            raise FileFormatError(
-                f"{name} row {i} has {len(row)} entries, expected {m} (square matrix)"
-            )
+    numeric = True
+    for i, row in enumerate(rows):
+        if square and (not isinstance(row, list) or len(row) != m):
+            got = f"has {len(row)} entries" if isinstance(row, list) else "is not an array"
+            raise FileFormatError(f"{name} row {i} {got}, expected {m} entries")
+        numeric = numeric and set(map(type, row)) <= _NUMBER_TYPES
+    if numeric:
+        try:
+            out = np.array(value, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    # Error path only: walk the entries to name the first offender.
+    for i, row in enumerate(rows):
         for k, v in enumerate(row):
-            out[i, k] = _require_number(v, f"{name}[{i}][{k}]")
-    return out
+            _require_number(v, f"{name}[{i}][{k}]" if square else f"{name}[{k}]")
+    raise AssertionError(f"no offending entry found in {name}")  # unreachable
+
+
+def _rows(M: np.ndarray, indent: str | None) -> str:
+    """JSON rows of ``M``: one line per row behind ``indent``, or one line."""
+    row = "[" + ", ".join([_FLOAT_FORMAT] * M.shape[1]) + "]"
+    sep = ", " if indent is None else ",\n" + indent
+    return (indent or "") + sep.join([row % tuple(r.tolist()) for r in M])
 
 
 # -- matrix documents --------------------------------------------------------
@@ -126,19 +151,11 @@ def dumps_matrix(M, compact: bool = False) -> str:
     line); the default is an indented, row-per-line layout.  Both parse back
     identically.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
+    M = as_square_matrix(M, "matrix")
     n = M.shape[0]
-    rows = [
-        "[" + ", ".join(format_float(v) for v in M[i]) + "]" for i in range(n)
-    ]
     if compact:
-        return '{"n": %d, "data": [%s]}' % (n, ", ".join(rows))
-    body = ",\n    ".join(rows)
-    return '{\n  "n": %d,\n  "data": [\n    %s\n  ]\n}\n' % (n, body)
+        return '{"n": %d, "data": [%s]}' % (n, _rows(M, None))
+    return '{\n  "n": %d,\n  "data": [\n%s\n  ]\n}\n' % (n, _rows(M, "    "))
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -164,33 +181,25 @@ def _parse_matrix_json(text: str) -> np.ndarray:
     if n < 2:
         raise FileFormatError(f"matrix size n must be >= 2, got {n}")
     data = obj["data"]
-    if not isinstance(data, list):
-        raise FileFormatError("field 'data' must be an array of rows")
-    if len(data) != n:
+    if isinstance(data, list) and len(data) != n:
         raise FileFormatError(f"data has {len(data)} rows, expected n = {n}")
-    M = np.empty((n, n))
-    for i, row in enumerate(data):
-        if not isinstance(row, list):
-            raise FileFormatError(f"data row {i} is not an array")
-        if len(row) != n:
-            raise FileFormatError(
-                f"data row {i} has {len(row)} entries, expected n = {n}"
-            )
-        for k, v in enumerate(row):
-            M[i, k] = _require_number(v, f"data[{i}][{k}]")
-    return M
+    return _parse_array(data, "data", square=True)
 
 
 def _parse_matrix_grid(text: str) -> np.ndarray:
     tokens = text.split()
-    values = np.empty(len(tokens))
-    for idx, token in enumerate(tokens):
-        try:
-            values[idx] = float(token)
-        except ValueError:
-            raise FileFormatError(
-                f"grid token {idx + 1} ({token!r}) is not a number"
-            ) from None
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        # Error path only: find the token that float() refuses.
+        for idx, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                raise FileFormatError(
+                    f"grid token {idx + 1} ({token!r}) is not a number"
+                ) from None
+        raise
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FileFormatError(f"grid token {bad + 1} is not finite")
@@ -226,16 +235,14 @@ def dumps_factorization(
         lines.append('  "form": "canonical"')
         lines.append(f'  "nu": {format_float(f.nu)}')
         lines.append(f'  "alpha": {format_float(f.alpha)}')
-        lines.append('  "V": [\n%s\n  ]' % _matrix_rows(f.V))
+        lines.append('  "V": [\n%s\n  ]' % _rows(f.V, "    "))
     elif isinstance(f, CompactFactorization):
         lines.append('  "form": "compact"')
         lines.append(f'  "nu": {format_float(f.nu)}')
-        lines.append(
-            '  "c": [%s]' % ", ".join(format_float(v) for v in f.c)
-        )
+        lines.append('  "c": %s' % _rows(f.c[np.newaxis], None))
     else:
         raise TypeError(f"cannot serialize {type(f).__name__} as a factorization")
-    lines.append('  "U": [\n%s\n  ]' % _matrix_rows(f.U))
+    lines.append('  "U": [\n%s\n  ]' % _rows(f.U, "    "))
     if tol is not None:
         lines.append(f'  "tol": {format_float(tol)}')
     if reconstruction_residual is not None:
@@ -243,12 +250,6 @@ def dumps_factorization(
             f'  "reconstruction_residual": {format_float(reconstruction_residual)}'
         )
     return "{\n" + ",\n".join(lines) + "\n}\n"
-
-
-def _matrix_rows(M: np.ndarray) -> str:
-    return ",\n".join(
-        "    [" + ", ".join(format_float(v) for v in row) + "]" for row in M
-    )
 
 
 def parse_factorization(text: str):
@@ -275,19 +276,17 @@ def parse_factorization(text: str):
         _check_keys(obj, {"form", "nu", "c", "U"}, optional, "compact document")
 
     nu = _require_number(obj["nu"], "field 'nu'")
-    tol = (
-        _require_number(obj["tol"], "field 'tol'") if "tol" in obj else DEFAULT_TOL
-    )
+    tol = _require_number(obj.get("tol", DEFAULT_TOL), "field 'tol'")
     if tol < 0.0:
         raise FileFormatError("field 'tol' must be >= 0")
     if "reconstruction_residual" in obj:
         _require_number(obj["reconstruction_residual"], "field 'reconstruction_residual'")
-    U = _parse_square(obj["U"], "U")
+    U = _parse_array(obj["U"], "U", square=True)
     m = U.shape[0]
 
     if form == "canonical":
         alpha = _require_number(obj["alpha"], "field 'alpha'")
-        V = _parse_square(obj["V"], "V")
+        V = _parse_array(obj["V"], "V", square=True)
         if V.shape != U.shape:
             raise FileFormatError(
                 f"V is {V.shape[0]}x{V.shape[1]} but U is {m}x{m}; sizes must match"
@@ -302,7 +301,7 @@ def parse_factorization(text: str):
         _require_orthogonal(U, "U", tol, InvalidFactorizationError)
         return CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U), tol
 
-    c = _parse_vector(obj["c"], "c")
+    c = _parse_array(obj["c"], "c", square=False)
     if c.size != m:
         raise FileFormatError(f"c has length {c.size} but U is {m}x{m}")
     if nu <= 0.0:

@@ -37,8 +37,6 @@ class RankOneSqrt:
 
     Attributes
     ----------
-    m : int
-        Size of the matrix (length of ``c``).
     c : ndarray
         The update vector, copied and write-protected.
     a : float
@@ -48,7 +46,6 @@ class RankOneSqrt:
         ``1 / (a + 1)``; exactly ``0.0`` when ``c = 0``.
     """
 
-    m: int
     c: np.ndarray
     a: float
     beta: float
@@ -61,7 +58,7 @@ class RankOneSqrt:
         s = float(c @ c)
         a = math.sqrt(1.0 + s)
         beta = 0.0 if s == 0.0 else 1.0 / (a + 1.0)
-        return cls(m=c.size, c=c, a=a, beta=beta)
+        return cls(c=c, a=a, beta=beta)
 
     @property
     def gamma(self) -> float:
@@ -74,13 +71,13 @@ class RankOneSqrt:
 
     def matrix(self) -> np.ndarray:
         """Materialize ``P = I + beta c c^T``."""
-        P = np.eye(self.m)
+        P = np.eye(self.c.size)
         P += self.beta * np.outer(self.c, self.c)
         return P
 
     def inverse_matrix(self) -> np.ndarray:
         """Materialize ``P^{-1} = I + gamma c c^T``."""
-        Q = np.eye(self.m)
+        Q = np.eye(self.c.size)
         Q += self.gamma * np.outer(self.c, self.c)
         return Q
 

@@ -246,6 +246,26 @@ class TestProcessLevel:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("check", '{"n": 2, "data": [[1, 0], [0, 1%s]]}' % ("0" * 400)),
+            ("compose", '{"form": "compact", "nu": 1%s, "c": [0], "U": [[1]]}' % ("0" * 400)),
+        ],
+        ids=["check", "compose"],
+    )
+    def test_huge_integer_exits_2_without_traceback(self, command, doc, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "socaut", command, str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_pipe_sample_to_check(self, tmp_path):
         sample = subprocess.run(
             [sys.executable, "-m", "socaut", "sample", "3", "1", "--seed", "4"],

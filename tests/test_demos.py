@@ -15,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    # TMPDIR keeps the pipeline demo's mkdtemp directory inside tmp_path.
+    # TMPDIR points the pipeline demo's temporary directory into tmp_path,
+    # where the test can see that the demo removed it.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(demo)],
@@ -26,3 +27,4 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("socaut_demo_*"))

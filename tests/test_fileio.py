@@ -24,6 +24,10 @@ from socaut.fileio import (
 )
 
 
+#: An integer literal beyond the double range (float() raises OverflowError).
+HUGE = "1" + "0" * 400
+
+
 class TestFloatFormat:
     @pytest.mark.parametrize(
         "x", [0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, np.pi, 1e-300, 1e300, 123456789.123456789]
@@ -77,6 +81,15 @@ class TestMatrixDocuments:
             ('{"n": 2, "data": [[1, 0], [0, "a"]]}', "not a number"),
             ('{"n": 2, "data": [[1, 0], [0, true]]}', "not a number"),
             ('{"n": 2, "data": [[1, 0], [0, Infinity]]}', "Infinity"),
+            ('{"n": 2, "data": [[1, 0], [0, 1e400]]}', r"data\[1\]\[1\] is not finite"),
+            pytest.param(
+                '{"n": 2, "data": [[1, 0], [0, %s]]}' % HUGE,
+                r"data\[1\]\[1\] is not finite",
+                id="huge-int-entry",
+            ),
+            ('{"n": 2, "data": [[1, 0], [0, [1]]]}', r"data\[1\]\[1\] is not a number"),
+            ('{"n": 2, "data": [[1, 0], 1]}', "row 1 is not an array"),
+            ("1 0 0 1e400", "token 4 is not finite"),
             ("[1, 2]", "root"),
             ('{"n": 2 "data"', "invalid document"),
         ],
@@ -156,6 +169,39 @@ class TestFactorizationDocuments:
             ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1, 0]]}', "row 0 has 2"),
             ('{"form": "compact", "nu": 1, "c": [], "U": [[1]]}', "non-empty"),
+            (
+                '{"form": "compact", "nu": 1, "c": [0, true], "U": [[1, 0], [0, 1]]}',
+                r"c\[1\] is not a number",
+            ),
+            (
+                '{"form": "compact", "nu": 1, "c": [0, "a"], "U": [[1, 0], [0, 1]]}',
+                r"c\[1\] is not a number",
+            ),
+            pytest.param(
+                '{"form": "compact", "nu": 1, "c": [0, %s], "U": [[1, 0], [0, 1]]}' % HUGE,
+                r"c\[1\] is not finite",
+                id="huge-int-c",
+            ),
+            pytest.param(
+                '{"form": "compact", "nu": %s, "c": [0], "U": [[1]]}' % HUGE,
+                "field 'nu' is not finite",
+                id="huge-int-nu",
+            ),
+            pytest.param(
+                '{"form": "compact", "nu": 1, "c": [0], "U": [[%s]]}' % HUGE,
+                r"U\[0\]\[0\] is not finite",
+                id="huge-int-U",
+            ),
+            (
+                '{"form": "canonical", "nu": 1, "alpha": 0, "V": [[1], [0, 1]], '
+                '"U": [[1, 0], [0, 1]]}',
+                "V row 0 has 1 entries",
+            ),
+            pytest.param(
+                '{"form": "canonical", "nu": 1, "alpha": %s, "V": [[1]], "U": [[1]]}' % HUGE,
+                "field 'alpha' is not finite",
+                id="huge-int-alpha",
+            ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "tol": -1}', "tol"),
         ],
     )
@@ -186,3 +232,74 @@ class TestFactorizationDocuments:
     def test_dumps_rejects_other_types(self):
         with pytest.raises(TypeError):
             dumps_factorization(np.eye(2))
+
+    @pytest.mark.parametrize("big", [9007199254740993, 2**63 + 1])
+    def test_integers_beyond_2_53_round_like_float(self, big):
+        doc = '{"form": "compact", "nu": %d, "c": [%d], "U": [[1]]}' % (big, big)
+        f, _ = parse_factorization(doc)
+        assert f.nu == float(big)
+        assert f.c[0] == float(big)
+        M = parse_matrix('{"n": 2, "data": [[%d, 0.5], [1, %d]]}' % (big, big))
+        assert M[0, 0] == M[1, 1] == float(big)
+
+
+def _oracle_rows(M) -> list[str]:
+    """Rows of M formatted entry by entry with format(x, ".17g")."""
+    return ["[" + ", ".join(format(float(x), ".17g") for x in row) + "]" for row in M]
+
+
+def _wide_matrix(m: int, seed: int) -> np.ndarray:
+    """Random m x m entries with decimal exponents from -300 to 300."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-300.0, 300.0, (m, m))
+    M[0, 0] = -0.0
+    M[-1, -1] = 5e-324
+    return M
+
+
+class TestByteIdentity:
+    """The serializer writes the same bytes as an entry-by-entry oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_matrix_documents(self, n):
+        M = _wide_matrix(n, seed=n)
+        rows = _oracle_rows(M)
+        indented = '{\n  "n": %d,\n  "data": [\n    %s\n  ]\n}\n' % (
+            n,
+            ",\n    ".join(rows),
+        )
+        compact = '{"n": %d, "data": [%s]}' % (n, ", ".join(rows))
+        assert dumps_matrix(M) == indented
+        assert dumps_matrix(M, compact=True) == compact
+        for doc in (indented, compact):
+            assert_array_equal(parse_matrix(doc), M)
+
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_factorization_documents(self, m):
+        V, U = _wide_matrix(m, seed=m), _wide_matrix(m, seed=m + 100)
+        c = _wide_matrix(m, seed=m + 200)[-1]
+        nu, alpha, tol, residual = 5e-324, 1e300, 1e-9, 3e-16
+
+        def field(name, value):
+            if np.ndim(value) == 0:
+                return '  "%s": %s' % (name, format(value, ".17g"))
+            if np.ndim(value) == 1:
+                return '  "%s": %s' % (name, _oracle_rows([value])[0])
+            return '  "%s": [\n%s\n  ]' % (
+                name,
+                ",\n".join("    " + row for row in _oracle_rows(value)),
+            )
+
+        def oracle(form, *fields):
+            lines = ['  "form": "%s"' % form] + [field(*f) for f in fields]
+            lines += [field("U", U), field("tol", tol), field("reconstruction_residual", residual)]
+            return "{\n" + ",\n".join(lines) + "\n}\n"
+
+        canonical = CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U)
+        compact = CompactFactorization(nu=nu, c=c, U=U)
+        assert dumps_factorization(canonical, tol, residual) == oracle(
+            "canonical", ("nu", nu), ("alpha", alpha), ("V", V)
+        )
+        assert dumps_factorization(compact, tol, residual) == oracle(
+            "compact", ("nu", nu), ("c", c)
+        )

@@ -34,7 +34,7 @@ class TestRankOneSqrt:
         # c = (3, 4): I + cc^T = [[10, 12], [12, 17]], a = sqrt(26)
         c = np.array([3.0, 4.0])
         r = RankOneSqrt.from_vector(c)
-        assert r.m == 2
+        assert r.c.size == 2
         assert r.a == math.sqrt(26.0)
         assert r.beta == 1.0 / (math.sqrt(26.0) + 1.0)
         assert_allclose(r.matrix() @ r.matrix(), [[10.0, 12.0], [12.0, 17.0]], atol=1e-13)
