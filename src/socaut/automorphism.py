@@ -16,13 +16,15 @@ hyperbolic boost.  This module implements the membership test, both
 factorizations, their inverses (composition), a seeded sampler, and a
 residual report for the six block identities behind the factorization.
 Both compositions share one O(n^2) blockwise assembly of the compact form;
-the canonical one only reads c off as ``alpha * V[:, 0]``.
+the canonical one reads c off its ``c`` property.  Orthogonality is gated
+only where a factor enters: factor_compact, file load, the public compose_*.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .kernels import (
     _require_orthogonal,
     haar_orthogonal,
     householder_to_direction,
-    orthogonality_residual,
 )
 from .spin import SpinVector
 
@@ -129,7 +130,7 @@ class CompactFactorization:
 
     Only ``nu``, ``c``, and ``U`` are stored; ``a`` and ``P`` are derived.
     Shape and positivity are validated on construction; U's orthogonality is
-    gated where the factorization crosses an operation (compose, file load).
+    gated where U enters: factor_compact, parse_factorization, compose_compact.
     """
 
     nu: float
@@ -170,8 +171,9 @@ class CompactFactorization:
 class CanonicalFactorization:
     """S = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U).
 
-    ``V`` and ``U`` are (n-1) x (n-1) orthogonal factors; orthogonality is
-    gated at operation boundaries, shape and sign constraints here.
+    ``V`` and ``U`` are (n-1) x (n-1) orthogonal factors, gated where they
+    enter: parse_factorization and compose_canonical; factor_canonical's U is
+    gated in factor_compact and its V is a reflector.  Shape and sign here.
     """
 
     nu: float
@@ -199,6 +201,11 @@ class CanonicalFactorization:
     def n(self) -> int:
         """Ambient dimension ``1 + V.shape[0]``."""
         return 1 + self.V.shape[0]
+
+    @property
+    def c(self) -> np.ndarray:
+        """The compact form's ``c = alpha V e1``."""
+        return self.alpha * self.V[:, 0]
 
 
 @dataclass(frozen=True)
@@ -326,7 +333,8 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     ``U = P^{-1} D`` is recovered through the closed-form rank-one inverse
     of ``P = sqrt(I + c c^T)`` — an O(n^2) update of the D block.  If the
     recovered U fails ``orthogonality_residual(U) <= tol * (n-1)``, S is
-    rejected: the congruence test then passed only within noise.
+    rejected: the congruence test then passed only within noise.  This is
+    U's only gate; the error carries the accepting ``check``.
     """
     S = as_square_matrix(S, "S", min_n=2)
     check = check_automorphism(S, tol)
@@ -340,14 +348,7 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     root = RankOneSqrt.from_vector(c)
     # U = P^{-1} D = (I + gamma c c^T) D, applied as a rank-one update.
     U = blocks.D + root.gamma * np.outer(c, c @ blocks.D)
-    m = c.size
-    res_U = orthogonality_residual(U)
-    if res_U > tol * m:
-        raise NotAutomorphismError(
-            f"recovered orthogonal factor fails its gate: residual {res_U:.3e} "
-            f"> {tol * m:.3e}; the congruence held only within noise",
-            check,
-        )
+    _require_orthogonal(U, "recovered U", tol, partial(NotAutomorphismError, check=check))
     return CompactFactorization(nu=nu, c=c, U=U)
 
 
@@ -372,7 +373,7 @@ def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.nda
     ``P = I + beta c c^T``, the product ``nu * [[a, c^T],[c, P]] diag(1,U)``
     has first row ``nu * [a, (c^T U)]``, first column ``nu * [a; c]``, and
     lower block ``nu * (U + beta c (c^T U))``.  U's orthogonality gate
-    (``<= tol * (n-1)``) is enforced here.
+    (``<= tol * (n-1)``) is enforced here on caller-built factors.
     """
     if not isinstance(f, CompactFactorization):
         raise TypeError(f"expected CompactFactorization, got {type(f).__name__}")
@@ -401,16 +402,16 @@ def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np
     The first three factors multiply out to ``[[a, c^T], [c, P]]`` with
     ``c = alpha V e1``, so the product
     ``nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U)`` is assembled
-    blockwise from ``(nu, alpha V[:, 0], U)`` exactly as compose_compact
-    does, in O(n^2) and without forming T_alpha.  Both orthogonality gates
-    (``<= tol * (n-1)``) are enforced here.
+    blockwise from ``(nu, f.c, U)`` exactly as compose_compact does, in
+    O(n^2) and without forming T_alpha.  Both orthogonality gates
+    (``<= tol * (n-1)``) are enforced here on caller-built factors.
     """
     if not isinstance(f, CanonicalFactorization):
         raise TypeError(f"expected CanonicalFactorization, got {type(f).__name__}")
     tol = as_nonnegative_float(tol, "tol")
     _require_orthogonal(f.V, "V", tol)
     _require_orthogonal(f.U, "U", tol)
-    return _assemble(f.nu, f.alpha * f.V[:, 0], f.U)
+    return _assemble(f.nu, f.c, f.U)
 
 
 def sample_automorphism(
@@ -423,8 +424,9 @@ def sample_automorphism(
 
     ``nu`` is uniform over ``nu_range``, ``alpha`` uniform over
     ``[0, alpha_max]``, and V, U are Haar orthogonal; the result is the
-    canonical composition of those factors.  The draw order (nu, alpha, V,
-    U) from ``np.random.default_rng(seed)`` is fixed.
+    canonical composition of those factors, assembled without a gate (Haar
+    draws are orthogonal).  The draw order (nu, alpha, V, U) from
+    ``np.random.default_rng(seed)`` is fixed.
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max")
@@ -439,7 +441,7 @@ def sample_automorphism(
     alpha = float(rng.uniform(0.0, alpha_max))
     V = haar_orthogonal(rng, n - 1)
     U = haar_orthogonal(rng, n - 1)
-    return compose_canonical(CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U))
+    return _assemble(nu, alpha * V[:, 0], U)
 
 
 def _sample_cone_points(

@@ -20,18 +20,15 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL
 from .automorphism import (
-    CanonicalFactorization,
     NotAutomorphismError,
+    _assemble,
     check_automorphism,
-    compose_canonical,
-    compose_compact,
     factor_canonical,
     factor_compact,
     property_report,
     sample_automorphism,
 )
 from .fileio import (
-    FileFormatError,
     InvalidFactorizationError,
     dumps_factorization,
     dumps_matrix,
@@ -84,24 +81,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     S = parse_matrix(_read_input(args.input))
-    if args.form == "canonical":
-        f = factor_canonical(S, args.tol)
-        reconstructed = compose_canonical(f, args.tol)
-    else:
-        f = factor_compact(S, args.tol)
-        reconstructed = compose_compact(f, args.tol)
-    residual = _relative_residual(reconstructed, S)
+    factor = factor_canonical if args.form == "canonical" else factor_compact
+    f = factor(S, args.tol)  # gates U; a canonical V is a reflector
+    residual = _relative_residual(_assemble(f.nu, f.c, f.U), S)
     doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual)
     _emit(doc, args.output, args.quiet)
     return EXIT_OK
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    f, file_tol = parse_factorization(_read_input(args.input))
-    if isinstance(f, CanonicalFactorization):
-        S = compose_canonical(f, file_tol)
-    else:
-        S = compose_compact(f, file_tol)
+    f, _ = parse_factorization(_read_input(args.input))  # gates V and U
+    S = _assemble(f.nu, f.c, f.U)
     result = check_automorphism(S, args.tol)
     if not result.is_automorphism:
         print(
@@ -259,13 +249,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NotAutomorphismError, InvalidFactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -72,6 +72,11 @@ def _reject_constant(token: str):
     raise FileFormatError(f"non-finite constant {token!r} is not allowed")
 
 
+def _parse_int(token: str):
+    # format_float writes -0.0 as "-0"; int() would drop its sign.
+    return -0.0 if token == "-0" else int(token)
+
+
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{where} is not a number")
@@ -86,8 +91,10 @@ def _require_number(value, where: str) -> float:
 
 def _loads(text: str) -> dict:
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+    except FileFormatError:
+        raise
+    except ValueError as exc:  # bad syntax, or an integer beyond int()'s digit limit
         raise FileFormatError(f"invalid document: {exc}") from None
     if not isinstance(obj, dict):
         raise FileFormatError(
@@ -259,7 +266,7 @@ def parse_factorization(text: str):
     tolerance (DEFAULT_TOL when absent).  Structural problems raise
     FileFormatError; mathematical invariant violations (nu <= 0, alpha < 0,
     non-orthogonal factors beyond ``tol * m``) raise
-    InvalidFactorizationError.
+    InvalidFactorizationError.  These are a loaded factor's only gates.
     """
     obj = _loads(text.strip() or "{}")
     form = obj.get("form")

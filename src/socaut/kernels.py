@@ -10,6 +10,7 @@ the hyperbolic boost block.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +134,9 @@ def orthogonality_residual(M) -> float:
 
 
 def _require_orthogonal(
-    M: np.ndarray, name: str, tol: float, error: type[Exception] = ValueError
+    M: np.ndarray, name: str, tol: float, error: Callable[[str], Exception] = ValueError
 ) -> None:
-    """Raise ``error`` unless ``orthogonality_residual(M) <= tol * m``."""
+    """Raise ``error(message)`` unless ``orthogonality_residual(M) <= tol * m``."""
     res = orthogonality_residual(M)
     bound = tol * M.shape[0]
     if res > bound:

@@ -2,10 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from socaut import sample_automorphism, signature_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """Environment for a subprocess that imports socaut from this source tree."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"), **extra)
+
+
+def run_socaut(*args: str, input: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -m socaut ARGS`` as a subprocess against this source tree."""
+    return subprocess.run(
+        [sys.executable, "-m", "socaut", *args],
+        input=input,
+        capture_output=True,
+        text=True,
+        env=src_env(),
+    )
 
 
 def rel_fro(A, B) -> float:

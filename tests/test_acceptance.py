@@ -20,8 +20,6 @@ Each test reads as one pass/fail line under ``pytest -v``.
 
 from __future__ import annotations
 
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -44,6 +42,8 @@ from socaut import (
 )
 from socaut.cli import main
 from socaut.fileio import dumps_matrix, parse_matrix
+
+from conftest import run_socaut
 
 
 def rel_fro(A: np.ndarray, B: np.ndarray) -> float:
@@ -287,16 +287,7 @@ def test_cli_exit_codes_and_file_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
     # The same pipeline holds at the process level.
-    sampled = subprocess.run(
-        [sys.executable, "-m", "socaut", "sample", "3", "1", "--seed", "12"],
-        capture_output=True,
-        text=True,
-    )
+    sampled = run_socaut("sample", "3", "1", "--seed", "12")
     assert sampled.returncode == 0
-    checked = subprocess.run(
-        [sys.executable, "-m", "socaut", "check", "-"],
-        input=sampled.stdout,
-        capture_output=True,
-        text=True,
-    )
+    checked = run_socaut("check", "-", input=sampled.stdout)
     assert checked.returncode == 0

@@ -34,6 +34,7 @@ from socaut import (
     sqrt_rank_one,
     unit,
 )
+from socaut.kernels import haar_orthogonal
 from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
 
 EPS = float(np.finfo(float).eps)
@@ -191,8 +192,12 @@ class TestFactorCompact:
         S[2, 2] += 1e-3
         tol = 1e-4
         assert check_automorphism(S, tol).is_automorphism
-        with pytest.raises(NotAutomorphismError, match="orthogonal"):
+        with pytest.raises(NotAutomorphismError, match="orthogonal") as excinfo:
             factor_compact(S, tol)
+        assert excinfo.value.check.is_automorphism
+        message = str(excinfo.value)
+        assert "recovered U" in message
+        assert f"> {tol * 2:.3e}" in message  # the bound tol * m, m = 2
 
     def test_rejected_input_raises(self):
         with pytest.raises(NotAutomorphismError):
@@ -306,6 +311,14 @@ class TestCompose:
             )
             assert defect <= 1e-10 * max(1.0, np.linalg.norm(S) ** 2)
 
+    def test_canonical_c_is_the_compact_view(self):
+        V = sample_haar_orthogonal(4, seed=8)
+        U = sample_haar_orthogonal(4, seed=9)
+        f = CanonicalFactorization(nu=1.5, alpha=3.0, V=V, U=U)
+        assert_array_equal(f.c, 3.0 * V[:, 0])
+        compact = CompactFactorization(nu=f.nu, c=f.c, U=f.U)
+        assert_array_equal(compose_canonical(f), compose_compact(compact))
+
     def test_two_routes_agree(self):
         # Oracle: the literal four-factor product
         # nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U), against the
@@ -361,6 +374,21 @@ class TestCompose:
 
 
 class TestSampleAutomorphism:
+    @pytest.mark.parametrize(
+        "n,alpha_max,nu_range", [(2, 10.0, (1.0, 1.0)), (7, 1e4, (1e-3, 1e3))]
+    )
+    def test_equals_gated_composition_of_its_draws(self, n, alpha_max, nu_range):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            nu = float(rng.uniform(*nu_range))
+            alpha = float(rng.uniform(0.0, alpha_max))
+            V = haar_orthogonal(rng, n - 1)
+            U = haar_orthogonal(rng, n - 1)
+            f = CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U)
+            assert_array_equal(
+                sample_automorphism(n, alpha_max, nu_range, seed), compose_canonical(f)
+            )
+
     def test_deterministic(self):
         A = sample_automorphism(6, seed=5)
         B = sample_automorphism(6, seed=5)

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import io
-import subprocess
+import json
 import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from socaut import boost_matrix, sample_automorphism
+from socaut import boost_matrix, compose_canonical, compose_compact, kernels, sample_automorphism
 from socaut.cli import main
 from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization, parse_matrix
 from socaut.automorphism import CompactFactorization
+
+from conftest import rel_fro, run_socaut
 
 
 def parse_report(text: str) -> dict:
@@ -93,6 +95,23 @@ class TestFactorCompose:
         assert main(["compose", str(fact), "--output", str(out)]) == 0
         M = parse_matrix(out.read_text())
         assert np.linalg.norm(M - S) / np.linalg.norm(S) <= 1e-8
+
+    @pytest.mark.parametrize("form", ["canonical", "compact"])
+    def test_cli_matches_the_gated_library_compose(self, form, tmp_path):
+        # The CLI assembles already-gated factors directly; the public compose_*,
+        # which gates them again, must give the same matrix bit for bit.
+        S = sample_automorphism(6, alpha_max=50.0, nu_range=(0.5, 2.0), seed=31)
+        src = tmp_path / "m.json"
+        src.write_text(dumps_matrix(S))
+        fact = tmp_path / "f.json"
+        assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+        f, tol = parse_factorization(fact.read_text())
+        compose = compose_canonical if form == "canonical" else compose_compact
+        recorded = json.loads(fact.read_text())["reconstruction_residual"]
+        assert recorded == rel_fro(compose(f, tol), S)
+        out = tmp_path / "out.json"
+        assert main(["compose", str(fact), "--output", str(out)]) == 0
+        assert_array_equal(parse_matrix(out.read_text()), compose(f, tol))
 
     def test_factor_rejects_non_automorphism(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
@@ -231,19 +250,48 @@ class TestVerify:
             assert first[key] == second[key]
 
 
+class TestGateSites:
+    """Each orthogonal factor is gated once, where it enters the program."""
+
+    @pytest.fixture
+    def gates(self, monkeypatch):
+        calls = []
+        residual = kernels.orthogonality_residual
+
+        def counting(M):
+            calls.append(M.shape)
+            return residual(M)
+
+        monkeypatch.setattr(kernels, "orthogonality_residual", counting)
+        return calls
+
+    def test_sample_runs_no_gate(self, gates):
+        assert main(["sample", "5", "3", "--quiet"]) == 0
+        assert gates == []
+
+    @pytest.mark.parametrize("form,compose_gates", [("canonical", 2), ("compact", 1)])
+    def test_factor_gates_u_and_compose_gates_each_loaded_factor(
+        self, form, compose_gates, gates, tmp_path
+    ):
+        src = tmp_path / "m.json"
+        src.write_text(dumps_matrix(sample_automorphism(5, seed=3)))
+        fact = tmp_path / "f.json"
+        assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+        assert len(gates) == 1  # the recovered U
+        gates.clear()
+        assert main(["compose", str(fact), "--quiet"]) == 0
+        assert len(gates) == compose_gates  # V and U, or U, in parse_factorization
+
+
 class TestProcessLevel:
     def test_console_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "socaut", "--help"], capture_output=True, text=True
-        )
+        proc = run_socaut("--help")
         assert proc.returncode == 0
         for sub in ("check", "factor", "compose", "sample", "verify"):
             assert sub in proc.stdout
 
     def test_no_command_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "socaut"], capture_output=True, text=True
-        )
+        proc = run_socaut()
         assert proc.returncode == 2
 
     @pytest.mark.parametrize(
@@ -257,27 +305,14 @@ class TestProcessLevel:
     def test_huge_integer_exits_2_without_traceback(self, command, doc, tmp_path):
         p = tmp_path / "huge.json"
         p.write_text(doc)
-        proc = subprocess.run(
-            [sys.executable, "-m", "socaut", command, str(p)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_socaut(command, str(p))
         assert proc.returncode == 2
         assert "is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_pipe_sample_to_check(self, tmp_path):
-        sample = subprocess.run(
-            [sys.executable, "-m", "socaut", "sample", "3", "1", "--seed", "4"],
-            capture_output=True,
-            text=True,
-        )
+        sample = run_socaut("sample", "3", "1", "--seed", "4")
         assert sample.returncode == 0
-        check = subprocess.run(
-            [sys.executable, "-m", "socaut", "check", "-"],
-            input=sample.stdout,
-            capture_output=True,
-            text=True,
-        )
+        check = run_socaut("check", "-", input=sample.stdout)
         assert check.returncode == 0
         assert "is_automorphism true" in check.stdout

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,11 +16,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo, tmp_path):
     # TMPDIR points the pipeline demo's temporary directory into tmp_path,
     # where the test can see that the demo removed it.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
-        env=env,
+        env=src_env(TMPDIR=str(tmp_path)),
         capture_output=True,
         text=True,
         timeout=120,
