@@ -56,7 +56,10 @@ def as_nonnegative_float(x, name: str = "x") -> float:
 
 def as_index(x, name: str = "n", minimum: int = 0) -> int:
     """Return ``x`` as an int, requiring ``x >= minimum``."""
-    val = int(x)
+    try:
+        val = int(x)
+    except OverflowError:  # x is +-inf
+        val = None
     if val != x:
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if val < minimum:

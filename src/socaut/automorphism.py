@@ -18,6 +18,9 @@ residual report for the six block identities behind the factorization.
 Both compositions share one O(n^2) blockwise assembly of the compact form;
 the canonical one reads c off its ``c`` property.  Orthogonality is gated
 only where a factor enters: factor_compact, file load, the public compose_*.
+Each public call validates its input once; factor_compact reads c and D off
+S itself, so normalize and split_blocks are conveniences for callers that
+the factor path does not use.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from ._validate import (
     as_nonnegative_float,
     as_positive_float,
     as_square_matrix,
+    as_vector,
 )
 from .kernels import (
     RankOneSqrt,
@@ -139,14 +143,10 @@ class CompactFactorization:
 
     def __post_init__(self) -> None:
         nu = as_positive_float(self.nu, "nu")
-        c = _frozen(self.c)
-        U = _frozen(self.U)
-        if c.ndim != 1 or c.size < 1 or not np.all(np.isfinite(c)):
-            raise ValueError("c must be a finite vector of length n-1 >= 1")
-        if U.shape != (c.size, c.size) or not np.all(np.isfinite(U)):
-            raise ValueError(
-                f"U must be a finite {c.size}x{c.size} matrix, got shape {U.shape}"
-            )
+        c = _frozen(as_vector(self.c, "c", min_len=1))
+        U = _frozen(as_square_matrix(self.U, "U"))
+        if U.shape != (c.size, c.size):
+            raise ValueError(f"U must be {c.size}x{c.size} to match c, got shape {U.shape}")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "U", U)
@@ -184,14 +184,10 @@ class CanonicalFactorization:
     def __post_init__(self) -> None:
         nu = as_positive_float(self.nu, "nu")
         alpha = as_nonnegative_float(self.alpha, "alpha")
-        V = _frozen(self.V)
-        U = _frozen(self.U)
-        if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] < 1:
-            raise ValueError(f"V must be square of size >= 1, got shape {V.shape}")
+        V = _frozen(as_square_matrix(self.V, "V"))
+        U = _frozen(as_square_matrix(self.U, "U"))
         if U.shape != V.shape:
             raise ValueError(f"U must match V's shape {V.shape}, got {U.shape}")
-        if not (np.all(np.isfinite(V)) and np.all(np.isfinite(U))):
-            raise ValueError("V and U must have finite entries")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "V", V)
@@ -259,8 +255,8 @@ def split_blocks(S) -> BlockView:
     )
 
 
-def _congruence_parts(S: np.ndarray) -> tuple[float, float]:
-    """Return (mu, residual_congruence) for the two-sided J-congruence."""
+def _check(S: np.ndarray, tol: float) -> AutCheckResult:
+    """The membership test on an S and tol that are already validated."""
     n = S.shape[0]
     j = -np.ones(n)
     j[0] = 1.0
@@ -272,7 +268,13 @@ def _congruence_parts(S: np.ndarray) -> tuple[float, float]:
     right[np.diag_indices(n)] -= target
     scale = max(1.0, float(np.sum(S * S)))
     res = max(float(np.linalg.norm(left)), float(np.linalg.norm(right))) / scale
-    return mu, res
+    cone_forward = bool(S[0, 0] > 0.0)
+    return AutCheckResult(
+        is_automorphism=(mu > tol) and (res <= tol) and cone_forward,
+        mu=mu,
+        residual_congruence=res,
+        cone_forward=cone_forward,
+    )
 
 
 def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
@@ -284,17 +286,7 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     ``S^T J S``; any inconsistency with the rest of the congruence shows up
     in the residual.  Rejection is a normal result, not an exception.
     """
-    S = as_square_matrix(S, "S", min_n=2)
-    tol = as_nonnegative_float(tol, "tol")
-    mu, res = _congruence_parts(S)
-    cone_forward = bool(S[0, 0] > 0.0)
-    accepted = (mu > tol) and (res <= tol) and cone_forward
-    return AutCheckResult(
-        is_automorphism=accepted,
-        mu=mu,
-        residual_congruence=res,
-        cone_forward=cone_forward,
-    )
+    return _check(as_square_matrix(S, "S", min_n=2), as_nonnegative_float(tol, "tol"))
 
 
 def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
@@ -337,17 +329,18 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     U's only gate; the error carries the accepting ``check``.
     """
     S = as_square_matrix(S, "S", min_n=2)
-    check = check_automorphism(S, tol)
+    tol = as_nonnegative_float(tol, "tol")
+    check = _check(S, tol)
     if not check.is_automorphism:
         raise NotAutomorphismError(
             "cannot factor: " + _describe_rejection(check, tol), check
         )
-    nu, S_hat = normalize(S, check)
-    blocks = split_blocks(S_hat)
-    c = blocks.c
+    nu = math.sqrt(check.mu)
+    c = S[1:, 0] / nu
+    U = S[1:, 1:] / nu  # the D block
     root = RankOneSqrt.from_vector(c)
-    # U = P^{-1} D = (I + gamma c c^T) D, applied as a rank-one update.
-    U = blocks.D + root.gamma * np.outer(c, c @ blocks.D)
+    # U = P^{-1} D = (I + gamma c c^T) D, applied in place as a rank-one update.
+    U += root.gamma * np.outer(c, c @ U)
     _require_orthogonal(U, "recovered U", tol, partial(NotAutomorphismError, check=check))
     return CompactFactorization(nu=nu, c=c, U=U)
 
@@ -449,8 +442,6 @@ def _sample_cone_points(
 ) -> np.ndarray:
     """Sample cone points as rows: tail uniform on a sphere of radius
     r in (0, 10], head r (boundary) or r*(1+u), u in (0, 1] (interior)."""
-    if count == 0:
-        return np.empty((0, n))
     G = rng.standard_normal((count, n - 1))
     norms = np.linalg.norm(G, axis=1)
     norms[norms == 0.0] = 1.0

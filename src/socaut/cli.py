@@ -56,8 +56,12 @@ def _emit(text: str, output: str | None, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
-def _bool_word(flag: bool) -> str:
-    return "true" if flag else "false"
+def _report(pairs) -> str:
+    """One ``key value`` line per pair: bools as true/false, numbers via format_float."""
+    return "".join(
+        f"{key} {str(value).lower() if isinstance(value, bool) else format_float(value)}\n"
+        for key, value in pairs
+    )
 
 
 def _relative_residual(A, B) -> float:
@@ -69,13 +73,7 @@ def _relative_residual(A, B) -> float:
 def _cmd_check(args: argparse.Namespace) -> int:
     S = parse_matrix(_read_input(args.input))
     result = check_automorphism(S, args.tol)
-    lines = [
-        f"is_automorphism {_bool_word(result.is_automorphism)}",
-        f"mu {format_float(result.mu)}",
-        f"residual_congruence {format_float(result.residual_congruence)}",
-        f"cone_forward {_bool_word(result.cone_forward)}",
-    ]
-    _emit("\n".join(lines) + "\n", args.output, args.quiet)
+    _emit(_report(vars(result).items()), args.output, args.quiet)
     return EXIT_OK if result.is_automorphism else EXIT_REJECTED
 
 
@@ -135,31 +133,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         and report.cone_violation_max <= args.tol
         and report.boundary_drift_max <= args.tol
     )
-    lines = [
-        f"mu {format_float(result.mu)}",
-        f"residual_congruence {format_float(result.residual_congruence)}",
-        f"residual_A1 {format_float(report.residual_A1)}",
-        f"residual_A2 {format_float(report.residual_A2)}",
-        f"residual_A3 {format_float(report.residual_A3)}",
-        f"residual_B1 {format_float(report.residual_B1)}",
-        f"residual_B2 {format_float(report.residual_B2)}",
-        f"residual_B3 {format_float(report.residual_B3)}",
-        f"cone_violation_max {format_float(report.cone_violation_max)}",
-        f"boundary_drift_max {format_float(report.boundary_drift_max)}",
-        f"all_within_tol {_bool_word(ok)}",
+    pairs = [
+        ("mu", result.mu),
+        ("residual_congruence", result.residual_congruence),
+        *vars(report).items(),
+        ("all_within_tol", ok),
     ]
-    _emit("\n".join(lines) + "\n", args.output, args.quiet)
+    _emit(_report(pairs), args.output, args.quiet)
     return EXIT_OK if ok else EXIT_REJECTED
 
 
-def _add_common(parser: argparse.ArgumentParser, *, tol: bool = True) -> None:
-    if tol:
-        parser.add_argument(
-            "--tol",
-            type=float,
-            default=DEFAULT_TOL,
-            help=f"acceptance tolerance (default {DEFAULT_TOL:g})",
-        )
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help=f"acceptance tolerance (default {DEFAULT_TOL:g})",
+    )
     parser.add_argument(
         "--output",
         metavar="PATH",

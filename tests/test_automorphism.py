@@ -13,6 +13,7 @@ from socaut import (
     CompactFactorization,
     ConeRegion,
     NotAutomorphismError,
+    RankOneSqrt,
     SpinVector,
     algebra_automorphism,
     apply,
@@ -34,6 +35,7 @@ from socaut import (
     sqrt_rank_one,
     unit,
 )
+from socaut import automorphism
 from socaut.kernels import haar_orthogonal
 from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
 
@@ -207,6 +209,50 @@ class TestFactorCompact:
         # 0 < mu <= tol: the residual is 0, so only the mu gate can explain it.
         with pytest.raises(NotAutomorphismError, match=r"mu=1e-12 <= tol 1e-09"):
             factor_compact(1e-6 * np.eye(3))
+
+
+class TestFactorPath:
+    """factor_* validates S once and reads its blocks off S itself."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        validate = automorphism.as_square_matrix
+
+        def counting_validate(M, name="M", min_n=1):
+            calls.append(f"as_square_matrix {name}")
+            return validate(M, name, min_n)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(automorphism, "as_square_matrix", counting_validate)
+        for name in ("check_automorphism", "normalize", "split_blocks"):
+            monkeypatch.setattr(automorphism, name, counting(name, getattr(automorphism, name)))
+        return calls
+
+    @pytest.mark.parametrize("factor", [factor_compact, factor_canonical])
+    def test_validates_s_once_and_skips_the_public_wrappers(self, factor, calls):
+        factor(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
+        assert calls.count("as_square_matrix S") == 1
+        assert not {"check_automorphism", "normalize", "split_blocks"} & set(calls)
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_equals_the_public_normalize_and_split_route(self, n):
+        for S in random_automorphisms(3, n, seed0=700 + n):
+            nu, S_hat = normalize(S, check_automorphism(S))
+            assert nu != 1.0
+            blocks = split_blocks(S_hat)
+            gamma = RankOneSqrt.from_vector(blocks.c).gamma
+            U = blocks.D + gamma * np.outer(blocks.c, blocks.c @ blocks.D)
+            f = factor_compact(S)
+            assert f.nu == nu
+            assert f.c.tobytes() == blocks.c.tobytes()
+            assert f.U.tobytes() == U.tobytes()
 
 
 class TestFactorCanonical:

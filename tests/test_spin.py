@@ -184,7 +184,7 @@ class TestSignatureAndUnit:
         assert e.x0 == 1.0
         assert_array_equal(e.xbar, np.zeros(4))
 
-    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    @pytest.mark.parametrize("n", [0, 1, 2.5, float("inf")])
     def test_dimension_validation(self, n):
         with pytest.raises(ValueError):
             unit(n)
