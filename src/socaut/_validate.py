@@ -58,8 +58,8 @@ def as_index(x, name: str = "n", minimum: int = 0) -> int:
     """Return ``x`` as an int, requiring ``x >= minimum``."""
     try:
         val = int(x)
-    except OverflowError:  # x is +-inf
-        val = None
+    except (OverflowError, ValueError):  # +-inf, NaN, non-numeric strings
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
     if val != x:
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if val < minimum:

@@ -18,9 +18,9 @@ residual report for the six block identities behind the factorization.
 Both compositions share one O(n^2) blockwise assembly of the compact form;
 the canonical one reads c off its ``c`` property.  Orthogonality is gated
 only where a factor enters: factor_compact, file load, the public compose_*.
-Each public call validates its input once; factor_compact reads c and D off
-S itself, so normalize and split_blocks are conveniences for callers that
-the factor path does not use.
+factor_compact validates S once, in its one check_automorphism call, and
+reads c and D off S itself, so normalize and split_blocks are conveniences
+for callers that the factor path does not use.
 """
 
 from __future__ import annotations
@@ -255,8 +255,17 @@ def split_blocks(S) -> BlockView:
     )
 
 
-def _check(S: np.ndarray, tol: float) -> AutCheckResult:
-    """The membership test on an S and tol that are already validated."""
+def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
+    """Two-sided congruence membership test for the cone automorphism group.
+
+    Accepts iff ``mu > tol``, ``residual_congruence <= tol`` (both
+    ``S^T J S = mu J`` and ``S J S^T = mu J`` enter the residual), and
+    ``(S e)_0 = S[0,0] > 0``.  ``mu`` is read from entry (0,0) of
+    ``S^T J S``; any inconsistency with the rest of the congruence shows up
+    in the residual.  Rejection is a normal result, not an exception.
+    """
+    S = as_square_matrix(S, "S", min_n=2)
+    tol = as_nonnegative_float(tol, "tol")
     n = S.shape[0]
     j = -np.ones(n)
     j[0] = 1.0
@@ -275,18 +284,6 @@ def _check(S: np.ndarray, tol: float) -> AutCheckResult:
         residual_congruence=res,
         cone_forward=cone_forward,
     )
-
-
-def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
-    """Two-sided congruence membership test for the cone automorphism group.
-
-    Accepts iff ``mu > tol``, ``residual_congruence <= tol`` (both
-    ``S^T J S = mu J`` and ``S J S^T = mu J`` enter the residual), and
-    ``(S e)_0 = S[0,0] > 0``.  ``mu`` is read from entry (0,0) of
-    ``S^T J S``; any inconsistency with the rest of the congruence shows up
-    in the residual.  Rejection is a normal result, not an exception.
-    """
-    return _check(as_square_matrix(S, "S", min_n=2), as_nonnegative_float(tol, "tol"))
 
 
 def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
@@ -328,9 +325,9 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     rejected: the congruence test then passed only within noise.  This is
     U's only gate; the error carries the accepting ``check``.
     """
-    S = as_square_matrix(S, "S", min_n=2)
-    tol = as_nonnegative_float(tol, "tol")
-    check = _check(S, tol)
+    S = np.asarray(S, dtype=float)
+    check = check_automorphism(S, tol)  # validates S and tol
+    tol = float(tol)
     if not check.is_automorphism:
         raise NotAutomorphismError(
             "cannot factor: " + _describe_rejection(check, tol), check

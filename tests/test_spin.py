@@ -184,9 +184,14 @@ class TestSignatureAndUnit:
         assert e.x0 == 1.0
         assert_array_equal(e.xbar, np.zeros(4))
 
-    @pytest.mark.parametrize("n", [0, 1, 2.5, float("inf")])
+    @pytest.mark.parametrize("n", [0, 1, 2.5, float("inf"), float("nan")])
     def test_dimension_validation(self, n):
         with pytest.raises(ValueError):
             unit(n)
         with pytest.raises(ValueError):
             signature_matrix(n)
+
+    @pytest.mark.parametrize("n", [2.5, float("inf"), float("nan"), "four"])
+    def test_non_integer_dimension_message(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            unit(n)
