@@ -8,8 +8,10 @@ Writing S = nu * [[a, b^T], [c, D]], membership forces six identities:
     A2: a b = D^T c               B2: a c = D b
     A3: D^T D = I + b b^T         B3: D D^T = I + c c^T
 
-property_report evaluates all six together with sampled cone statistics,
-so a defect in any block of S shows up in a named residual.
+property_report evaluates all six together, so a defect in any block of S
+shows up in a named residual.  From the same defects it derives
+cone_slack_bound, a deterministic cap on how far any cone point can be
+pushed out of the cone; sampled cone statistics are an opt-in cross-check.
 """
 
 import numpy as np
@@ -21,6 +23,9 @@ S = sample_automorphism(4, alpha_max=2.0, nu_range=(1.0, 1.0), seed=13)
 clean = property_report(S, n_samples=2000, seed=0)
 print("exact automorphism:")
 print("  max identity residual =", clean.max_identity_residual())
+# cone_slack_bound is per unit of the largest image head (a + ||b||) * x0;
+# the sampled slacks are absolute, over points with x0 up to 20.
+print("  cone_slack_bound      =", clean.cone_slack_bound)
 print("  cone_violation_max    =", clean.cone_violation_max)
 print("  boundary_drift_max    =", clean.boundary_drift_max)
 
@@ -44,7 +49,7 @@ for label, (i, j) in targets.items():
     loudest = max(residuals, key=residuals.get)
     responding = sorted(k for k, v in residuals.items() if v > 1e-7)
     print(f"perturb {label}: loudest = {loudest} at {residuals[loudest]:.3e}, "
-          f"responding = {responding}")
+          f"responding = {responding}, cone_slack_bound = {report.cone_slack_bound:.3e}")
 
 # A uniformly scaled automorphism is still an automorphism; the report
 # normalizes the scale away rather than flagging it.

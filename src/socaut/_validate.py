@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Default tolerance for every gate in the package.  Only some gates scale
 #: it: the congruence residual and the cone-classification slack pass when
 #: r <= tol * max(1, scale); the congruence scale mu must exceed tol (an
 #: absolute gate); an m x m orthogonal factor passes when its residual
-#: ||M^T M - I||_F <= tol * m.
+#: ||M^T M - I||_F <= tol * m; verify's identity residuals and its
+#: cone_slack_bound (a slack per unit of image head) must be <= tol.
 DEFAULT_TOL = 1e-9
 
 
@@ -38,18 +41,27 @@ def as_square_matrix(M, name: str = "M", min_n: int = 1) -> np.ndarray:
     return arr
 
 
+def as_float(x) -> float:
+    """Return ``float(x)``, or NaN when ``x`` does not convert, so that the
+    callers' finiteness check rejects it with their own message."""
+    try:
+        return float(x)
+    except (OverflowError, TypeError, ValueError):  # huge ints, None, non-numeric strings
+        return math.nan
+
+
 def as_positive_float(x, name: str = "x") -> float:
     """Return ``x`` as a finite float, requiring ``x > 0``."""
-    val = float(x)
-    if not np.isfinite(val) or val <= 0.0:
+    val = as_float(x)
+    if not math.isfinite(val) or val <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {x!r}")
     return val
 
 
 def as_nonnegative_float(x, name: str = "x") -> float:
     """Return ``x`` as a finite float, requiring ``x >= 0``."""
-    val = float(x)
-    if not np.isfinite(val) or val < 0.0:
+    val = as_float(x)
+    if not math.isfinite(val) or val < 0.0:
         raise ValueError(f"{name} must be a finite non-negative number, got {x!r}")
     return val
 

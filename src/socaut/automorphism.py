@@ -14,13 +14,15 @@ with nu > 0, c in R^(n-1), a = sqrt(1 + ||c||^2), P = sqrt(I + c c^T),
 alpha = ||c||, c = alpha V e1, V and U orthogonal, and T_alpha the
 hyperbolic boost.  This module implements the membership test, both
 factorizations, their inverses (composition), a seeded sampler, and a
-residual report for the six block identities behind the factorization.
+residual report for the six block identities behind the factorization, with
+a sample-free bound on how far any cone point can be pushed out.
 Both compositions share one O(n^2) blockwise assembly of the compact form;
 the canonical one reads c off its ``c`` property.  Orthogonality is gated
 only where a factor enters: factor_compact, file load, the public compose_*.
 factor_compact validates S once, in its one check_automorphism call, and
-reads c and D off S itself, so normalize and split_blocks are conveniences
-for callers that the factor path does not use.
+reads c and D off S itself; property_report likewise validates once and
+slices its blocks.  normalize and split_blocks are conveniences for callers
+that neither path uses.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from ._validate import (
     DEFAULT_TOL,
+    as_float,
     as_index,
     as_nonnegative_float,
     as_positive_float,
@@ -206,7 +209,8 @@ class CanonicalFactorization:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Residuals of the six block identities plus cone-image statistics.
+    """Residuals of the six block identities, a cone certificate, and
+    optional sampled cone-image statistics.
 
     The identities, for a normalized S = [[a, b^T], [c, D]]:
 
@@ -216,8 +220,15 @@ class PropertyReport:
 
     The A family comes from ``S^T J S = J``, the B family from
     ``S J S^T = J``.  Residuals are raw Euclidean/Frobenius norms evaluated
-    on the (internally normalized) matrix.  Cone statistics are absolute
-    slacks ``||ybar|| - y0`` over images of sampled cone points.
+    on the (internally normalized) matrix.
+
+    ``cone_slack_bound`` is deterministic: with E = S^T J S - J,
+    ``2 ||E||_F / (a^2 - ||b||^2)`` (inf when the denominator is <= 0).  Every
+    cone point x satisfies ``||ybar|| - y0 <= cone_slack_bound * (a + ||b||) * x0``
+    for y = S x, and boundary points satisfy it for ``| ||ybar|| - y0 |``;
+    ``(a + ||b||) * x0`` is the largest head an image of x can have.  The
+    sampled statistics are absolute slacks ``||ybar|| - y0`` over images of
+    sampled cone points; both read 0 when no points are sampled.
     """
 
     residual_A1: float
@@ -228,6 +239,7 @@ class PropertyReport:
     residual_B3: float
     cone_violation_max: float
     boundary_drift_max: float
+    cone_slack_bound: float
 
     def max_identity_residual(self) -> float:
         """Largest of the six identity residuals."""
@@ -420,8 +432,10 @@ def sample_automorphism(
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max")
-    nu_min, nu_max = (float(nu_range[0]), float(nu_range[1]))
-    if not (np.isfinite(nu_min) and np.isfinite(nu_max)) or not 0.0 < nu_min <= nu_max:
+    nu_min, nu_max = as_float(nu_range[0]), as_float(nu_range[1])
+    if not (math.isfinite(nu_min) and math.isfinite(nu_max)):
+        raise ValueError(f"nu_range must hold two finite numbers, got {nu_range!r}")
+    if not 0.0 < nu_min <= nu_max:
         raise ValueError(
             f"nu_range must satisfy 0 < nu_min <= nu_max, got ({nu_min!r}, {nu_max!r})"
         )
@@ -453,23 +467,45 @@ def _sample_cone_points(
     return X
 
 
-def property_report(S, n_samples: int = 10000, seed: int = 0) -> PropertyReport:
-    """Evaluate the six block identities and cone-image statistics for S.
+def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
+    """Evaluate the six block identities and the cone certificate for S.
 
     S must be normalized (mu = 1) or normalizable: when ``|mu - 1| > 0.1``
     the matrix is rescaled by ``1/sqrt(mu)`` internally; near-normalized
     input is evaluated verbatim, so a single broken entry is never partially
     reabsorbed by the rescale.  Residuals are raw norms of the six identity
-    defects.  Gross non-automorphisms (``mu <= 0``, cone-reversing) raise
+    defects, read off the blocks of that matrix S_hat = [[a, b^T], [c, D]].
+    Gross non-automorphisms (``mu <= 0``, cone-reversing) raise
     NotAutomorphismError; tolerance-level failures still produce a report —
     that is the diagnostic purpose of this function.
 
-    Cone statistics sample ``n_samples`` interior and ``n_samples`` boundary
-    points (seeded), mapping them through the normalized matrix (the cone is
-    scale-invariant, and this keeps the absolute slacks meaningful at any
-    mu): ``cone_violation_max`` is the largest positive slack
-    ``||ybar|| - y0`` over all images, ``boundary_drift_max`` the largest
-    ``| ||ybar|| - y0 |`` over boundary images.
+    ``cone_slack_bound`` costs no matmul beyond the identities: the blocks of
+    E = S_hat^T J S_hat - J are the A-family defects, so
+    ``||E||_F^2 = (a^2 - 1 - ||c||^2)^2 + 2 ||a b - D^T c||^2
+    + ||D^T D - I - b b^T||^2``.  Why it bounds the slack of every cone
+    point x (x0 >= ||xbar||), with y = S_hat x:
+
+    1. ``y0^2 - ||ybar||^2 = x^T J x + x^T E x >= -||E||_2 ||x||^2
+       >= -2 ||E||_F x0^2``, using ``||E||_2 <= ||E||_F`` and
+       ``||x||^2 <= 2 x0^2``; on the boundary ``x^T J x = 0``, so
+       ``|y0^2 - ||ybar||^2| <= 2 ||E||_F x0^2``.
+    2. ``y0 = a x0 + b . xbar >= x0 (a - ||b||)``, which is > 0 whenever the
+       bound is finite.
+    3. Hence ``||ybar|| - y0 = (||ybar||^2 - y0^2) / (||ybar|| + y0)
+       <= 2 ||E||_F x0 / (a - ||b||) = cone_slack_bound * (a + ||b||) x0``,
+       and the same for ``| ||ybar|| - y0 |`` on the boundary.
+
+    This is the S-lemma view of cone-preserving maps (Loewy & Schneider,
+    "Positive operators on the n-dimensional ice cream cone", J. Math. Anal.
+    Appl. 49, 1975).
+
+    Sampling is an opt-in cross-check: with ``n_samples > 0``, ``n_samples``
+    interior and ``n_samples`` boundary points (seeded) are mapped through
+    S_hat (the cone is scale-invariant, and this keeps the absolute slacks
+    meaningful at any mu): ``cone_violation_max`` is the largest positive
+    slack ``||ybar|| - y0`` over all images, ``boundary_drift_max`` the
+    largest ``| ||ybar|| - y0 |`` over boundary images.  Both are 0 when
+    ``n_samples`` is 0, the default.
     """
     S = as_square_matrix(S, "S", min_n=2)
     n_samples = as_index(n_samples, "n_samples", minimum=0)
@@ -485,19 +521,28 @@ def property_report(S, n_samples: int = 10000, seed: int = 0) -> PropertyReport:
         raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0")
     S_hat = S if abs(mu - 1.0) <= 0.1 else S / math.sqrt(mu)
 
-    blocks = split_blocks(S_hat)
-    a, b, c, D = blocks.a, blocks.b, blocks.c, blocks.D
+    a = float(S_hat[0, 0])
+    b = S_hat[0, 1:]
+    c = S_hat[1:, 0].copy()  # contiguous: a strided dot sums in another order
+    D = S_hat[1:, 1:]
     m = n - 1
-    res_A1 = abs(a - math.sqrt(1.0 + float(c @ c)))
+    bb = float(b @ b)
+    cc = float(c @ c)
+    res_A1 = abs(a - math.sqrt(1.0 + cc))
     res_A2 = float(np.linalg.norm(a * b - D.T @ c))
     G = D.T @ D
     G[np.diag_indices(m)] -= 1.0
     res_A3 = float(np.linalg.norm(G - np.outer(b, b)))
-    res_B1 = abs(a - math.sqrt(1.0 + float(b @ b)))
+    res_B1 = abs(a - math.sqrt(1.0 + bb))
     res_B2 = float(np.linalg.norm(a * c - D @ b))
     H = D @ D.T
     H[np.diag_indices(m)] -= 1.0
     res_B3 = float(np.linalg.norm(H - np.outer(c, c)))
+
+    # ||E||_F from E's blocks: corner a^2 - 1 - ||c||^2, twice A2's defect, A3's.
+    defect = math.hypot(a * a - 1.0 - cc, math.sqrt(2.0) * res_A2, res_A3)
+    head = a * a - bb
+    slack_bound = 2.0 * defect / head if head > 0.0 else math.inf
 
     cone_violation = 0.0
     boundary_drift = 0.0
@@ -521,6 +566,7 @@ def property_report(S, n_samples: int = 10000, seed: int = 0) -> PropertyReport:
         residual_B3=res_B3,
         cone_violation_max=cone_violation,
         boundary_drift_max=boundary_drift,
+        cone_slack_bound=slack_bound,
     )
 
 

@@ -130,6 +130,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = (
         result.is_automorphism
         and report.max_identity_residual() <= args.tol
+        and report.cone_slack_bound <= args.tol
         and report.cone_violation_max <= args.tol
         and report.boundary_drift_max <= args.tol
     )
@@ -212,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("verify", help="identity residuals and cone-image statistics")
+    p = sub.add_parser("verify", help="identity residuals and a cone certificate")
     p.add_argument("input", help="matrix document path, or - for standard input")
     p.add_argument(
         "--samples",
         type=int,
-        default=10000,
-        help="cone points per class for the image statistics (default 10000)",
+        default=0,
+        help="cone points per class for the sampled cross-check (default %(default)s)",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     _add_common(p)

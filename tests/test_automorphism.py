@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from socaut import (
@@ -40,6 +42,29 @@ from socaut.kernels import haar_orthogonal
 from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
 
 EPS = float(np.finfo(float).eps)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Names of the validations and block helpers ``socaut.automorphism`` calls."""
+    calls = []
+    validate = automorphism.as_square_matrix
+
+    def counting_validate(M, name="M", min_n=1):
+        calls.append(f"as_square_matrix {name}")
+        return validate(M, name, min_n)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(automorphism, "as_square_matrix", counting_validate)
+    for name in ("check_automorphism", "normalize", "split_blocks"):
+        monkeypatch.setattr(automorphism, name, counting(name, getattr(automorphism, name)))
+    return calls
 
 
 class TestSplitBlocks:
@@ -113,6 +138,13 @@ class TestCheckAutomorphism:
         assert res.mu == pytest.approx(1e-10)
         assert not res.is_automorphism
         assert check_automorphism(1e-3 * np.eye(3), tol=1e-9).is_automorphism
+
+    @pytest.mark.parametrize(
+        "tol", [-1e-9, math.inf, math.nan, pytest.param(10**400, id="1e400"), None, "abc"]
+    )
+    def test_tol_validation_message(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite non-negative number"):
+            check_automorphism(np.eye(3), tol=tol)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -214,27 +246,6 @@ class TestFactorCompact:
 class TestFactorPath:
     """factor_* validates S once, in one check_automorphism call, and reads
     its blocks off S itself."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        validate = automorphism.as_square_matrix
-
-        def counting_validate(M, name="M", min_n=1):
-            calls.append(f"as_square_matrix {name}")
-            return validate(M, name, min_n)
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(automorphism, "as_square_matrix", counting_validate)
-        for name in ("check_automorphism", "normalize", "split_blocks"):
-            monkeypatch.setattr(automorphism, name, counting(name, getattr(automorphism, name)))
-        return calls
 
     @pytest.mark.parametrize("factor", [factor_compact, factor_canonical])
     def test_validates_s_once_and_skips_normalize_and_split_blocks(self, factor, calls):
@@ -400,6 +411,11 @@ class TestCompose:
             S = compose_canonical(CanonicalFactorization(1.0, alpha, V, U))
             assert abs(abs(np.linalg.det(S)) - 1.0) <= 1e-9 * (1.0 + alpha * alpha)
 
+    @pytest.mark.parametrize("nu", [0.0, math.nan, pytest.param(10**400, id="1e400"), None, "abc"])
+    def test_factorization_nu_message(self, nu):
+        with pytest.raises(ValueError, match="nu must be a finite positive number"):
+            CompactFactorization(nu, [1.0], np.eye(1))
+
     def test_invariant_violations(self):
         with pytest.raises(ValueError):
             CompactFactorization(nu=0.0, c=np.zeros(2), U=np.eye(2))
@@ -469,6 +485,21 @@ class TestSampleAutomorphism:
         with pytest.raises(ValueError):
             sample_automorphism(4, seed=-3)
 
+    @pytest.mark.parametrize(
+        "alpha_max", [-1.0, math.inf, pytest.param(10**400, id="1e400"), None, "abc"]
+    )
+    def test_alpha_max_message(self, alpha_max):
+        with pytest.raises(ValueError, match="alpha_max must be a finite non-negative number"):
+            sample_automorphism(4, alpha_max=alpha_max)
+
+    @pytest.mark.parametrize(
+        "nu_range",
+        [pytest.param((10**400, 10**401), id="1e400"), (1.0, math.inf), (None, 1.0), ("abc", 1.0)],
+    )
+    def test_nu_range_message(self, nu_range):
+        with pytest.raises(ValueError, match="nu_range must hold two finite numbers"):
+            sample_automorphism(4, nu_range=nu_range)
+
 
 class TestGroupStructure:
     def test_products_and_inverses(self):
@@ -512,10 +543,43 @@ class TestGroupStructure:
                 assert img is ConeRegion.BOUNDARY
 
 
+def split_blocks_residuals(S_hat):
+    """The six identity residuals, computed from split_blocks' block copies."""
+    bl = split_blocks(S_hat)
+    a, b, c, D = bl.a, bl.b, bl.c, bl.D
+    m = b.size
+    G = D.T @ D
+    G[np.diag_indices(m)] -= 1.0
+    H = D @ D.T
+    H[np.diag_indices(m)] -= 1.0
+    return [
+        abs(a - math.sqrt(1.0 + float(c @ c))),
+        float(np.linalg.norm(a * b - D.T @ c)),
+        float(np.linalg.norm(G - np.outer(b, b))),
+        abs(a - math.sqrt(1.0 + float(b @ b))),
+        float(np.linalg.norm(a * c - D @ b)),
+        float(np.linalg.norm(H - np.outer(c, c))),
+    ]
+
+
+def cone_slack_caps(S, rep, X):
+    """Slacks ``||ybar|| - y0`` of the rows of X mapped by S, and the caps
+    ``cone_slack_bound * (a + ||b||) * x0`` that the report proves for them.
+
+    A computed slack carries rounding of a few ulps of the largest image head
+    ``(a + ||b||) * x0``, which the exact bound does not see: the caps allow 4.
+    """
+    Y = X @ S.T
+    slack = np.linalg.norm(Y[:, 1:], axis=1) - Y[:, 0]
+    cap = (rep.cone_slack_bound + 4.0 * EPS) * (S[0, 0] + np.linalg.norm(S[0, 1:])) * X[:, 0]
+    return slack, cap
+
+
 class TestPropertyReport:
     def test_identity_all_zero(self):
         rep = property_report(np.eye(4), n_samples=50)
         assert rep.max_identity_residual() == 0.0
+        assert rep.cone_slack_bound == 0.0
         assert rep.cone_violation_max <= 1e-13
         assert rep.boundary_drift_max <= 1e-13
 
@@ -543,6 +607,7 @@ class TestPropertyReport:
         rep = property_report(5.0 * boost_matrix(1.0, 3), n_samples=200)
         assert rep.max_identity_residual() <= 1e-12
         assert rep.cone_violation_max <= 1e-12
+        assert rep.cone_slack_bound <= 1e-14
 
     def test_near_normalized_is_verbatim(self):
         # mu = (1+delta)^2 stays inside the no-rescale band, so A1 sees the
@@ -564,6 +629,70 @@ class TestPropertyReport:
         rep = property_report(np.eye(3), n_samples=0)
         assert rep.cone_violation_max == 0.0
         assert rep.boundary_drift_max == 0.0
+        assert property_report(np.eye(3)) == rep  # sampling is off by default
+
+    def test_validates_s_once_and_skips_split_blocks(self, calls):
+        property_report(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
+        assert calls.count("as_square_matrix S") == 1
+        assert "split_blocks" not in calls
+
+    @pytest.mark.parametrize("n", [2, 5, 50, 300])
+    def test_residuals_equal_the_split_blocks_route(self, n):
+        rng = np.random.default_rng(n)
+        for S in random_automorphisms(3, n, seed0=900 + n, nu_range=(1.0, 1.0)):
+            noisy = S + 1e-7 * rng.standard_normal(S.shape)
+            for M in (S, noisy):  # mu within 0.1 of 1: evaluated verbatim
+                rep = property_report(M)
+                got = [rep.residual_A1, rep.residual_A2, rep.residual_A3,
+                       rep.residual_B1, rep.residual_B2, rep.residual_B3]
+                want = split_blocks_residuals(M)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4, 20])
+    def test_cone_slack_bound_reads_the_congruence_defect(self, n):
+        # (a^2 - ||b||^2) * bound / 2 is ||S^T J S - J||_F, built from blocks.
+        rng = np.random.default_rng(40 + n)
+        J = signature_matrix(n)
+        for S in random_automorphisms(5, n, seed0=60 + n, nu_range=(1.0, 1.0)):
+            S = S + 1e-6 * rng.standard_normal(S.shape)
+            rep = property_report(S)
+            head = S[0, 0] ** 2 - float(S[0, 1:] @ S[0, 1:])
+            defect = float(np.linalg.norm(S.T @ J @ S - J))
+            assert rep.cone_slack_bound * head / 2.0 == pytest.approx(defect, rel=1e-6)
+
+    def test_cone_slack_bound_inf_without_a_positive_head(self):
+        # First column (1, 0) gives mu = 1, but a^2 - ||b||^2 = 1 - 4 < 0.
+        rep = property_report(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert rep.cone_slack_bound == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        alpha=st.floats(0.0, 300.0),
+        log_noise=st.floats(-14.0, -6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cone_slack_bound_caps_every_slack(self, n, alpha, log_noise, seed):
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(n - 1)
+        c = alpha * direction / np.linalg.norm(direction)
+        S = compose_compact(CompactFactorization(1.0, c, haar_orthogonal(rng, n - 1)))
+        S += 10.0**log_noise * rng.standard_normal((n, n))
+        rep = property_report(S)  # mu within 0.1 of 1: the report evaluates S itself
+        # Boundary points with x0 in (0, 10], plus the one that minimizes y0.
+        tails = rng.standard_normal((500, n - 1))
+        tails /= np.linalg.norm(tails, axis=1, keepdims=True)
+        b = S[0, 1:]
+        if np.linalg.norm(b) > 0.0:
+            tails = np.vstack([tails, -b / np.linalg.norm(b)])
+        r = 10.0 - rng.uniform(0.0, 10.0, size=len(tails))
+        boundary = np.hstack([r[:, None], r[:, None] * tails])
+        interior = boundary.copy()
+        interior[:, 0] *= 1.0 + rng.random(len(tails))
+        slack, cap = cone_slack_caps(S, rep, boundary)
+        assert np.all(np.abs(slack) <= cap)
+        slack, cap = cone_slack_caps(S, rep, interior)
+        assert np.all(slack <= cap)
 
     def test_deterministic_in_seed(self):
         S = sample_automorphism(4, seed=77)

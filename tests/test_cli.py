@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from socaut import boost_matrix, compose_canonical, compose_compact, kernels, sample_automorphism
+from socaut import (
+    automorphism,
+    boost_matrix,
+    check_automorphism,
+    compose_canonical,
+    compose_compact,
+    kernels,
+    property_report,
+    sample_automorphism,
+)
 from socaut.cli import main
 from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization, parse_matrix
 from socaut.automorphism import CompactFactorization
@@ -240,6 +249,66 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        calls = []
+        sample = automorphism._sample_cone_points
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(automorphism, "_sample_cone_points", counting)
+        return calls
+
+    def test_default_flags_certify_without_sampling(self, boost_file, sampled, capsys):
+        assert main(["verify", str(boost_file)]) == 0
+        assert sampled == []
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["cone_slack_bound"]) <= 1e-14
+        assert report["cone_violation_max"] == report["boundary_drift_max"] == "0"
+        assert list(report)[-2:] == ["cone_slack_bound", "all_within_tol"]
+
+    def test_samples_flag_runs_the_cross_check(self, boost_file, sampled, capsys):
+        assert main(["verify", str(boost_file), "--samples", "20"]) == 0
+        assert len(sampled) == 2  # interior and boundary points
+        capsys.readouterr()
+
+    def test_default_flags_reject_perturbed_corner(self, tmp_path, capsys):
+        S = boost_matrix(1.0, 3)
+        S[0, 0] += 1e-3
+        p = tmp_path / "p.json"
+        p.write_text(dumps_matrix(S))
+        assert main(["verify", str(p)]) == 1
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["cone_slack_bound"]) >= 1e-4
+        assert report["all_within_tol"] == "false"
+
+    def test_default_flags_accept_n300_member(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(dumps_matrix(sample_automorphism(300, seed=7)))
+        assert main(["verify", str(p)]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["cone_slack_bound"]) <= 1e-12
+        assert report["all_within_tol"] == "true"
+
+    def test_cone_slack_bound_gates_on_its_own(self, tmp_path, capsys):
+        # At alpha = 1.5e3 check accepts this member and its identity
+        # residuals stay within tol.  The certificate grows like a times
+        # them (its corner term a^2 - 1 - ||c||^2 is about 2 a A1), so it
+        # alone crosses tol.
+        rng = np.random.default_rng(3)
+        direction = rng.standard_normal(49)
+        c = 1.5e3 * direction / np.linalg.norm(direction)
+        S = compose_compact(CompactFactorization(1.0, c, kernels.haar_orthogonal(rng, 49)))
+        rep = property_report(S)
+        assert check_automorphism(S).is_automorphism
+        assert rep.max_identity_residual() <= 1e-9 < rep.cone_slack_bound
+        p = tmp_path / "wide.json"
+        p.write_text(dumps_matrix(S))
+        assert main(["verify", str(p)]) == 1
+        assert parse_report(capsys.readouterr().out)["all_within_tol"] == "false"
 
     def test_seed_changes_nothing_for_exact_automorphism(self, boost_file, capsys):
         assert main(["verify", str(boost_file), "--samples", "100", "--seed", "1"]) == 0
