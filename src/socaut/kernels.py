@@ -129,7 +129,7 @@ def orthogonality_residual(M) -> float:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be a square matrix, got shape {M.shape}")
     G = M.T @ M
-    G[np.diag_indices_from(G)] -= 1.0
+    G[np.diag_indices(M.shape[0])] -= 1.0
     return float(np.linalg.norm(G))
 
 

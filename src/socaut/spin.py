@@ -13,11 +13,12 @@ the cone is carried by the signature matrix ``J = diag(1, -1, ..., -1)``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import DEFAULT_TOL, as_index, as_nonnegative_float, as_vector
+from ._validate import DEFAULT_TOL, as_float, as_index, as_nonnegative_float, as_vector
 
 __all__ = [
     "ConeRegion",
@@ -50,8 +51,8 @@ class SpinVector:
     xbar: np.ndarray
 
     def __post_init__(self) -> None:
-        x0 = float(self.x0)
-        if not np.isfinite(x0):
+        x0 = as_float(self.x0)
+        if not math.isfinite(x0):
             raise ValueError("x0 must be finite")
         xbar = as_vector(self.xbar, "xbar", min_len=1).copy()
         xbar.flags.writeable = False

@@ -71,16 +71,21 @@ class TestSpinVector:
     @pytest.mark.parametrize(
         "bad",
         [
-            (np.nan, [1.0]),
-            (np.inf, [1.0]),
-            (1.0, [np.nan]),
-            (1.0, []),
-            (1.0, [[1.0, 2.0]]),
+            (np.nan, [1.0], "x0 must be finite"),
+            (np.inf, [1.0], "x0 must be finite"),
+            (1.0, [np.nan], "xbar must have finite entries"),
+            (1.0, [], "xbar must have at least 1 entries"),
+            (1.0, [[1.0, 2.0]], "xbar must be one-dimensional"),
+            # Unconvertible heads share the finiteness message.
+            (10**400, [0.0], "x0 must be finite"),
+            (None, [0.0], "x0 must be finite"),
+            ("abc", [0.0], "x0 must be finite"),
         ],
     )
     def test_rejects_bad_input(self, bad):
-        with pytest.raises(ValueError):
-            SpinVector(bad[0], bad[1])
+        x0, xbar, message = bad
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SpinVector(x0, xbar)
 
 
 class TestJordanProduct:
