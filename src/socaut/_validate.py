@@ -11,7 +11,8 @@ import numpy as np
 #: r <= tol * max(1, scale); the congruence scale mu must exceed tol (an
 #: absolute gate); an m x m orthogonal factor passes when its residual
 #: ||M^T M - I||_F <= tol * m; verify's identity residuals and its
-#: cone_slack_bound (a slack per unit of image head) must be <= tol.
+#: cone_slack_bound (a slack per unit of image head) must be <= tol.  check's
+#: and verify's gates sit side by side in ``automorphism._check``/``_verify``.
 DEFAULT_TOL = 1e-9
 
 
@@ -58,11 +59,15 @@ def as_positive_float(x, name: str = "x") -> float:
     return val
 
 
-def as_nonnegative_float(x, name: str = "x") -> float:
-    """Return ``x`` as a finite float, requiring ``x >= 0``."""
+def as_nonnegative_float(x, name: str = "x", finite_square: bool = False) -> float:
+    """Return ``x`` as a finite float ``>= 0``, with a finite square if ``finite_square``."""
     val = as_float(x)
     if not math.isfinite(val) or val < 0.0:
         raise ValueError(f"{name} must be a finite non-negative number, got {x!r}")
+    if finite_square and math.isinf(val * val):
+        raise ValueError(
+            f"{name} must be a finite non-negative number whose square is finite, got {x!r}"
+        )
     return val
 
 

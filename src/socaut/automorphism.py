@@ -20,9 +20,9 @@ Both compositions share one O(n^2) blockwise assembly of the compact form;
 the canonical one reads c off its ``c`` property.  Orthogonality is gated
 only where a factor enters: factor_compact, file load, the public compose_*.
 factor_compact validates S once, in its one check_automorphism call, and
-reads c and D off S itself.  check_automorphism and property_report share
-one pair of products S^T J S, S J S^T (_congruence), and so one mu.
-normalize and split_blocks are conveniences that neither path uses.
+reads c and D off S itself.  property_report and verify (_verify, whose
+gates sit beside check's) read the report off the one membership test's
+residual matrices.  normalize and split_blocks are used by neither path.
 """
 
 from __future__ import annotations
@@ -281,12 +281,11 @@ def _congruence(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subtract_scaled_j(s: float, *products: np.ndarray) -> None:
-    """Subtract ``s J`` in place from each n x n product."""
-    target = np.full(len(products[0]), -s)
-    target[0] = s
-    diag = np.diag_indices(target.size)
+    """Subtract ``s J`` in place from each C-contiguous n x n product."""
     for M in products:
-        M[diag] -= target
+        d = M.reshape(-1)[:: len(M) + 1]  # a view of the diagonal
+        d[0] -= s
+        d[1:] += s
 
 
 def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
@@ -299,7 +298,11 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     in the residual.  Rejection is a normal result, not an exception.
     """
     S = as_square_matrix(S, "S", min_n=2)
-    tol = as_nonnegative_float(tol, "tol")
+    return _check(S, as_nonnegative_float(tol, "tol"))[0]
+
+
+def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, np.ndarray, np.ndarray]:
+    """check_automorphism on validated input, with S^T J S - mu J and S J S^T - mu J."""
     left, right = _congruence(S)
     mu = float(left[0, 0])
     _subtract_scaled_j(mu, left, right)
@@ -311,7 +314,7 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
         mu=mu,
         residual_congruence=res,
         cone_forward=cone_forward,
-    )
+    ), left, right
 
 
 def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
@@ -447,7 +450,7 @@ def sample_automorphism(
     ``np.random.default_rng(seed)`` is fixed.
     """
     n = as_index(n, "n", minimum=2)
-    alpha_max = as_nonnegative_float(alpha_max, "alpha_max")
+    alpha_max = as_nonnegative_float(alpha_max, "alpha_max", finite_square=True)
     nu_min, nu_max = as_float(nu_range[0]), as_float(nu_range[1])
     if not (math.isfinite(nu_min) and math.isfinite(nu_max)):
         raise ValueError(f"nu_range must hold two finite numbers, got {nu_range!r}")
@@ -492,8 +495,9 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
     evaluated verbatim, so a single broken entry is never partially
     reabsorbed by the rescale.  The residuals are raw norms of the blocks of
     E = S_hat^T J S_hat - J and F = S_hat J S_hat^T - J for that matrix
-    S_hat = [[a, b^T], [c, D]] (see PropertyReport), from the same pair of
-    products that check_automorphism forms, divided by mu when rescaled.
+    S_hat = [[a, b^T], [c, D]] (see PropertyReport).  E and F are the
+    membership test's residual matrices S^T J S - mu J and S J S^T - mu J,
+    divided by mu when rescaled and shifted by (mu - 1) J when verbatim.
     Gross non-automorphisms (``mu <= 0``, cone-reversing) raise
     NotAutomorphismError; tolerance-level failures still produce a report —
     that is the diagnostic purpose of this function.
@@ -524,24 +528,31 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
     largest ``| ||ybar|| - y0 |`` over boundary images.  Both are 0 when
     ``n_samples`` is 0, the default.
     """
+    return _verify(S, DEFAULT_TOL, n_samples, seed)[1]
+
+
+def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bool]:
+    """socaut verify: check, property_report off its residuals, the gates (all <= tol)."""
     S = as_square_matrix(S, "S", min_n=2)
+    tol = as_nonnegative_float(tol, "tol")
     n_samples = as_index(n_samples, "n_samples", minimum=0)
     seed = as_index(seed, "seed", minimum=0)
-    E, F = _congruence(S)  # S^T J S and S J S^T until J is subtracted below
-    mu = float(E[0, 0])
+    check, E, F = _check(S, tol)  # E, F = S^T J S - mu J, S J S^T - mu J
+    mu = check.mu
     if not math.isfinite(mu) or mu <= 0.0:
         raise NotAutomorphismError(
-            f"congruence scale mu={mu:.6g} is not positive; cannot normalize"
+            f"congruence scale mu={mu:.6g} is not positive; cannot normalize", check
         )
-    if S[0, 0] <= 0.0:
-        raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0")
+    if not check.cone_forward:
+        raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0", check)
     S_hat = S
     if abs(mu - 1.0) > 0.1:
         S_hat = S / math.sqrt(mu)
         E /= mu
         F /= mu
-    head = float(F[0, 0])  # a^2 - ||b||^2
-    _subtract_scaled_j(1.0, E, F)
+    else:
+        _subtract_scaled_j(1.0 - mu, E, F)
+    head = 1.0 + float(F[0, 0])  # a^2 - ||b||^2
 
     a, b, c = float(S_hat[0, 0]), S_hat[0, 1:], S_hat[1:, 0]
     slack_bound = 2.0 * float(np.linalg.norm(E)) / head if head > 0.0 else math.inf
@@ -556,7 +567,7 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
             if boundary:
                 boundary_drift = float(np.max(np.abs(slack), initial=0.0))
 
-    return PropertyReport(
+    report = PropertyReport(
         residual_A1=abs(a - math.sqrt(1.0 + float(c @ c))),
         residual_A2=float(np.linalg.norm(E[1:, 0])),
         residual_A3=float(np.linalg.norm(E[1:, 1:])),
@@ -567,6 +578,8 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
         boundary_drift_max=boundary_drift,
         cone_slack_bound=slack_bound,
     )
+    gated = (report.max_identity_residual(), slack_bound, cone_violation, boundary_drift)
+    return check, report, check.is_automorphism and all(v <= tol for v in gated)
 
 
 def apply(S, x: SpinVector) -> SpinVector:

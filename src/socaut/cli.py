@@ -22,10 +22,10 @@ from ._validate import DEFAULT_TOL
 from .automorphism import (
     NotAutomorphismError,
     _assemble,
+    _verify,
     check_automorphism,
     factor_canonical,
     factor_compact,
-    property_report,
     sample_automorphism,
 )
 from .fileio import (
@@ -125,15 +125,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     S = parse_matrix(_read_input(args.input))
-    result = check_automorphism(S, args.tol)
-    report = property_report(S, n_samples=args.samples, seed=args.seed)
-    ok = (
-        result.is_automorphism
-        and report.max_identity_residual() <= args.tol
-        and report.cone_slack_bound <= args.tol
-        and report.cone_violation_max <= args.tol
-        and report.boundary_drift_max <= args.tol
-    )
+    result, report, ok = _verify(S, args.tol, args.samples, args.seed)
     pairs = [
         ("mu", result.mu),
         ("residual_congruence", result.residual_congruence),

@@ -177,7 +177,7 @@ def boost_matrix(alpha: float, n: int) -> np.ndarray:
     sqrt(1+alpha^2)]]`` and the rest is the identity.  The boost satisfies
     ``T^T J T = J`` exactly in real arithmetic.
     """
-    alpha = as_nonnegative_float(alpha, "alpha")
+    alpha = as_nonnegative_float(alpha, "alpha", finite_square=True)
     n = as_index(n, "n", minimum=2)
     T = np.eye(n)
     h = math.sqrt(1.0 + alpha * alpha)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +41,8 @@ from socaut import (
     sqrt_rank_one,
     unit,
 )
-from socaut import automorphism
+from socaut import automorphism, cli
+from socaut.fileio import dumps_matrix
 from socaut.kernels import haar_orthogonal
 from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
 
@@ -258,10 +263,21 @@ def congruence_mus(monkeypatch):
     return mus
 
 
-class TestCongruence:
-    """check, factor and the report form S^T J S and S J S^T once, in one place."""
+def cli_verify(S) -> int:
+    """``socaut verify`` on S through ``cli.main``, from a matrix document."""
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(work) / "S.json"
+        path.write_text(dumps_matrix(S))
+        return cli.main(["verify", str(path)])
 
-    @pytest.mark.parametrize("call", [check_automorphism, property_report, factor_compact])
+
+class TestCongruence:
+    """check, factor, the report and verify form S^T J S and S J S^T once, in
+    one place."""
+
+    @pytest.mark.parametrize(
+        "call", [check_automorphism, property_report, factor_compact, cli_verify]
+    )
     def test_each_call_forms_the_products_once(self, call, congruence_mus):
         call(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
         assert len(congruence_mus) == 1
@@ -272,6 +288,26 @@ class TestCongruence:
         assert abs(mu - 1.0) > 0.1
         property_report(S)
         assert np.array(congruence_mus).tobytes() == np.array([mu, mu]).tobytes()
+
+    @pytest.mark.parametrize("nu", [3.0, 1.03])
+    def test_verify_returns_the_check_and_the_report(self, nu):
+        S = sample_automorphism(6, alpha_max=3.0, nu_range=(nu, nu), seed=9)
+        tol = 1e-9
+        got = automorphism._verify(S, tol, 0, 0)[:2]
+        assert got == (check_automorphism(S, tol), property_report(S))
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_diagonal_update_equals_the_fancy_index_form(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-5, 1.0, 1e5):
+            M = scale * rng.standard_normal((n, n))
+            s = scale * float(rng.standard_normal())
+            expected = M.copy()
+            target = np.full(n, -s)
+            target[0] = s
+            expected[np.diag_indices(n)] -= target
+            automorphism._subtract_scaled_j(s, M)
+            assert M.tobytes() == expected.tobytes()
 
 
 class TestFactorPath:
@@ -517,7 +553,8 @@ class TestSampleAutomorphism:
             sample_automorphism(4, seed=-3)
 
     @pytest.mark.parametrize(
-        "alpha_max", [-1.0, math.inf, pytest.param(10**400, id="1e400"), None, "abc"]
+        "alpha_max",
+        [-1.0, math.inf, pytest.param(10**400, id="1e400"), None, "abc", 1e200],
     )
     def test_alpha_max_message(self, alpha_max):
         with pytest.raises(ValueError, match="alpha_max must be a finite non-negative number"):

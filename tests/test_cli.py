@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from socaut.cli import main
 from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization, parse_matrix
 from socaut.automorphism import CompactFactorization
 
-from conftest import rel_fro, run_socaut
+from conftest import ROOT, rel_fro, run_socaut
 
 
 def parse_report(text: str) -> dict:
@@ -249,6 +250,26 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+        assert "cone-reversing input" in captured.err
+        p.write_text("0.1 1\n1 0.1\n")  # first column (0.1, 1): mu = 0.01 - 1 < 0
+        assert main(["verify", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: congruence scale mu=-0.99 is not positive" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--tol", "tol must be a finite non-negative number, got -1.0"),
+            ("--samples", "n_samples must be >= 0, got -1"),
+            ("--seed", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_argument_exits_2(self, flag, message, boost_file, capsys):
+        assert main(["verify", str(boost_file), flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -378,6 +399,28 @@ class TestProcessLevel:
         assert proc.returncode == 2
         assert "is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_alpha_max_whose_square_overflows_exits_2_without_warnings(self):
+        proc = run_socaut("sample", "4", "1", "--alpha-max", "1e200")
+        assert proc.returncode == 2
+        assert "alpha_max must be a finite non-negative number" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_cli_corpus_records_52_commands(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = tmp_path / "results"
+        labels = {p.stem for p in results.iterdir()}
+        assert len(labels) == 52
+        for label in labels:
+            assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
+            assert (results / f"{label}.stdout").is_file()
+            assert (results / f"{label}.stderr").is_file()
 
     def test_pipe_sample_to_check(self, tmp_path):
         sample = run_socaut("sample", "3", "1", "--seed", "4")

@@ -231,3 +231,7 @@ class TestBoostMatrix:
             boost_matrix(np.inf, 3)
         with pytest.raises(ValueError):
             boost_matrix(1.0, 1)
+
+    def test_refuses_alpha_whose_square_overflows(self):
+        with pytest.raises(ValueError, match="alpha must be a finite non-negative number"):
+            boost_matrix(1e200, 3)

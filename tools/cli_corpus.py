@@ -1,0 +1,139 @@
+"""Run a fixed corpus of 52 socaut commands and record what each one prints.
+
+    python tools/cli_corpus.py OUTDIR [--src SRC]
+
+Every command runs through ``socaut.cli.main`` in this one process, with
+socaut imported from SRC (default: this checkout's ``src``).  The input
+documents go to ``OUTDIR/inputs``; each command writes its exit code,
+standard output and standard error to ``OUTDIR/results/LABEL.exit``,
+``LABEL.stdout`` and ``LABEL.stderr``.  To compare two trees, run the script
+against each tree's ``src`` into two directories and ``diff -r`` them.
+
+The corpus: ``check``, ``factor`` (both forms), ``verify`` and
+``verify --samples 2000 --seed 0|3`` on five matrices (an n = 300 member,
+its 1e-7-perturbed copy, a 50 x 50 Gaussian, an n = 300 member with
+nu = 1.03, and the n = 6 boost with its corner raised by 1e-3); ``compose``
+of the four factor documents of the two members; ``check``, ``factor`` and
+``verify`` with ``--tol 1e-12`` on the two members; three ``sample`` draws;
+and nine calls with bad arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MATRICES = ("member", "perturbed", "gaussian", "near_one", "corner")
+MEMBERS = ("member", "near_one")
+
+
+def write_inputs(inputs: Path) -> dict[str, Path]:
+    """Write the five input matrix documents; return their paths by name."""
+    from socaut import boost_matrix, sample_automorphism
+    from socaut.fileio import dumps_matrix
+
+    member = sample_automorphism(300, seed=7)
+    corner = boost_matrix(1.0, 6)
+    corner[0, 0] += 1e-3
+    matrices = {
+        "member": member,
+        "perturbed": member + 1e-7 * np.random.default_rng(1).standard_normal(member.shape),
+        "gaussian": np.random.default_rng(2).standard_normal((50, 50)),
+        "near_one": sample_automorphism(300, nu_range=(1.03, 1.03), seed=8),
+        "corner": corner,
+    }
+    inputs.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, S in matrices.items():
+        paths[name] = inputs / f"{name}.json"
+        paths[name].write_text(dumps_matrix(S))
+    return paths
+
+
+def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]]]:
+    """The corpus as ``(label, argv)`` pairs, in the order they run.  Each
+    compose reads the standard output its factor command left in ``results``."""
+    cmds = []
+    for name in MATRICES:
+        m = str(paths[name])
+        cmds += [
+            (f"check_{name}", ["check", m]),
+            (f"factor_canonical_{name}", ["factor", m]),
+            (f"factor_compact_{name}", ["factor", m, "--form", "compact"]),
+            (f"verify_{name}", ["verify", m]),
+            (f"verify_seed0_{name}", ["verify", m, "--samples", "2000", "--seed", "0"]),
+            (f"verify_seed3_{name}", ["verify", m, "--samples", "2000", "--seed", "3"]),
+        ]
+    for name in MEMBERS:
+        for form in ("canonical", "compact"):
+            doc = results / f"factor_{form}_{name}.stdout"
+            cmds.append((f"compose_{form}_{name}", ["compose", str(doc)]))
+    for name in MEMBERS:
+        m = str(paths[name])
+        cmds += [
+            (f"check_tol12_{name}", ["check", m, "--tol", "1e-12"]),
+            (f"factor_tol12_{name}", ["factor", m, "--tol", "1e-12"]),
+            (f"verify_tol12_{name}", ["verify", m, "--tol", "1e-12"]),
+        ]
+    ranges = ["--alpha-max", "100", "--nu-min", "0.5", "--nu-max", "2"]
+    cmds += [
+        ("sample_member", ["sample", "300", "1", "--seed", "7"]),
+        ("sample_stream", ["sample", "4", "20", "--seed", "11"]),
+        ("sample_ranges", ["sample", "5", "3", "--seed", "2", *ranges]),
+    ]
+    member = str(paths["member"])
+    bad = [
+        ["sample", "1", "3"],
+        ["sample", "4", "0"],
+        ["sample", "4", "3", "--alpha-max", "-1"],
+        ["sample", "4", "3", "--nu-min", "0"],
+        ["sample", "4", "3", "--nu-min", "3", "--nu-max", "2"],
+        ["sample", "4", "3", "--seed", "-1"],
+        ["verify", member, "--tol", "-1"],
+        ["verify", member, "--samples", "-1"],
+        ["verify", member, "--seed", "-1"],
+    ]
+    cmds += [(f"bad_{i}", argv) for i, argv in enumerate(bad)]
+    return cmds
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("outdir", type=Path, help="directory for inputs and results")
+    parser.add_argument(
+        "--src", type=Path, default=ROOT / "src", help="directory socaut is imported from"
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from socaut import cli
+
+    paths = write_inputs(args.outdir / "inputs")
+    results = args.outdir / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    corpus = commands(paths, results)
+    for label, cmd in corpus:
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("always")  # every command shows its own warnings
+            code = cli.main(cmd)
+        (results / f"{label}.exit").write_text(f"{code}\n")
+        (results / f"{label}.stdout").write_text(out.getvalue())
+        (results / f"{label}.stderr").write_text(err.getvalue())
+    print(f"{len(corpus)} commands run; results in {results}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
