@@ -8,75 +8,18 @@ orthogonal blocks).  This package provides the membership test, both
 factorizations and their compositions, seeded sampling, the spin-algebra
 layer behind the cone, and a residual report for each identity the
 factorization rests on — plus a command-line front end (``socaut``).
+
+The ``__all__`` lists of ``spin``, ``kernels`` and ``automorphism`` are the
+only list of public names: the package re-exports each of them and adds
+``DEFAULT_TOL`` and ``__version__``.
 """
 
+from . import automorphism, kernels, spin
 from ._validate import DEFAULT_TOL
-from .automorphism import (
-    AutCheckResult,
-    BlockView,
-    CanonicalFactorization,
-    CompactFactorization,
-    NotAutomorphismError,
-    PropertyReport,
-    algebra_automorphism,
-    apply,
-    check_automorphism,
-    compose_canonical,
-    compose_compact,
-    factor_canonical,
-    factor_compact,
-    normalize,
-    property_report,
-    sample_automorphism,
-    split_blocks,
-)
-from .kernels import (
-    RankOneSqrt,
-    boost_matrix,
-    householder_to_direction,
-    inv_sqrt_rank_one,
-    orthogonality_residual,
-    sample_haar_orthogonal,
-    sqrt_rank_one,
-)
-from .spin import ConeRegion, SpinVector, cone_classify, jordan_product, signature_matrix, unit
+from .automorphism import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .spin import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "__version__",
-    # spin algebra
-    "SpinVector",
-    "ConeRegion",
-    "jordan_product",
-    "unit",
-    "cone_classify",
-    "signature_matrix",
-    # kernels
-    "RankOneSqrt",
-    "sqrt_rank_one",
-    "inv_sqrt_rank_one",
-    "householder_to_direction",
-    "orthogonality_residual",
-    "sample_haar_orthogonal",
-    "boost_matrix",
-    # automorphisms
-    "NotAutomorphismError",
-    "BlockView",
-    "AutCheckResult",
-    "CompactFactorization",
-    "CanonicalFactorization",
-    "PropertyReport",
-    "split_blocks",
-    "check_automorphism",
-    "normalize",
-    "factor_compact",
-    "factor_canonical",
-    "compose_compact",
-    "compose_canonical",
-    "sample_automorphism",
-    "property_report",
-    "apply",
-    "algebra_automorphism",
-]
+__all__ = ["DEFAULT_TOL", "__version__", *spin.__all__, *kernels.__all__, *automorphism.__all__]

@@ -16,13 +16,10 @@ hyperbolic boost.  This module implements the membership test, both
 factorizations, their inverses (composition), a seeded sampler, and a
 residual report for the six block identities behind the factorization, with
 a sample-free bound on how far any cone point can be pushed out.
-Both compositions share one O(n^2) blockwise assembly of the compact form;
-the canonical one reads c off its ``c`` property.  Orthogonality is gated
-only where a factor enters: factor_compact, file load, the public compose_*.
-factor_compact validates S once, in its one check_automorphism call, and
-reads c and D off S itself.  property_report and verify (_verify, whose
-gates sit beside check's) read the report off the one membership test's
-residual matrices.  normalize and split_blocks are used by neither path.
+Both compositions run one O(n^2) blockwise assembly of the compact form.
+check's gates sit in ``_check`` and verify's beside them in ``_verify``; an
+orthogonal factor is gated where it enters: factor_compact, file load, the
+public compose_*.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Exit codes form a strict contract: 0 = success/accepted, 1 = mathematical
 rejection (not an automorphism, or a factorization file whose payload breaks
 an invariant), 2 = malformed input (unparsable documents, bad shapes, bad
 argument ranges).  Reports go to standard output as one ``key value`` pair
-per line; diagnostics go to standard error.  ``--output`` redirects the
-payload (report, document, or sample directory); ``--quiet`` suppresses the
-standard-output copy.
+per line; ``main`` writes every diagnostic to standard error.  ``--output``
+redirects the payload (report, document, or sample directory); ``--quiet``
+suppresses the standard-output copy.
 """
 
 from __future__ import annotations
@@ -92,13 +92,12 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     S = _assemble(f.nu, f.c, f.U)
     result = check_automorphism(S, args.tol)
     if not result.is_automorphism:
-        print(
-            "error: composed matrix fails the membership test "
+        raise NotAutomorphismError(
+            "composed matrix fails the membership test "
             f"(mu={format_float(result.mu)}, "
             f"residual={format_float(result.residual_congruence)})",
-            file=sys.stderr,
+            result,
         )
-        return EXIT_REJECTED
     _emit(dumps_matrix(S), args.output, args.quiet)
     return EXIT_OK
 

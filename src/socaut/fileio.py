@@ -10,6 +10,7 @@ Factorization document: JSON text with ``form`` ("canonical" or "compact"),
 ``nu``, the form's own fields (``alpha``/``V`` or ``c``), ``U``, and two
 optional bookkeeping fields: ``tol`` (the tolerance the factors were
 validated at; also applied when loading) and ``reconstruction_residual``.
+The writer and the parser read each form's fields from one table, ``_FORMS``.
 
 Every array field (``data``, ``V``, ``U``, ``c``) goes through one codec:
 ``_parse_array`` checks shape and entry types row by row, then converts the
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._validate import DEFAULT_TOL, as_square_matrix
+from ._validate import DEFAULT_TOL, as_float, as_nonnegative_float, as_square_matrix
 from .automorphism import CanonicalFactorization, CompactFactorization
 from .kernels import _require_orthogonal
 
@@ -226,6 +227,28 @@ def load_matrix(path) -> np.ndarray:
 # -- factorization documents -------------------------------------------------
 
 
+#: form -> (factorization type, {field: ndim} in document order); the 2-D
+#: fields are the orthogonal factors.
+_FORMS = {
+    "canonical": (CanonicalFactorization, {"nu": 0, "alpha": 0, "V": 2, "U": 2}),
+    "compact": (CompactFactorization, {"nu": 0, "c": 1, "U": 2}),
+}
+#: ndim -> the message for a field whose size does not match U's.
+_SIZE_MISMATCH = {
+    1: "{name} has length {k} but U is {m}x{m}",
+    2: "{name} is {k}x{k} but U is {m}x{m}; sizes must match",
+}
+
+
+def _field(name: str, value) -> str:
+    """One document line: a number, a vector on one line, or a matrix of rows."""
+    if np.ndim(value) == 0:
+        return f'  "{name}": {format_float(value)}'
+    if np.ndim(value) == 1:
+        return f'  "{name}": {_rows(value[np.newaxis], None)}'
+    return '  "%s": [\n%s\n  ]' % (name, _rows(value, "    "))
+
+
 def dumps_factorization(
     f,
     tol: float | None = None,
@@ -235,27 +258,22 @@ def dumps_factorization(
 
     ``tol`` records the tolerance the orthogonal factors were validated at
     (and governs re-validation on load); ``reconstruction_residual`` records
-    the achieved factor-then-compose residual.  Both are omitted when None.
+    the achieved factor-then-compose residual.  Both are omitted when None;
+    a negative or non-finite ``tol`` and a non-finite residual raise
+    ValueError, as parse_factorization would refuse them.
     """
-    lines = []
-    if isinstance(f, CanonicalFactorization):
-        lines.append('  "form": "canonical"')
-        lines.append(f'  "nu": {format_float(f.nu)}')
-        lines.append(f'  "alpha": {format_float(f.alpha)}')
-        lines.append('  "V": [\n%s\n  ]' % _rows(f.V, "    "))
-    elif isinstance(f, CompactFactorization):
-        lines.append('  "form": "compact"')
-        lines.append(f'  "nu": {format_float(f.nu)}')
-        lines.append('  "c": %s' % _rows(f.c[np.newaxis], None))
-    else:
+    form = next((form for form, (kind, _) in _FORMS.items() if isinstance(f, kind)), None)
+    if form is None:
         raise TypeError(f"cannot serialize {type(f).__name__} as a factorization")
-    lines.append('  "U": [\n%s\n  ]' % _rows(f.U, "    "))
-    if tol is not None:
-        lines.append(f'  "tol": {format_float(tol)}')
+    extras = [] if tol is None else [("tol", as_nonnegative_float(tol, "tol"))]
     if reconstruction_residual is not None:
-        lines.append(
-            f'  "reconstruction_residual": {format_float(reconstruction_residual)}'
-        )
+        if not math.isfinite(residual := as_float(reconstruction_residual)):
+            raise ValueError(
+                f"reconstruction_residual must be finite, got {reconstruction_residual!r}"
+            )
+        extras.append(("reconstruction_residual", residual))
+    fields = [(name, getattr(f, name)) for name in _FORMS[form][1]]
+    lines = [f'  "form": "{form}"'] + [_field(*pair) for pair in fields + extras]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -264,57 +282,43 @@ def parse_factorization(text: str):
 
     Returns ``(factorization, tol)`` where ``tol`` is the file-declared
     tolerance (DEFAULT_TOL when absent).  Structural problems raise
-    FileFormatError; mathematical invariant violations (nu <= 0, alpha < 0,
-    non-orthogonal factors beyond ``tol * m``) raise
-    InvalidFactorizationError.  These are a loaded factor's only gates.
+    FileFormatError, the first in document order; mathematical invariant
+    violations (nu <= 0, alpha < 0, non-orthogonal factors beyond
+    ``tol * m``) raise InvalidFactorizationError.  These are a loaded
+    factor's only gates.
     """
     obj = _loads(text.strip() or "{}")
     form = obj.get("form")
-    if form not in ("canonical", "compact"):
+    if form not in _FORMS:
         raise FileFormatError(
             f"field 'form' must be \"canonical\" or \"compact\", got {form!r}"
         )
-    optional = {"tol", "reconstruction_residual"}
-    if form == "canonical":
-        _check_keys(
-            obj, {"form", "nu", "alpha", "V", "U"}, optional, "canonical document"
-        )
-    else:
-        _check_keys(obj, {"form", "nu", "c", "U"}, optional, "compact document")
-
-    nu = _require_number(obj["nu"], "field 'nu'")
+    kind, fields = _FORMS[form]
+    _check_keys(obj, {"form", *fields}, {"tol", "reconstruction_residual"}, f"{form} document")
+    values = {
+        name: _parse_array(obj[name], name, ndim == 2)
+        if ndim else _require_number(obj[name], f"field {name!r}")
+        for name, ndim in fields.items()
+    }
     tol = _require_number(obj.get("tol", DEFAULT_TOL), "field 'tol'")
     if tol < 0.0:
         raise FileFormatError("field 'tol' must be >= 0")
     if "reconstruction_residual" in obj:
         _require_number(obj["reconstruction_residual"], "field 'reconstruction_residual'")
-    U = _parse_array(obj["U"], "U", square=True)
-    m = U.shape[0]
-
-    if form == "canonical":
-        alpha = _require_number(obj["alpha"], "field 'alpha'")
-        V = _parse_array(obj["V"], "V", square=True)
-        if V.shape != U.shape:
-            raise FileFormatError(
-                f"V is {V.shape[0]}x{V.shape[1]} but U is {m}x{m}; sizes must match"
-            )
-        if nu <= 0.0:
-            raise InvalidFactorizationError(f"nu must be > 0, got {format_float(nu)}")
-        if alpha < 0.0:
-            raise InvalidFactorizationError(
-                f"alpha must be >= 0, got {format_float(alpha)}"
-            )
-        _require_orthogonal(V, "V", tol, InvalidFactorizationError)
-        _require_orthogonal(U, "U", tol, InvalidFactorizationError)
-        return CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U), tol
-
-    c = _parse_array(obj["c"], "c", square=False)
-    if c.size != m:
-        raise FileFormatError(f"c has length {c.size} but U is {m}x{m}")
-    if nu <= 0.0:
-        raise InvalidFactorizationError(f"nu must be > 0, got {format_float(nu)}")
-    _require_orthogonal(U, "U", tol, InvalidFactorizationError)
-    return CompactFactorization(nu=nu, c=c, U=U), tol
+    m = len(values["U"])
+    for name, ndim in fields.items():
+        if ndim and (k := len(values[name])) != m:
+            raise FileFormatError(_SIZE_MISMATCH[ndim].format(name=name, k=k, m=m))
+    if values["nu"] <= 0.0:
+        raise InvalidFactorizationError(f"nu must be > 0, got {format_float(values['nu'])}")
+    if values.get("alpha", 0.0) < 0.0:
+        raise InvalidFactorizationError(
+            f"alpha must be >= 0, got {format_float(values['alpha'])}"
+        )
+    for name, ndim in fields.items():
+        if ndim == 2:
+            _require_orthogonal(values[name], name, tol, InvalidFactorizationError)
+    return kind(**values), tol
 
 
 def load_factorization(path):

@@ -53,10 +53,14 @@ class RankOneSqrt:
 
     @classmethod
     def from_vector(cls, c) -> "RankOneSqrt":
-        """Build the square-root representation for a given ``c``."""
+        """Build the square-root representation for a given ``c``.  Raises
+        ValueError when ``1 + ||c||^2`` overflows; every composition builds one."""
         c = as_vector(c, "c", min_len=1).copy()
         c.flags.writeable = False
-        s = float(c @ c)
+        with np.errstate(over="ignore"):
+            s = float(c @ c)
+        if math.isinf(1.0 + s):
+            raise ValueError("c must have a finite squared norm, got ||c||^2 = inf")
         a = math.sqrt(1.0 + s)
         beta = 0.0 if s == 0.0 else 1.0 / (a + 1.0)
         return cls(c=c, a=a, beta=beta)

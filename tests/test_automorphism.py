@@ -397,6 +397,20 @@ class TestFactorCanonical:
 
 
 class TestCompose:
+    @pytest.mark.parametrize("form", ["canonical", "compact"])
+    def test_refuses_c_whose_squared_norm_overflows(self, form):
+        # alpha = ||c|| = 1e200 is finite, its square is not.
+        I2 = np.eye(2)
+        if form == "canonical":
+            f, compose = CanonicalFactorization(1.0, 1e200, I2, I2), compose_canonical
+        else:
+            f, compose = CompactFactorization(1.0, np.array([0.0, 1e200]), I2), compose_compact
+            for derived in ("a", "P"):
+                with pytest.raises(ValueError, match="squared norm"):
+                    getattr(f, derived)
+        with pytest.raises(ValueError, match="squared norm"):
+            compose(f)
+
     def test_compact_identity(self):
         f = CompactFactorization(nu=1.0, c=np.zeros(3), U=np.eye(3))
         assert_array_equal(compose_compact(f), np.eye(4))

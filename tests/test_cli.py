@@ -407,7 +407,16 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_52_commands(self, tmp_path):
+    def test_compose_c_whose_square_overflows_exits_2_without_warnings(self, tmp_path):
+        doc = tmp_path / "f.json"
+        doc.write_text('{"form": "canonical", "nu": 1, "alpha": 1e200, "V": [[1]], "U": [[1]]}')
+        proc = run_socaut("compose", str(doc))
+        assert proc.returncode == 2
+        assert "c must have a finite squared norm" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_cli_corpus_records_66_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -416,7 +425,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 52
+        assert len(labels) == 66
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -114,6 +116,26 @@ class TestMatrixDocuments:
 
 
 class TestFactorizationDocuments:
+    @pytest.mark.parametrize(
+        "name,value,match",
+        [
+            ("tol", math.inf, "tol must be a finite non-negative number"),
+            ("tol", math.nan, "tol must be a finite non-negative number"),
+            ("tol", -1.0, "tol must be a finite non-negative number"),
+            ("reconstruction_residual", math.nan, "reconstruction_residual must be finite"),
+            ("reconstruction_residual", -math.inf, "reconstruction_residual must be finite"),
+        ],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, name, value, match):
+        f = CompactFactorization(nu=1.0, c=np.array([0.5]), U=np.eye(1))
+        with pytest.raises(ValueError, match=match):
+            dumps_factorization(f, **{name: value})
+        # The document an unchecked writer would emit:
+        extra = ',\n  "%s": %s\n}' % (name, format_float(value))
+        doc = dumps_factorization(f).replace("\n}", extra)
+        with pytest.raises(FileFormatError):
+            parse_factorization(doc)
+
     def test_canonical_round_trip(self):
         f = CanonicalFactorization(
             nu=2.5,

@@ -116,6 +116,19 @@ class TestRankOneSqrt:
         with pytest.raises(ValueError):
             sqrt_rank_one(np.empty(0))
 
+    @pytest.mark.parametrize("c", [[1e200, 1.0], [1e155, 1e155], [-1.5e154, 1e154]])
+    def test_refuses_squared_norm_that_overflows(self, c):
+        # Every entry is finite but 1 + ||c||^2 is not; refused with no
+        # overflow warning (warnings are errors in this suite).
+        with pytest.raises(ValueError, match="squared norm"):
+            RankOneSqrt.from_vector(c)
+        with pytest.raises(ValueError, match="squared norm"):
+            sqrt_rank_one(c)
+
+    def test_largest_finite_squared_norm_is_accepted(self):
+        r = RankOneSqrt.from_vector([1e154, 5e153])
+        assert r.a == pytest.approx(math.sqrt(1.25) * 1e154, rel=1e-15)
+
 
 class TestHouseholder:
     def test_negative_scalar(self):

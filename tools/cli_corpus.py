@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 52 socaut commands and record what each one prints.
+"""Run a fixed corpus of 66 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC]
 
@@ -15,7 +15,11 @@ its 1e-7-perturbed copy, a 50 x 50 Gaussian, an n = 300 member with
 nu = 1.03, and the n = 6 boost with its corner raised by 1e-3); ``compose``
 of the four factor documents of the two members; ``check``, ``factor`` and
 ``verify`` with ``--tol 1e-12`` on the two members; three ``sample`` draws;
-and nine calls with bad arguments.
+nine calls with bad arguments; and ``compose`` on fourteen hand-written
+factorization documents (``FACTORIZATIONS``): six malformed, four that break
+an invariant, one (alpha = 1e8) whose product the membership test refuses
+(mu cancels to 0), one whose ``||c||^2`` overflows, and two with two faults
+each.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -34,9 +39,34 @@ ROOT = Path(__file__).resolve().parents[1]
 MATRICES = ("member", "perturbed", "gaussian", "near_one", "corner")
 MEMBERS = ("member", "near_one")
 
+_ROT = [[0.6, 0.8], [-0.8, 0.6]]
+_SWAP = [[0, 1], [1, 0]]
+_SHEAR = [[1, 0.1], [0, 1]]
+_CANONICAL = {"form": "canonical", "nu": 2.0, "alpha": 0.75, "V": _ROT, "U": _SWAP}
+_COMPACT = {"form": "compact", "nu": 2.0, "c": [0.75, 0.0], "U": _SWAP}
+
+#: label -> a factorization document that ``compose`` refuses.
+FACTORIZATIONS = {
+    "missing_field": {k: v for k, v in _COMPACT.items() if k != "U"},
+    "unexpected_field": {**_CANONICAL, "extra": 1},
+    "bad_form": {**_COMPACT, "form": "polar"},
+    "v_u_size": {**_CANONICAL, "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "c_u_length": {**_COMPACT, "c": [0.75, 0.0, 0.0]},
+    "non_number": {**_COMPACT, "U": [[0, "1"], [1, 0]]},
+    "nu_zero": {**_COMPACT, "nu": 0},
+    "alpha_negative": {**_CANONICAL, "alpha": -0.5},
+    "u_not_orthogonal": {**_COMPACT, "U": _SHEAR},
+    "v_not_orthogonal": {**_CANONICAL, "V": _SHEAR},
+    "alpha_wide": {**_CANONICAL, "alpha": 1e8},
+    "alpha_overflow": {**_CANONICAL, "alpha": 1e200},
+    "nu_zero_c_u_length": {**_COMPACT, "nu": 0, "c": [0.75]},
+    "alpha_not_number_u_ragged": {**_CANONICAL, "alpha": "x", "U": [[0, 1], [1]]},
+}
+
 
 def write_inputs(inputs: Path) -> dict[str, Path]:
-    """Write the five input matrix documents; return their paths by name."""
+    """Write the five input matrix documents and the factorization documents;
+    return their paths by name (the latter under ``doc_LABEL``)."""
     from socaut import boost_matrix, sample_automorphism
     from socaut.fileio import dumps_matrix
 
@@ -55,6 +85,9 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
     for name, S in matrices.items():
         paths[name] = inputs / f"{name}.json"
         paths[name].write_text(dumps_matrix(S))
+    for label, doc in FACTORIZATIONS.items():
+        paths[f"doc_{label}"] = inputs / f"doc_{label}.json"
+        paths[f"doc_{label}"].write_text(json.dumps(doc, indent=2) + "\n")
     return paths
 
 
@@ -102,6 +135,10 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         ["verify", member, "--seed", "-1"],
     ]
     cmds += [(f"bad_{i}", argv) for i, argv in enumerate(bad)]
+    cmds += [
+        (f"compose_doc_{label}", ["compose", str(paths[f"doc_{label}"])])
+        for label in FACTORIZATIONS
+    ]
     return cmds
 
 
