@@ -445,6 +445,11 @@ def sample_automorphism(
     canonical composition of those factors, assembled without a gate (Haar
     draws are orthogonal).  The draw order (nu, alpha, V, U) from
     ``np.random.default_rng(seed)`` is fixed.
+
+    V enters only through the boost direction ``V e1``.  The first column of
+    a sign-fixed Haar QR factor is ``g/||g||`` for the first column g of its
+    Gaussian draw, so V's (n-1)^2 Gaussian is drawn (keeping U's draws where
+    they were) but not factored: ``c = alpha g/||g||``, and U is the one QR.
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max", finite_square=True)
@@ -459,9 +464,10 @@ def sample_automorphism(
     rng = np.random.default_rng(seed)
     nu = float(rng.uniform(nu_min, nu_max))
     alpha = float(rng.uniform(0.0, alpha_max))
-    V = haar_orthogonal(rng, n - 1)
+    # A copy, not a view, so the (n-1)^2 draw is freed before U's QR.
+    g = rng.standard_normal((n - 1, n - 1))[:, 0].copy()
     U = haar_orthogonal(rng, n - 1)
-    return _assemble(nu, alpha * V[:, 0], U)
+    return _assemble(nu, alpha * g / np.linalg.norm(g), U)
 
 
 def _sample_cone_points(

@@ -4,7 +4,7 @@ Matrix document: JSON text with fields ``n`` (integer) and ``data`` (n rows
 of n numbers).  Every number is serialized with 17 significant decimal
 digits, which round-trips doubles exactly, so parse -> emit is byte-stable.
 A bare whitespace-separated k x k numeric grid (k inferred) is also accepted
-on input.
+on input; its tokens are ASCII numbers without digit-group underscores.
 
 Factorization document: JSON text with ``form`` ("canonical" or "compact"),
 ``nu``, the form's own fields (``alpha``/``V`` or ``c``), ``U``, and two
@@ -18,8 +18,8 @@ field with one ``np.array`` call; ``_rows`` writes it through one ``%.17g``
 row template.  Entries are walked one by one only on the error path, to name
 the offender.
 
-Structural problems (bad syntax, missing or mismatched fields, non-numbers,
-non-finite numbers, wrong shapes) raise FileFormatError.  Well-formed
+Structural problems (bad syntax, duplicate, missing or mismatched fields,
+non-numbers, non-finite numbers, wrong shapes) raise FileFormatError.  Well-formed
 documents whose payload breaks a mathematical invariant (``nu <= 0``,
 ``alpha < 0``, orthogonality residual beyond the declared tolerance) raise
 InvalidFactorizationError — the CLI maps the former to exit 2 and the latter
@@ -90,9 +90,23 @@ def _require_number(value, where: str) -> float:
     return out
 
 
+def _unique_fields(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FileFormatError(f"duplicate field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _loads(text: str) -> dict:
     try:
-        obj = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+        obj = json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_int=_parse_int,
+            object_pairs_hook=_unique_fields,
+        )
     except FileFormatError:
         raise
     except ValueError as exc:  # bad syntax, or an integer beyond int()'s digit limit
@@ -194,15 +208,23 @@ def _parse_matrix_json(text: str) -> np.ndarray:
     return _parse_array(data, "data", square=True)
 
 
+def _grid_number(token: str) -> float:
+    # float() also reads "1_0" as 10 and non-ASCII digits such as "\uff11".
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return float(token)
+
+
 def _parse_matrix_grid(text: str) -> np.ndarray:
     tokens = text.split()
+    plain = text.isascii() and "_" not in text
     try:
-        values = np.fromiter(map(float, tokens), float, len(tokens))
+        values = np.fromiter(map(float if plain else _grid_number, tokens), float, len(tokens))
     except ValueError:
-        # Error path only: find the token that float() refuses.
+        # Error path only: find the token that is not a plain number.
         for idx, token in enumerate(tokens):
             try:
-                float(token)
+                _grid_number(token)
             except ValueError:
                 raise FileFormatError(
                     f"grid token {idx + 1} ({token!r}) is not a number"

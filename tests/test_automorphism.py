@@ -527,12 +527,46 @@ class TestSampleAutomorphism:
             rng = np.random.default_rng(seed)
             nu = float(rng.uniform(*nu_range))
             alpha = float(rng.uniform(0.0, alpha_max))
+            g = rng.standard_normal((n - 1, n - 1))[:, 0]
+            U = haar_orthogonal(rng, n - 1)
+            f = CompactFactorization(nu=nu, c=alpha * g / np.linalg.norm(g), U=U)
+            assert_array_equal(
+                sample_automorphism(n, alpha_max, nu_range, seed), compose_compact(f)
+            )
+
+    @pytest.mark.parametrize(
+        "n,alpha_max,nu_range",
+        [
+            (2, 10.0, (1.0, 1.0)),
+            (5, 0.0, (0.5, 2.0)),
+            (12, 1e4, (1e-3, 1e3)),
+            (60, 10.0, (0.5, 2.0)),
+            (200, 1e2, (1e2, 1e3)),
+        ],
+    )
+    def test_within_rounding_of_a_full_haar_v(self, n, alpha_max, nu_range):
+        # The construction that QR-factors V's draw and reads c off V e1.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            nu = float(rng.uniform(*nu_range))
+            alpha = float(rng.uniform(0.0, alpha_max))
             V = haar_orthogonal(rng, n - 1)
             U = haar_orthogonal(rng, n - 1)
-            f = CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U)
-            assert_array_equal(
-                sample_automorphism(n, alpha_max, nu_range, seed), compose_canonical(f)
-            )
+            full = compose_canonical(CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U))
+            S = sample_automorphism(n, alpha_max, nu_range, seed)
+            bound = 4 * n * np.finfo(float).eps * (1.0 + alpha**2) * nu
+            assert np.abs(S - full).max() <= bound
+
+    def test_one_qr_per_call(self, monkeypatch):
+        sizes = []
+
+        def counting(rng, m):
+            sizes.append(m)
+            return haar_orthogonal(rng, m)
+
+        monkeypatch.setattr(automorphism, "haar_orthogonal", counting)
+        sample_automorphism(7, seed=3)
+        assert sizes == [6]
 
     def test_deterministic(self):
         A = sample_automorphism(6, seed=5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import subprocess
@@ -67,6 +68,19 @@ class TestCheck:
         assert main(["check", str(p)]) == 2
         err = capsys.readouterr().err
         assert "row 1" in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1 0 0 1_0\n", "grid token 4 ('1_0') is not a number"),
+            ('{"n": 2, "n": 2, "data": [[1, 0], [0, 1]]}', "duplicate field 'n'"),
+        ],
+    )
+    def test_non_plain_number_or_duplicate_field_exits_2(self, text, message, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        assert main(["check", str(p)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -157,6 +171,12 @@ class TestFactorCompose:
         p = tmp_path / "f.json"
         p.write_text('{"form": "compact", "nu": 1}')
         assert main(["compose", str(p)]) == 2
+
+    def test_compose_duplicate_field_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "f.json"
+        p.write_text('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "U": [[1]]}')
+        assert main(["compose", str(p)]) == 2
+        assert "duplicate field 'U'" in capsys.readouterr().err
 
     def test_compact_and_canonical_compose_to_identical_bytes(self, tmp_path):
         S = sample_automorphism(4, alpha_max=2.0, nu_range=(1.0, 1.0), seed=5)
@@ -430,6 +450,26 @@ class TestProcessLevel:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
             assert (results / f"{label}.stderr").is_file()
+
+    def test_cli_corpus_reads_inputs_from_another_run(self, tmp_path):
+        tool = ROOT / "tools" / "cli_corpus.py"
+        spec = importlib.util.spec_from_file_location("cli_corpus", tool)
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        inputs = tmp_path / "inputs"
+        argv = [sys.executable, str(tool), str(tmp_path / "out"), "--inputs", str(inputs)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "missing input document(s)" in proc.stderr
+        corpus.write_inputs(inputs)
+        # A member where the written input is a non-member shows the run read DIR.
+        corpus.input_paths(inputs)["gaussian"].write_text(dumps_matrix(np.eye(3)))
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert not (tmp_path / "out" / "inputs").exists()
+        results = tmp_path / "out" / "results"
+        assert len({p.stem for p in results.iterdir()}) == 66
+        assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_pipe_sample_to_check(self, tmp_path):
         sample = run_socaut("sample", "3", "1", "--seed", "4")

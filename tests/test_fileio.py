@@ -66,6 +66,7 @@ class TestMatrixDocuments:
 
     def test_grid_fallback(self):
         assert_array_equal(parse_matrix("1 0\n0 1"), np.eye(2))
+        assert_array_equal(parse_matrix("1\xa00\u30000 1"), np.eye(2))  # Unicode spaces split
         assert_array_equal(parse_matrix("  1 2 3 4 5 6 7 8 9 "), np.arange(1.0, 10.0).reshape(3, 3))
 
     @pytest.mark.parametrize(
@@ -75,6 +76,11 @@ class TestMatrixDocuments:
             ("1 2 3", "k*k"),
             ("5", "k*k"),
             ("1 0 0 x", "token 4"),
+            # float() reads these three tokens as 10, 1e50 and 1.
+            ("1 1_0 0 1", r"^grid token 2 \('1_0'\) is not a number$"),
+            ("1 1e5_0 0 1", r"^grid token 2 \('1e5_0'\) is not a number$"),
+            ("1 \uff11 0 1", r"^grid token 2 \('\uff11'\) is not a number$"),
+            ('{"n": 2, "n": 2, "data": [[1, 0], [0, 1]]}', "^duplicate field 'n'$"),
             ("1 0 0 nan", "not finite"),
             ('{"n": 2}', "missing"),
             ('{"n": 2, "data": [[1, 0], [0, 1]], "extra": 1}', "unexpected"),
@@ -238,6 +244,7 @@ class TestFactorizationDocuments:
                 id="huge-int-alpha",
             ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "tol": -1}', "tol"),
+            ('{"form": "compact", "nu": 0, "nu": 2, "c": [0], "U": [[1]]}', "^duplicate field 'nu'$"),
         ],
     )
     def test_malformed_documents(self, text, fragment):

@@ -1,6 +1,6 @@
 """Run a fixed corpus of 66 socaut commands and record what each one prints.
 
-    python tools/cli_corpus.py OUTDIR [--src SRC]
+    python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR]
 
 Every command runs through ``socaut.cli.main`` in this one process, with
 socaut imported from SRC (default: this checkout's ``src``).  The input
@@ -8,6 +8,13 @@ documents go to ``OUTDIR/inputs``; each command writes its exit code,
 standard output and standard error to ``OUTDIR/results/LABEL.exit``,
 ``LABEL.stdout`` and ``LABEL.stderr``.  To compare two trees, run the script
 against each tree's ``src`` into two directories and ``diff -r`` them.
+
+The member matrices come from ``sample_automorphism``, so a tree whose
+sampler rounds differently writes different inputs, and every output derived
+from them differs too.  ``--inputs DIR`` reads the input documents from DIR
+(for instance the first run's ``OUTDIR/inputs``) instead of writing them, so
+both trees run on identical inputs; only the ``sample_*`` commands then
+depend on the sampler.
 
 The corpus: ``check``, ``factor`` (both forms), ``verify`` and
 ``verify --samples 2000 --seed 0|3`` on five matrices (an n = 300 member,
@@ -64,9 +71,15 @@ FACTORIZATIONS = {
 }
 
 
+def input_paths(inputs: Path) -> dict[str, Path]:
+    """The input documents' paths in ``inputs`` by name: the five matrices,
+    then the factorization documents under ``doc_LABEL``."""
+    names = [*MATRICES, *(f"doc_{label}" for label in FACTORIZATIONS)]
+    return {name: inputs / f"{name}.json" for name in names}
+
+
 def write_inputs(inputs: Path) -> dict[str, Path]:
-    """Write the five input matrix documents and the factorization documents;
-    return their paths by name (the latter under ``doc_LABEL``)."""
+    """Write the input documents into ``inputs``; return ``input_paths(inputs)``."""
     from socaut import boost_matrix, sample_automorphism
     from socaut.fileio import dumps_matrix
 
@@ -81,12 +94,10 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
         "corner": corner,
     }
     inputs.mkdir(parents=True, exist_ok=True)
-    paths = {}
+    paths = input_paths(inputs)
     for name, S in matrices.items():
-        paths[name] = inputs / f"{name}.json"
         paths[name].write_text(dumps_matrix(S))
     for label, doc in FACTORIZATIONS.items():
-        paths[f"doc_{label}"] = inputs / f"doc_{label}.json"
         paths[f"doc_{label}"].write_text(json.dumps(doc, indent=2) + "\n")
     return paths
 
@@ -148,11 +159,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--src", type=Path, default=ROOT / "src", help="directory socaut is imported from"
     )
+    parser.add_argument(
+        "--inputs",
+        type=Path,
+        help="read the input documents from this directory (another run's OUTDIR/inputs) "
+        "instead of writing them",
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from socaut import cli
 
-    paths = write_inputs(args.outdir / "inputs")
+    if args.inputs is None:
+        paths = write_inputs(args.outdir / "inputs")
+    else:
+        paths = input_paths(args.inputs)
+        missing = [str(p) for p in paths.values() if not p.is_file()]
+        if missing:
+            parser.error(f"missing input document(s): {', '.join(missing)}")
     results = args.outdir / "results"
     results.mkdir(parents=True, exist_ok=True)
     corpus = commands(paths, results)
