@@ -440,16 +440,18 @@ def sample_automorphism(
 ) -> np.ndarray:
     """Draw a random cone automorphism, deterministically per seed.
 
-    ``nu`` is uniform over ``nu_range``, ``alpha`` uniform over
-    ``[0, alpha_max]``, and V, U are Haar orthogonal; the result is the
-    canonical composition of those factors, assembled without a gate (Haar
-    draws are orthogonal).  The draw order (nu, alpha, V, U) from
-    ``np.random.default_rng(seed)`` is fixed.
+    From ``np.random.default_rng(seed)``, in this fixed order: ``nu``
+    uniform over ``nu_range``, ``alpha`` uniform over ``[0, alpha_max]``, an
+    (n-1)^2 standard Gaussian of which only the first column g is kept, and
+    a Haar orthogonal U.  The result is the compact composition of
+    ``(nu, c = alpha g/||g||, U)``, assembled without a gate (U is
+    orthogonal).
 
-    V enters only through the boost direction ``V e1``.  The first column of
-    a sign-fixed Haar QR factor is ``g/||g||`` for the first column g of its
-    Gaussian draw, so V's (n-1)^2 Gaussian is drawn (keeping U's draws where
-    they were) but not factored: ``c = alpha g/||g||``, and U is the one QR.
+    The full Gaussian is drawn so that U's draws sit where they would for a
+    Haar V.  ``g/||g||`` is the first column of the sign-fixed Haar QR
+    factor of that draw, and V enters the canonical composition only through
+    ``V e1``, so the result matches the canonical composition with that Haar
+    V up to rounding.
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max", finite_square=True)

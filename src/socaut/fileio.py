@@ -217,9 +217,12 @@ def _grid_number(token: str) -> float:
 
 def _parse_matrix_grid(text: str) -> np.ndarray:
     tokens = text.split()
-    plain = text.isascii() and "_" not in text
     try:
-        values = np.fromiter(map(float if plain else _grid_number, tokens), float, len(tokens))
+        # Checked once for the whole grid; tokens hold no whitespace, so an
+        # underscore in the text is an underscore in some token.
+        if "_" in text or not "".join(tokens).isascii():
+            raise ValueError(text)
+        values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
         # Error path only: find the token that is not a plain number.
         for idx, token in enumerate(tokens):
