@@ -15,6 +15,7 @@ with P = sqrt(I + c c^T), U and V orthogonal, and alpha = ||c||.
 import numpy as np
 
 from socaut import (
+    NotAutomorphismError,
     check_automorphism,
     compose_canonical,
     compose_compact,
@@ -28,6 +29,8 @@ S = sample_automorphism(5, alpha_max=3.0, nu_range=(0.5, 2.0), seed=42)
 result = check_automorphism(S)
 print("is_automorphism:", result.is_automorphism)
 print("mu:", result.mu)
+# The test recovers U = P^{-1} D and the first-row defect d; the residual is
+# max(||U^T U - I||_F / m, ||d|| / a), at rounding level for a member.
 print("residual_congruence:", result.residual_congruence)
 
 # The compact form exposes the scale nu, the boost direction c, and the
@@ -50,8 +53,13 @@ print(
     np.linalg.norm(compose_compact(compact) - compose_canonical(canonical)),
 )
 
-# A matrix that stretches one tail coordinate is not an automorphism: the
-# congruence residual quantifies how far from the group it sits.
+# A matrix that stretches one tail coordinate is not an automorphism: its
+# recovered U = [[2]] is not orthogonal, and ||U^T U - I||_F / m = 3 says how
+# far from the group it sits.  factor_compact refuses it with the same gate.
 bad = np.diag([1.0, 2.0])
 verdict = check_automorphism(bad)
 print("\ndiag(1, 2):", verdict.is_automorphism, " residual:", verdict.residual_congruence)
+try:
+    factor_compact(bad)
+except NotAutomorphismError as exc:
+    print("factor_compact:", exc)

@@ -7,10 +7,11 @@ import math
 import numpy as np
 
 #: Default tolerance for every gate in the package.  Only some gates scale
-#: it: the congruence residual and the cone-classification slack pass when
-#: r <= tol * max(1, scale); the congruence scale mu must exceed tol (an
-#: absolute gate); an m x m orthogonal factor passes when its residual
-#: ||M^T M - I||_F <= tol * m; verify's identity residuals and its
+#: it: the cone-classification slack passes when r <= tol * max(1, scale);
+#: the congruence scale mu must exceed tol (an absolute gate); an m x m
+#: orthogonal factor passes when its residual ||M^T M - I||_F <= tol * m,
+#: which for the membership test's recovered U sits beside the first-row
+#: defect gate ||d|| <= tol * a; verify's identity residuals and its
 #: cone_slack_bound (a slack per unit of image head) must be <= tol.  check's
 #: and verify's gates sit side by side in ``automorphism._check``/``_verify``.
 DEFAULT_TOL = 1e-9

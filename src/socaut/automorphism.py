@@ -16,17 +16,19 @@ hyperbolic boost.  This module implements the membership test, both
 factorizations, their inverses (composition), a seeded sampler, and a
 residual report for the six block identities behind the factorization, with
 a sample-free bound on how far any cone point can be pushed out.
-Both compositions run one O(n^2) blockwise assembly of the compact form.
-check's gates sit in ``_check`` and verify's beside them in ``_verify``; an
-orthogonal factor is gated where it enters: factor_compact, file load, the
-public compose_*.
+
+Membership is decided once, in ``_check``, by recovering the compact
+factors (see check_automorphism); factor_compact returns the factors that
+test recovered, so the two cannot disagree.  Both compositions run one
+O(n^2) blockwise assembly of the compact form.  verify's gates sit beside
+check's in ``_verify``; a caller-supplied orthogonal factor is gated where
+it enters: file load and the public compose_*.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -41,7 +43,9 @@ from ._validate import (
 )
 from .kernels import (
     RankOneSqrt,
+    _orthogonality_residual,
     _require_orthogonal,
+    _sqrt_coefficients,
     haar_orthogonal,
     householder_to_direction,
 )
@@ -107,7 +111,7 @@ class BlockView:
 
 @dataclass(frozen=True)
 class AutCheckResult:
-    """Outcome of the two-sided congruence membership test.
+    """Outcome of the membership test.
 
     Attributes
     ----------
@@ -115,9 +119,13 @@ class AutCheckResult:
         True when ``mu > tol``, ``residual_congruence <= tol``, and
         ``cone_forward`` all hold.
     mu : float
-        Congruence scale, read from entry (0,0) of ``S^T J S``.
+        Congruence scale ``S[0,0]^2 - ||S[1:,0]||^2``, read off the first
+        column; for a member it is the (0,0) entry of ``S^T J S``.
     residual_congruence : float
-        ``max(||S^T J S - mu J||_F, ||S J S^T - mu J||_F) / max(1, ||S||_F^2)``.
+        ``max(||U^T U - I||_F / m, ||d|| / a)``, with the U, first-row
+        defect d and a that check_automorphism recovers; 0 exactly on
+        members, inf when ``mu`` is not positive and finite or ``||c||^2``
+        overflows.
     cone_forward : bool
         True when ``(S e)_0 > 0``, i.e. the cone axis is not reversed.
     """
@@ -134,7 +142,8 @@ class CompactFactorization:
 
     Only ``nu``, ``c``, and ``U`` are stored; ``a`` and ``P`` are derived.
     Shape and positivity are validated on construction; U's orthogonality is
-    gated where U enters: factor_compact, parse_factorization, compose_compact.
+    gated where U enters: the membership test behind factor_compact,
+    parse_factorization, compose_compact.
     """
 
     nu: float
@@ -173,7 +182,7 @@ class CanonicalFactorization:
 
     ``V`` and ``U`` are (n-1) x (n-1) orthogonal factors, gated where they
     enter: parse_factorization and compose_canonical; factor_canonical's U is
-    gated in factor_compact and its V is a reflector.  Shape and sign here.
+    gated by the membership test and its V is a reflector.  Shape and sign here.
     """
 
     nu: float
@@ -266,8 +275,9 @@ def split_blocks(S) -> BlockView:
 
 
 def _congruence(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(S^T J S, S J S^T)`` for a validated n x n S, each a rank-one term
-    minus a Gram matrix: ``S[0]^T S[0] - S[1:]^T S[1:]`` and
+    """``(S^T J S, S J S^T)`` for a validated n x n S, which only verify's
+    report forms.  Each is a rank-one term minus a Gram matrix:
+    ``S[0]^T S[0] - S[1:]^T S[1:]`` and
     ``S[:,0] S[:,0]^T - S[:,1:] S[:,1:]^T``.  NumPy runs ``A.T @ A`` as a
     symmetric rank-k update, about twice as fast as a general product."""
     left = S[0, :, np.newaxis] * S[0]
@@ -286,40 +296,78 @@ def _subtract_scaled_j(s: float, *products: np.ndarray) -> None:
 
 
 def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
-    """Two-sided congruence membership test for the cone automorphism group.
+    """Membership test for the cone automorphism group.
 
-    Accepts iff ``mu > tol``, ``residual_congruence <= tol`` (both
-    ``S^T J S = mu J`` and ``S J S^T = mu J`` enter the residual), and
-    ``(S e)_0 = S[0,0] > 0``.  ``mu`` is read from entry (0,0) of
-    ``S^T J S``; any inconsistency with the rest of the congruence shows up
-    in the residual.  Rejection is a normal result, not an exception.
+    With ``mu = S[0,0]^2 - ||S[1:,0]||^2`` and ``nu = sqrt(mu)``, the blocks
+    of ``S / nu = [[a', b^T], [c, D]]`` give the compact factors
+    ``a = sqrt(1 + ||c||^2)`` and ``U = P^{-1} D``, and
+    ``S / nu - [[a, c^T], [c, P]] diag(1, U) = e1 d^T`` with the first-row
+    defect ``d = b - D^T c / a``.  So S is a member iff U is orthogonal and
+    d = 0.  Accepts iff ``mu > tol``, ``||U^T U - I||_F <= tol * m``,
+    ``||d|| <= tol * a`` (together: ``residual_congruence <= tol``) and
+    ``(S e)_0 = S[0,0] > 0``.  factor_compact returns the same recovered
+    factors, so it succeeds exactly when this accepts.  Rejection is a
+    normal result, not an exception.
     """
     S = as_square_matrix(S, "S", min_n=2)
     return _check(S, as_nonnegative_float(tol, "tol"))[0]
 
 
-def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, np.ndarray, np.ndarray]:
-    """check_automorphism on validated input, with S^T J S - mu J and S J S^T - mu J."""
-    left, right = _congruence(S)
-    mu = float(left[0, 0])
-    _subtract_scaled_j(mu, left, right)
-    scale = max(1.0, float(np.vdot(S, S)))
-    res = max(float(np.linalg.norm(left)), float(np.linalg.norm(right))) / scale
-    cone_forward = bool(S[0, 0] > 0.0)
-    return AutCheckResult(
-        is_automorphism=(mu > tol) and (res <= tol) and cone_forward,
+def _check(
+    S: np.ndarray, tol: float
+) -> tuple[AutCheckResult, tuple[float, np.ndarray, np.ndarray] | str]:
+    """check_automorphism on validated input, with the recovered ``(nu, c, U)``
+    when it accepts, or else a message naming the gates that rejected."""
+    head = float(S[0, 0])
+    with np.errstate(over="ignore"):
+        mu = head * head - float(S[1:, 0] @ S[1:, 0])
+    cone_forward = head > 0.0
+    m = len(S) - 1
+    res = ortho = defect = a = math.inf
+    if 0.0 < mu < math.inf:
+        nu = math.sqrt(mu)
+        c = S[1:, 0] / nu
+        a, beta = _sqrt_coefficients(c)
+    if a < math.inf:
+        U = S[1:, 1:] / nu  # the D block
+        cD = c @ U
+        # d = b - D^T c / a; U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
+        defect = float(np.linalg.norm(S[0, 1:] / nu - cD / a))
+        U += -beta / a * np.outer(c, cD)
+        ortho = _orthogonality_residual(U)
+        res = max(ortho / m, defect / a)
+    check = AutCheckResult(
+        is_automorphism=mu > tol and ortho <= tol * m and defect <= tol * a and cone_forward,
         mu=mu,
         residual_congruence=res,
         cone_forward=cone_forward,
-    ), left, right
+    )
+    if check.is_automorphism:
+        return check, (nu, c, U)
+    reasons = []
+    if not mu > tol:
+        reasons.append(f"congruence scale mu={mu:.6g} <= tol {tol:.3g}")
+    if not cone_forward:
+        reasons.append("cone-reversing: (S e)_0 <= 0")
+    if a == math.inf:  # nothing recovered: mu <= 0 said so above, unless mu is inf
+        if mu > tol:
+            reasons.append(f"no finite factors at mu={mu:.6g}")
+    elif not ortho / m <= max(tol, defect / a):
+        reasons.append(
+            "recovered U is not orthogonal within tolerance: "
+            f"residual {ortho:.3e} > {tol * m:.3e}"
+        )
+    elif not defect <= tol * a:
+        reasons.append(f"first-row defect ||d|| {defect:.3e} > {tol * a:.3e}")
+    return check, "; ".join(reasons)
 
 
 def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
     """Strip the homogeneous scale: return ``(nu, S/nu)`` with ``nu = sqrt(mu)``.
 
-    The result satisfies ``S_hat^T J S_hat = J`` within the tolerance that
-    accepted ``check``.  Raises NotAutomorphismError when ``check`` is a
-    rejection.
+    The result satisfies ``S_hat^T J S_hat = J`` up to the defects (U's
+    orthogonality, the first row d) that the accepting ``check`` allowed.
+    Raises NotAutomorphismError when ``check`` is a rejection.
     """
     S = as_square_matrix(S, "S", min_n=2)
     if not check.is_automorphism:
@@ -333,40 +381,21 @@ def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
     return nu, S / nu
 
 
-def _describe_rejection(check: AutCheckResult, tol: float) -> str:
-    reasons = []
-    if not check.mu > tol:
-        reasons.append(f"congruence scale mu={check.mu:.6g} <= tol {tol:.3g}")
-    if not check.cone_forward:
-        reasons.append("cone-reversing: (S e)_0 <= 0")
-    reasons.append(f"congruence residual {check.residual_congruence:.3e}")
-    return "; ".join(reasons)
-
-
 def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     """Factor an accepted S as ``nu * [[a, c^T], [c, P]] @ diag(1, U)``.
 
-    After normalizing the scale away, ``c`` is the first column tail and
-    ``U = P^{-1} D`` is recovered through the closed-form rank-one inverse
-    of ``P = sqrt(I + c c^T)`` — an O(n^2) update of the D block.  If the
-    recovered U fails ``orthogonality_residual(U) <= tol * (n-1)``, S is
-    rejected: the congruence test then passed only within noise.  This is
-    U's only gate; the error carries the accepting ``check``.
+    The factors are the ones check_automorphism recovers and gates: ``nu``
+    from the first column, ``c`` its tail over ``nu``, and ``U = P^{-1} D``
+    through the closed-form rank-one inverse of ``P = sqrt(I + c c^T)``, an
+    O(n^2) update of the D block.  Raises NotAutomorphismError, carrying the
+    check, exactly when check_automorphism rejects S; the message names the
+    gate that decided.
     """
-    S = np.asarray(S, dtype=float)
-    check = check_automorphism(S, tol)  # validates S and tol
-    tol = float(tol)
+    S = as_square_matrix(S, "S", min_n=2)
+    check, found = _check(S, as_nonnegative_float(tol, "tol"))
     if not check.is_automorphism:
-        raise NotAutomorphismError(
-            "cannot factor: " + _describe_rejection(check, tol), check
-        )
-    nu = math.sqrt(check.mu)
-    c = S[1:, 0] / nu
-    U = S[1:, 1:] / nu  # the D block
-    root = RankOneSqrt.from_vector(c)
-    # U = P^{-1} D = (I + gamma c c^T) D, applied in place as a rank-one update.
-    U += root.gamma * np.outer(c, c @ U)
-    _require_orthogonal(U, "recovered U", tol, partial(NotAutomorphismError, check=check))
+        raise NotAutomorphismError("cannot factor: " + found, check)
+    nu, c, U = found
     return CompactFactorization(nu=nu, c=c, U=U)
 
 
@@ -455,7 +484,11 @@ def sample_automorphism(
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max", finite_square=True)
-    nu_min, nu_max = as_float(nu_range[0]), as_float(nu_range[1])
+    try:
+        nu_min, nu_max = nu_range
+    except (TypeError, ValueError):  # not iterable, or not two values
+        nu_min = nu_max = math.nan
+    nu_min, nu_max = as_float(nu_min), as_float(nu_max)
     if not (math.isfinite(nu_min) and math.isfinite(nu_max)):
         raise ValueError(f"nu_range must hold two finite numbers, got {nu_range!r}")
     if not 0.0 < nu_min <= nu_max:
@@ -494,15 +527,11 @@ def _sample_cone_points(
 def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
     """Evaluate the six block identities and the cone certificate for S.
 
-    S must be normalized (mu = 1) or normalizable, with mu the (0,0) entry of
-    ``S^T J S`` that check_automorphism reports: when ``|mu - 1| > 0.1`` the
-    matrix is rescaled by ``1/sqrt(mu)`` internally; near-normalized input is
-    evaluated verbatim, so a single broken entry is never partially
-    reabsorbed by the rescale.  The residuals are raw norms of the blocks of
-    E = S_hat^T J S_hat - J and F = S_hat J S_hat^T - J for that matrix
-    S_hat = [[a, b^T], [c, D]] (see PropertyReport).  E and F are the
-    membership test's residual matrices S^T J S - mu J and S J S^T - mu J,
-    divided by mu when rescaled and shifted by (mu - 1) J when verbatim.
+    S is normalized internally: ``S_hat = S / sqrt(mu)``, with mu the
+    congruence scale that check_automorphism reports.  The residuals are raw
+    norms of the blocks of E = S_hat^T J S_hat - J and F = S_hat J S_hat^T - J
+    for that matrix S_hat = [[a, b^T], [c, D]] (see PropertyReport), formed
+    as ``(S^T J S - mu J) / mu`` and ``(S J S^T - mu J) / mu``.
     Gross non-automorphisms (``mu <= 0``, cone-reversing) raise
     NotAutomorphismError; tolerance-level failures still produce a report —
     that is the diagnostic purpose of this function.
@@ -542,7 +571,7 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
     tol = as_nonnegative_float(tol, "tol")
     n_samples = as_index(n_samples, "n_samples", minimum=0)
     seed = as_index(seed, "seed", minimum=0)
-    check, E, F = _check(S, tol)  # E, F = S^T J S - mu J, S J S^T - mu J
+    check = _check(S, tol)[0]
     mu = check.mu
     if not math.isfinite(mu) or mu <= 0.0:
         raise NotAutomorphismError(
@@ -550,13 +579,11 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
         )
     if not check.cone_forward:
         raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0", check)
-    S_hat = S
-    if abs(mu - 1.0) > 0.1:
-        S_hat = S / math.sqrt(mu)
-        E /= mu
-        F /= mu
-    else:
-        _subtract_scaled_j(1.0 - mu, E, F)
+    E, F = _congruence(S)
+    _subtract_scaled_j(mu, E, F)
+    E /= mu  # S_hat^T J S_hat - J
+    F /= mu  # S_hat J S_hat^T - J
+    S_hat = S / math.sqrt(mu)
     head = 1.0 + float(F[0, 0])  # a^2 - ||b||^2
 
     a, b, c = float(S_hat[0, 0]), S_hat[0, 1:], S_hat[1:, 0]

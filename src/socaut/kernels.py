@@ -57,12 +57,9 @@ class RankOneSqrt:
         ValueError when ``1 + ||c||^2`` overflows; every composition builds one."""
         c = as_vector(c, "c", min_len=1).copy()
         c.flags.writeable = False
-        with np.errstate(over="ignore"):
-            s = float(c @ c)
-        if math.isinf(1.0 + s):
+        a, beta = _sqrt_coefficients(c)
+        if math.isinf(a):
             raise ValueError("c must have a finite squared norm, got ||c||^2 = inf")
-        a = math.sqrt(1.0 + s)
-        beta = 0.0 if s == 0.0 else 1.0 / (a + 1.0)
         return cls(c=c, a=a, beta=beta)
 
     @property
@@ -85,6 +82,15 @@ class RankOneSqrt:
         Q = np.eye(self.c.size)
         Q += self.gamma * np.outer(self.c, self.c)
         return Q
+
+
+def _sqrt_coefficients(c: np.ndarray) -> tuple[float, float]:
+    """``(a, beta)`` of ``sqrt(I + c c^T) = I + beta c c^T`` for a finite c,
+    unvalidated; ``a`` is inf, without a warning, when ``||c||^2`` overflows."""
+    with np.errstate(over="ignore"):
+        s = float(c @ c)
+    a = math.sqrt(1.0 + s)
+    return a, 0.0 if s == 0.0 else 1.0 / (a + 1.0)
 
 
 def sqrt_rank_one(c) -> np.ndarray:
@@ -132,8 +138,13 @@ def orthogonality_residual(M) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be a square matrix, got shape {M.shape}")
+    return _orthogonality_residual(M)
+
+
+def _orthogonality_residual(M: np.ndarray) -> float:
+    """orthogonality_residual of a square float array, unvalidated."""
     G = M.T @ M
-    G[np.diag_indices(M.shape[0])] -= 1.0
+    G.reshape(-1)[:: len(G) + 1] -= 1.0  # the diagonal, as a view
     return float(np.linalg.norm(G))
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from socaut import (
+    DEFAULT_TOL,
     CanonicalFactorization,
     CompactFactorization,
     ConeRegion,
@@ -115,12 +116,12 @@ class TestCheckAutomorphism:
         assert res.residual_congruence == 0.0
 
     def test_non_congruent_rejected(self):
-        # S = diag(1, 2): S^T J S = diag(1, -4), off from mu J = diag(1, -1)
-        # by diag(0, 3); ||S||_F^2 = 5, so the scaled residual is 0.6.
+        # S = diag(1, 2): mu = 1, c = 0, so U = D = [[2]] and d = 0; the
+        # residual is ||U^T U - I||_F / m = 3.
         res = check_automorphism(np.diag([1.0, 2.0]))
         assert not res.is_automorphism
         assert res.mu == 1.0
-        assert res.residual_congruence == pytest.approx(0.6)
+        assert res.residual_congruence == 3.0
 
     def test_uniform_scaling_accepted(self):
         res = check_automorphism(3.0 * np.eye(5))
@@ -225,18 +226,54 @@ class TestFactorCompact:
             assert rel_fro(compose_compact(f), S) <= 1e-12
 
     def test_orthogonality_gate_catches_inconsistent_input(self):
-        # A perturbed boost that still passes the congruence test at a loose
-        # tolerance, but whose recovered U is visibly non-orthogonal.
+        # A perturbed boost whose two-sided congruence residual passes at a
+        # loose tolerance, but whose recovered U is visibly non-orthogonal:
+        # check and factor both reject it, on the U gate.
         S = boost_matrix(40.0, 3)
         S[2, 2] += 1e-3
         tol = 1e-4
-        assert check_automorphism(S, tol).is_automorphism
+        assert not check_automorphism(S, tol).is_automorphism
         with pytest.raises(NotAutomorphismError, match="orthogonal") as excinfo:
             factor_compact(S, tol)
-        assert excinfo.value.check.is_automorphism
+        assert excinfo.value.check == check_automorphism(S, tol)
         message = str(excinfo.value)
         assert "recovered U" in message
         assert f"> {tol * 2:.3e}" in message  # the bound tol * m, m = 2
+        assert "first-row defect" not in message
+
+    def test_first_row_defect_gate_names_itself(self):
+        # Moving b alone leaves the first column and D, so nu, c and U, as
+        # they were: only d = b - D^T c / a sees it, against tol * a.
+        S = boost_matrix(3.0, 4)
+        S[0, 2] += 1e-6
+        tol = 1e-9
+        res = check_automorphism(S, tol)
+        assert not res.is_automorphism
+        assert res.residual_congruence == pytest.approx(1e-6 / math.sqrt(10.0), rel=1e-6)
+        with pytest.raises(NotAutomorphismError) as excinfo:
+            factor_compact(S, tol)
+        message = str(excinfo.value)
+        assert "first-row defect ||d|| 1.000e-06" in message
+        assert f"> {tol * math.sqrt(10.0):.3e}" in message
+        assert "orthogonal" not in message
+
+    def test_wide_boost_is_rejected_by_check_as_by_factor(self):
+        # alpha = 1e4: the recovered U carries rounding of about eps * a^2,
+        # above the gate tol * m; check used to accept what factor refused.
+        S = boost_matrix(1e4, 6)
+        res = check_automorphism(S)
+        assert not res.is_automorphism
+        assert res.residual_congruence > DEFAULT_TOL
+        with pytest.raises(NotAutomorphismError, match="recovered U is not orthogonal"):
+            factor_compact(S)
+
+    @pytest.mark.parametrize("mu_sign", ["zero", "negative"])
+    def test_residual_is_inf_without_factors(self, mu_sign):
+        S = boost_matrix(1e8, 3) if mu_sign == "zero" else np.ones((3, 3))
+        res = check_automorphism(S)  # warnings are errors in this suite
+        assert res.mu <= 0.0
+        assert res.residual_congruence == math.inf
+        assert not res.is_automorphism
 
     def test_rejected_input_raises(self):
         with pytest.raises(NotAutomorphismError):
@@ -272,22 +309,28 @@ def cli_verify(S) -> int:
 
 
 class TestCongruence:
-    """check, factor, the report and verify form S^T J S and S J S^T once, in
-    one place."""
+    """Only the report (so verify) forms S^T J S and S J S^T, once; check and
+    factor decide membership without them."""
 
     @pytest.mark.parametrize(
-        "call", [check_automorphism, property_report, factor_compact, cli_verify]
+        "call,count",
+        [(check_automorphism, 0), (factor_compact, 0), (property_report, 1), (cli_verify, 1)],
     )
-    def test_each_call_forms_the_products_once(self, call, congruence_mus):
+    def test_each_call_forms_the_products_at_most_once(self, call, count, congruence_mus):
         call(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
-        assert len(congruence_mus) == 1
+        assert len(congruence_mus) == count
 
-    def test_report_normalizes_by_the_checked_mu(self, congruence_mus):
-        S = sample_automorphism(5, alpha_max=3.0, nu_range=(2.0, 3.0), seed=4)
+    @pytest.mark.parametrize("nu", [2.5, 1.02])
+    def test_report_normalizes_by_the_checked_mu(self, nu):
+        S = sample_automorphism(5, alpha_max=3.0, nu_range=(nu, nu), seed=4)
         mu = check_automorphism(S).mu
-        assert abs(mu - 1.0) > 0.1
-        property_report(S)
-        assert np.array(congruence_mus).tobytes() == np.array([mu, mu]).tobytes()
+        E, F = automorphism._congruence(S)
+        automorphism._subtract_scaled_j(mu, E, F)
+        E /= mu
+        F /= mu
+        rep = property_report(S)
+        assert rep.residual_A3 == float(np.linalg.norm(E[1:, 1:]))
+        assert rep.residual_B2 == float(np.linalg.norm(F[1:, 0]))
 
     @pytest.mark.parametrize("nu", [3.0, 1.03])
     def test_verify_returns_the_check_and_the_report(self, nu):
@@ -311,15 +354,14 @@ class TestCongruence:
 
 
 class TestFactorPath:
-    """factor_* validates S once, in one check_automorphism call, and reads
-    its blocks off S itself."""
+    """factor_* validates S once and returns the factors the membership test
+    recovered from S itself, without calling check_automorphism."""
 
     @pytest.mark.parametrize("factor", [factor_compact, factor_canonical])
     def test_validates_s_once_and_skips_normalize_and_split_blocks(self, factor, calls):
         factor(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
         assert calls.count("as_square_matrix S") == 1
-        assert calls.count("check_automorphism") == 1
-        assert not {"normalize", "split_blocks"} & set(calls)
+        assert not {"check_automorphism", "normalize", "split_blocks"} & set(calls)
 
     @pytest.mark.parametrize("n", [2, 5, 50])
     def test_equals_the_public_normalize_and_split_route(self, n):
@@ -333,6 +375,48 @@ class TestFactorPath:
             assert f.nu == nu
             assert f.c.tobytes() == blocks.c.tobytes()
             assert f.U.tobytes() == U.tobytes()
+
+
+class TestOneVerdict:
+    """check and factor share one decision: factor succeeds iff check accepts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["member", "noisy", "gaussian"]),
+        n=st.integers(2, 30),
+        alpha=st.floats(0.0, 1e3),
+        log_nu=st.floats(-2.0, 2.0),
+        log_noise=st.floats(-14.0, -4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_check_accepts_iff_factor_succeeds(self, kind, n, alpha, log_nu, log_noise, seed):
+        # An accepted S composes back to within c * n * eps * a^2 * nu of
+        # itself (worst c seen over 3,000 draws: 0.73), plus what the factors
+        # cannot absorb of the noise N (worst seen: 1.7 ||N||_F).
+        rng = np.random.default_rng(seed)
+        nu = 10.0**log_nu
+        if kind == "gaussian":
+            S = nu * rng.standard_normal((n, n))
+        else:
+            direction = rng.standard_normal(n - 1)
+            c = alpha * direction / np.linalg.norm(direction)
+            S = compose_compact(CompactFactorization(nu, c, haar_orthogonal(rng, n - 1)))
+        noise = 0.0
+        if kind == "noisy":
+            N = 10.0**log_noise * np.abs(S).max() * rng.standard_normal((n, n))
+            S += N
+            noise = float(np.linalg.norm(N))
+        check = check_automorphism(S)
+        try:
+            f = factor_compact(S)
+        except NotAutomorphismError as exc:
+            assert not check.is_automorphism
+            assert exc.check == check
+            return
+        assert check.is_automorphism
+        assert (f.nu, f.c.size) == (math.sqrt(check.mu), n - 1)
+        bound = 4.0 * n * EPS * (1.0 + alpha**2) * nu + 4.0 * noise
+        assert np.abs(compose_compact(f) - S).max() <= bound
 
 
 class TestFactorCanonical:
@@ -610,7 +694,15 @@ class TestSampleAutomorphism:
 
     @pytest.mark.parametrize(
         "nu_range",
-        [pytest.param((10**400, 10**401), id="1e400"), (1.0, math.inf), (None, 1.0), ("abc", 1.0)],
+        [
+            pytest.param((10**400, 10**401), id="1e400"),
+            (1.0, math.inf),
+            (None, 1.0),
+            ("abc", 1.0),
+            (1.0,),
+            5,
+            (1.0, 2.0, 3.0),
+        ],
     )
     def test_nu_range_message(self, nu_range):
         with pytest.raises(ValueError, match="nu_range must hold two finite numbers"):
@@ -716,10 +808,12 @@ class TestPropertyReport:
         assert rep.boundary_drift_max <= 1e-12
 
     def test_detects_corner_perturbation(self):
+        # mu is read off the first column, so the rescale keeps A1 at 0;
+        # the moved corner shows in A2 = ||a b - D^T c||.
         S = boost_matrix(1.0, 3)
         S[0, 0] += 1e-3
         rep = property_report(S, n_samples=10)
-        assert rep.residual_A1 >= 1e-4
+        assert rep.residual_A2 >= 1e-4
 
     def test_detects_each_block_perturbation(self):
         base = sample_automorphism(5, alpha_max=3.0, nu_range=(1.0, 1.0), seed=55)
@@ -735,14 +829,14 @@ class TestPropertyReport:
         assert rep.cone_violation_max <= 1e-12
         assert rep.cone_slack_bound <= 1e-14
 
-    def test_near_normalized_is_verbatim(self):
-        # mu = (1+delta)^2 stays inside the no-rescale band, so A1 sees the
-        # raw scaling defect t*sqrt(5) - sqrt(1+4t^2) ~ delta/sqrt(5) instead
-        # of having it absorbed by a rescale.
+    def test_near_normalized_is_rescaled(self):
+        # mu = 1.001^2 is divided out like any other scale: a scaled member
+        # has rounding-level residuals and certificate.
         S = boost_matrix(2.0, 3)
         S *= 1.001
         rep = property_report(S, n_samples=0)
-        assert rep.residual_A1 == pytest.approx(0.001 / math.sqrt(5.0), rel=1e-2)
+        assert rep.max_identity_residual() <= 4 * EPS * 5.0
+        assert rep.cone_slack_bound <= 16 * EPS * 5.0
 
     def test_gross_rejections_raise(self):
         with pytest.raises(NotAutomorphismError):
@@ -778,7 +872,7 @@ class TestPropertyReport:
         S = noisy_member(np.random.default_rng(seed), n, alpha, nu, log_noise)
         rep = property_report(S)
         mu = check_automorphism(S).mu
-        S_hat = S if abs(mu - 1.0) <= 0.1 else S / math.sqrt(mu)
+        S_hat = S / math.sqrt(mu)
         J = signature_matrix(n)
         head = S_hat[0, 0] ** 2 - float(S_hat[0, 1:] @ S_hat[0, 1:])
         bound = 2.0 * float(np.linalg.norm(S_hat.T @ J @ S_hat - J)) / head
@@ -796,6 +890,7 @@ class TestPropertyReport:
         for S in random_automorphisms(5, n, seed0=60 + n, nu_range=(1.0, 1.0)):
             S = S + 1e-6 * rng.standard_normal(S.shape)
             rep = property_report(S)
+            S = S / math.sqrt(check_automorphism(S).mu)
             head = S[0, 0] ** 2 - float(S[0, 1:] @ S[0, 1:])
             defect = float(np.linalg.norm(S.T @ J @ S - J))
             assert rep.cone_slack_bound * head / 2.0 == pytest.approx(defect, rel=1e-6)
@@ -815,7 +910,7 @@ class TestPropertyReport:
     def test_cone_slack_bound_caps_every_slack(self, n, alpha, log_noise, seed):
         rng = np.random.default_rng(seed)
         S = noisy_member(rng, n, alpha, 1.0, log_noise)
-        rep = property_report(S)  # mu within 0.1 of 1: the report evaluates S itself
+        rep = property_report(S)  # the caps scale with S, so S itself is mapped
         # Boundary points with x0 in (0, 10], plus the one that minimizes y0.
         tails = rng.standard_normal((500, n - 1))
         tails /= np.linalg.norm(tails, axis=1, keepdims=True)

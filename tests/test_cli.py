@@ -60,7 +60,7 @@ class TestCheck:
         assert main(["check", str(p)]) == 1
         report = parse_report(capsys.readouterr().out)
         assert report["is_automorphism"] == "false"
-        assert float(report["residual_congruence"]) == pytest.approx(0.6)
+        assert float(report["residual_congruence"]) == 3.0  # ||U^T U - I||_F / m, U = [[2]]
 
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -260,8 +260,21 @@ class TestVerify:
         p.write_text(dumps_matrix(S))
         assert main(["verify", str(p), "--samples", "50"]) == 1
         report = parse_report(capsys.readouterr().out)
-        assert float(report["residual_A1"]) >= 1e-4
+        assert float(report["residual_A2"]) >= 1e-4  # A1 is 0 once S is divided by nu
         assert report["all_within_tol"] == "false"
+
+    def test_exact_member_near_nu_one_passes(self):
+        # nu = 1.02 with alpha = 0: an exact member, divided by nu like any other.
+        sample = run_socaut(
+            "sample", "4", "1", "--alpha-max", "0", "--nu-min", "1.02", "--nu-max", "1.02"
+        )
+        assert sample.returncode == 0
+        verify = run_socaut("verify", "-", input=sample.stdout)
+        assert verify.returncode == 0, verify.stdout + verify.stderr
+        report = parse_report(verify.stdout)
+        assert report["all_within_tol"] == "true"
+        assert float(report["residual_A1"]) <= 1e-15
+        assert float(report["cone_slack_bound"]) <= 1e-15
 
     def test_gross_rejection_exits_1_before_report(self, tmp_path, capsys):
         p = tmp_path / "r.txt"
@@ -361,18 +374,24 @@ class TestVerify:
 
 
 class TestGateSites:
-    """Each orthogonal factor is gated once, where it enters the program."""
+    """Each orthogonal factor is gated once, where it enters the program:
+    a loaded one by the public gate, a recovered U by the membership test."""
 
     @pytest.fixture
     def gates(self, monkeypatch):
         calls = []
-        residual = kernels.orthogonality_residual
 
-        def counting(M):
-            calls.append(M.shape)
-            return residual(M)
+        def counting(site, residual):
+            def wrapped(M):
+                calls.append(site)
+                return residual(M)
 
-        monkeypatch.setattr(kernels, "orthogonality_residual", counting)
+            return wrapped
+
+        public = counting("loaded", kernels.orthogonality_residual)
+        check = counting("recovered", automorphism._orthogonality_residual)
+        monkeypatch.setattr(kernels, "orthogonality_residual", public)
+        monkeypatch.setattr(automorphism, "_orthogonality_residual", check)
         return calls
 
     def test_sample_runs_no_gate(self, gates):
@@ -387,10 +406,11 @@ class TestGateSites:
         src.write_text(dumps_matrix(sample_automorphism(5, seed=3)))
         fact = tmp_path / "f.json"
         assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
-        assert len(gates) == 1  # the recovered U
+        assert gates == ["recovered"]
         gates.clear()
         assert main(["compose", str(fact), "--quiet"]) == 0
-        assert len(gates) == compose_gates  # V and U, or U, in parse_factorization
+        # V and U, or U, in parse_factorization; then the product's membership test.
+        assert gates == ["loaded"] * compose_gates + ["recovered"]
 
 
 class TestProcessLevel:
@@ -436,7 +456,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_66_commands(self, tmp_path):
+    def test_cli_corpus_records_70_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -445,7 +465,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 66
+        assert len(labels) == 70
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -468,7 +488,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 66
+        assert len({p.stem for p in results.iterdir()}) == 70
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_pipe_sample_to_check(self, tmp_path):

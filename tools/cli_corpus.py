@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 66 socaut commands and record what each one prints.
+"""Run a fixed corpus of 70 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR]
 
@@ -21,7 +21,11 @@ The corpus: ``check``, ``factor`` (both forms), ``verify`` and
 its 1e-7-perturbed copy, a 50 x 50 Gaussian, an n = 300 member with
 nu = 1.03, and the n = 6 boost with its corner raised by 1e-3); ``compose``
 of the four factor documents of the two members; ``check``, ``factor`` and
-``verify`` with ``--tol 1e-12`` on the two members; three ``sample`` draws;
+``verify`` with ``--tol 1e-12`` on the two members; ``check`` and ``factor``
+on two matrices that a two-sided congruence test accepts and whose recovered
+U is not orthogonal (``DISAGREEMENTS``: the alpha = 40 boost, n = 3, with
+entry (2, 2) raised by 1e-3 at ``--tol 1e-4``, and the alpha = 1e4 boost,
+n = 6); three ``sample`` draws;
 nine calls with bad arguments; and ``compose`` on fourteen hand-written
 factorization documents (``FACTORIZATIONS``): six malformed, four that break
 an invariant, one (alpha = 1e8) whose product the membership test refuses
@@ -45,6 +49,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 MATRICES = ("member", "perturbed", "gaussian", "near_one", "corner")
 MEMBERS = ("member", "near_one")
+#: name -> the ``--tol`` that ``check`` and ``factor`` run at on that matrix.
+DISAGREEMENTS = {"stretched": "1e-4", "wide": "1e-9"}
 
 _ROT = [[0.6, 0.8], [-0.8, 0.6]]
 _SWAP = [[0, 1], [1, 0]]
@@ -72,9 +78,9 @@ FACTORIZATIONS = {
 
 
 def input_paths(inputs: Path) -> dict[str, Path]:
-    """The input documents' paths in ``inputs`` by name: the five matrices,
+    """The input documents' paths in ``inputs`` by name: the seven matrices,
     then the factorization documents under ``doc_LABEL``."""
-    names = [*MATRICES, *(f"doc_{label}" for label in FACTORIZATIONS)]
+    names = [*MATRICES, *DISAGREEMENTS, *(f"doc_{label}" for label in FACTORIZATIONS)]
     return {name: inputs / f"{name}.json" for name in names}
 
 
@@ -86,12 +92,16 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
     member = sample_automorphism(300, seed=7)
     corner = boost_matrix(1.0, 6)
     corner[0, 0] += 1e-3
+    stretched = boost_matrix(40.0, 3)
+    stretched[2, 2] += 1e-3
     matrices = {
         "member": member,
         "perturbed": member + 1e-7 * np.random.default_rng(1).standard_normal(member.shape),
         "gaussian": np.random.default_rng(2).standard_normal((50, 50)),
         "near_one": sample_automorphism(300, nu_range=(1.03, 1.03), seed=8),
         "corner": corner,
+        "stretched": stretched,
+        "wide": boost_matrix(1e4, 6),
     }
     inputs.mkdir(parents=True, exist_ok=True)
     paths = input_paths(inputs)
@@ -126,6 +136,12 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
             (f"check_tol12_{name}", ["check", m, "--tol", "1e-12"]),
             (f"factor_tol12_{name}", ["factor", m, "--tol", "1e-12"]),
             (f"verify_tol12_{name}", ["verify", m, "--tol", "1e-12"]),
+        ]
+    for name, tol in DISAGREEMENTS.items():
+        m = str(paths[name])
+        cmds += [
+            (f"check_{name}", ["check", m, "--tol", tol]),
+            (f"factor_{name}", ["factor", m, "--tol", tol]),
         ]
     ranges = ["--alpha-max", "100", "--nu-min", "0.5", "--nu-max", "2"]
     cmds += [
