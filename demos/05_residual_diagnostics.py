@@ -2,14 +2,16 @@
 Residual diagnostics for the block identities
 =============================================
 
-Writing S = nu * [[a, b^T], [c, D]], membership forces six identities:
+Writing S = nu * [[a, b^T], [c, D]], membership forces these identities:
 
-    A1: a = sqrt(1 + ||c||^2)     B1: a = sqrt(1 + ||b||^2)
+                                  B1: a = sqrt(1 + ||b||^2)
     A2: a b = D^T c               B2: a c = D b
     A3: D^T D = I + b b^T         B3: D D^T = I + c c^T
 
-property_report evaluates all six together, so a defect in any block of S
-shows up in a named residual.  From the same defects it derives
+and A1: a = sqrt(1 + ||c||^2), which needs no check: property_report reads
+nu off the first column, so dividing by it makes A1 hold.  It evaluates the
+other five together, so a defect in any block of S shows up in a named
+residual.  From the same defects it derives
 cone_slack_bound, a deterministic cap on how far any cone point can be
 pushed out of the cone; sampled cone statistics are an opt-in cross-check.
 """
@@ -42,9 +44,9 @@ for label, (i, j) in targets.items():
     perturbed[i, j] += 1e-5
     report = property_report(perturbed, n_samples=0)
     residuals = {
-        "A1": report.residual_A1, "A2": report.residual_A2,
-        "A3": report.residual_A3, "B1": report.residual_B1,
-        "B2": report.residual_B2, "B3": report.residual_B3,
+        "A2": report.residual_A2, "A3": report.residual_A3,
+        "B1": report.residual_B1, "B2": report.residual_B2,
+        "B3": report.residual_B3,
     }
     loudest = max(residuals, key=residuals.get)
     responding = sorted(k for k, v in residuals.items() if v > 1e-7)

@@ -14,15 +14,15 @@ with nu > 0, c in R^(n-1), a = sqrt(1 + ||c||^2), P = sqrt(I + c c^T),
 alpha = ||c||, c = alpha V e1, V and U orthogonal, and T_alpha the
 hyperbolic boost.  This module implements the membership test, both
 factorizations, their inverses (composition), a seeded sampler, and a
-residual report for the six block identities behind the factorization, with
-a sample-free bound on how far any cone point can be pushed out.
+residual report for the block identities behind the factorization, with a
+sample-free bound on how far any cone point can be pushed out.
 
 Membership is decided once, in ``_check``, by recovering the compact
 factors (see check_automorphism); factor_compact returns the factors that
 test recovered, so the two cannot disagree.  Both compositions run one
-O(n^2) blockwise assembly of the compact form.  verify's gates sit beside
-check's in ``_verify``; a caller-supplied orthogonal factor is gated where
-it enters: file load and the public compose_*.
+O(n^2) blockwise assembly of the compact form.  ``_verify`` holds verify's
+gates and forms the congruence defects of S / nu once; a caller-supplied
+orthogonal factor is gated where it enters: file load and the public compose_*.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class AutCheckResult:
     residual_congruence : float
         ``max(||U^T U - I||_F / m, ||d|| / a)``, with the U, first-row
         defect d and a that check_automorphism recovers; 0 exactly on
-        members, inf when ``mu`` is not positive and finite or ``||c||^2``
-        overflows.
+        members, inf when ``mu`` is not positive and finite or the recovery
+        overflows (``||c||^2``, ``D / nu``, ``U^T U``).
     cone_forward : bool
         True when ``(S e)_0 > 0``, i.e. the cone axis is not reversed.
     """
@@ -215,20 +215,21 @@ class CanonicalFactorization:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Residuals of the six block identities, a cone certificate, and
-    optional sampled cone-image statistics.
+    """Residuals of five block identities, a cone certificate, and optional
+    sampled cone-image statistics.
 
-    The identities, for a normalized S = [[a, b^T], [c, D]]:
+    Membership makes the normalized S_hat = S / nu = [[a, b^T], [c, D]]
+    satisfy six identities:
 
         A1: a = sqrt(1 + ||c||^2)     B1: a = sqrt(1 + ||b||^2)
         A2: a b = D^T c               B2: a c = D b
         A3: D^T D = I + b b^T         B3: D D^T = I + c c^T
 
-    The A family are the blocks of E = S^T J S - J, the B family those of
-    F = S J S^T - J, both computed on the (internally normalized) matrix:
-    A2 and A3 are the norms of E's lower blocks ``E[1:, 0]`` and
-    ``E[1:, 1:]``, B2 and B3 those of F's; A1 and B1 are read off the first
-    column and the first row.
+    The A family are the blocks of E = S_hat^T J S_hat - J, the B family
+    those of F = S_hat J S_hat^T - J: A2 and A3 are the norms of E's lower
+    blocks ``E[1:, 0]`` and ``E[1:, 1:]``, B2 and B3 those of F's, and B1 is
+    read off the first row.  A1 is not reported: nu^2 is read off the first
+    column, so the normalization makes A1 hold by construction.
 
     ``cone_slack_bound`` is ``2 ||E||_F / (a^2 - ||b||^2)``, or inf when the
     denominator is <= 0; for y = S x every cone point x has a slack
@@ -238,7 +239,6 @@ class PropertyReport:
     points; both read 0 when no points are sampled.
     """
 
-    residual_A1: float
     residual_A2: float
     residual_A3: float
     residual_B1: float
@@ -249,9 +249,8 @@ class PropertyReport:
     cone_slack_bound: float
 
     def max_identity_residual(self) -> float:
-        """Largest of the six identity residuals."""
+        """Largest of the five identity residuals."""
         return max(
-            self.residual_A1,
             self.residual_A2,
             self.residual_A3,
             self.residual_B1,
@@ -275,24 +274,20 @@ def split_blocks(S) -> BlockView:
 
 
 def _congruence(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(S^T J S, S J S^T)`` for a validated n x n S, which only verify's
-    report forms.  Each is a rank-one term minus a Gram matrix:
-    ``S[0]^T S[0] - S[1:]^T S[1:]`` and
+    """``(S^T J S - J, S J S^T - J)`` for a validated n x n S, which only
+    verify's report forms.  Each product is a rank-one term minus a Gram
+    matrix: ``S[0]^T S[0] - S[1:]^T S[1:]`` and
     ``S[:,0] S[:,0]^T - S[:,1:] S[:,1:]^T``.  NumPy runs ``A.T @ A`` as a
     symmetric rank-k update, about twice as fast as a general product."""
     left = S[0, :, np.newaxis] * S[0]
     left -= S[1:].T @ S[1:]
     right = S[:, 0, np.newaxis] * S[:, 0]
     right -= S[:, 1:] @ S[:, 1:].T
-    return left, right
-
-
-def _subtract_scaled_j(s: float, *products: np.ndarray) -> None:
-    """Subtract ``s J`` in place from each C-contiguous n x n product."""
-    for M in products:
+    for M in (left, right):
         d = M.reshape(-1)[:: len(M) + 1]  # a view of the diagonal
-        d[0] -= s
-        d[1:] += s
+        d[0] -= 1.0
+        d[1:] += 1.0
+    return left, right
 
 
 def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
@@ -319,22 +314,24 @@ def _check(
     """check_automorphism on validated input, with the recovered ``(nu, c, U)``
     when it accepts, or else a message naming the gates that rejected."""
     head = float(S[0, 0])
-    with np.errstate(over="ignore"):
-        mu = head * head - float(S[1:, 0] @ S[1:, 0])
     cone_forward = head > 0.0
     m = len(S) - 1
     res = ortho = defect = a = math.inf
-    if 0.0 < mu < math.inf:
-        nu = math.sqrt(mu)
-        c = S[1:, 0] / nu
-        a, beta = _sqrt_coefficients(c)
-    if a < math.inf:
-        U = S[1:, 1:] / nu  # the D block
-        cD = c @ U
-        # d = b - D^T c / a; U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
-        defect = float(np.linalg.norm(S[0, 1:] / nu - cD / a))
-        U += -beta / a * np.outer(c, cD)
-        ortho = _orthogonality_residual(U)
+    # Overflow (mu, or D / nu beside a tiny first column) leaves inf or nan: res is inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = head * head - float(S[1:, 0] @ S[1:, 0])
+        if 0.0 < mu < math.inf:
+            nu = math.sqrt(mu)
+            c = S[1:, 0] / nu
+            a, beta = _sqrt_coefficients(c)
+        if a < math.inf:
+            U = S[1:, 1:] / nu  # the D block
+            cD = c @ U
+            # d = b - D^T c / a; U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
+            defect = float(np.linalg.norm(S[0, 1:] / nu - cD / a))
+            U += -beta / a * np.outer(c, cD)
+            ortho = _orthogonality_residual(U)
+    if math.isfinite(ortho + defect):
         res = max(ortho / m, defect / a)
     check = AutCheckResult(
         is_automorphism=mu > tol and ortho <= tol * m and defect <= tol * a and cone_forward,
@@ -349,7 +346,7 @@ def _check(
         reasons.append(f"congruence scale mu={mu:.6g} <= tol {tol:.3g}")
     if not cone_forward:
         reasons.append("cone-reversing: (S e)_0 <= 0")
-    if a == math.inf:  # nothing recovered: mu <= 0 said so above, unless mu is inf
+    if res == math.inf:  # nothing finite recovered: mu <= 0 said so above, unless mu is inf
         if mu > tol:
             reasons.append(f"no finite factors at mu={mu:.6g}")
     elif not ortho / m <= max(tol, defect / a):
@@ -525,16 +522,16 @@ def _sample_cone_points(
 
 
 def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
-    """Evaluate the six block identities and the cone certificate for S.
+    """Evaluate five block identities and the cone certificate for S.
 
-    S is normalized internally: ``S_hat = S / sqrt(mu)``, with mu the
-    congruence scale that check_automorphism reports.  The residuals are raw
-    norms of the blocks of E = S_hat^T J S_hat - J and F = S_hat J S_hat^T - J
-    for that matrix S_hat = [[a, b^T], [c, D]] (see PropertyReport), formed
-    as ``(S^T J S - mu J) / mu`` and ``(S J S^T - mu J) / mu``.
-    Gross non-automorphisms (``mu <= 0``, cone-reversing) raise
-    NotAutomorphismError; tolerance-level failures still produce a report —
-    that is the diagnostic purpose of this function.
+    S is normalized once: ``S_hat = S / sqrt(mu)``, with mu the congruence
+    scale that check_automorphism reports.  The residuals are raw norms of
+    the blocks of E = S_hat^T J S_hat - J and F = S_hat J S_hat^T - J, both
+    formed on that matrix S_hat = [[a, b^T], [c, D]] (see PropertyReport,
+    which also says why A1 is not reported).  Gross non-automorphisms
+    (``mu <= 0``, no finite factors, as when S_hat overflows, cone-reversing)
+    raise NotAutomorphismError; tolerance-level failures still produce a
+    report — that is the diagnostic purpose of this function.
 
     ``cone_slack_bound`` is ``2 ||E||_F / (a^2 - ||b||^2)``, with the head
     ``a^2 - ||b||^2`` read off F + J.  Why it bounds the slack of every cone
@@ -577,16 +574,16 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
         raise NotAutomorphismError(
             f"congruence scale mu={mu:.6g} is not positive; cannot normalize", check
         )
+    # A finite check residual takes finite c, D / nu and b / nu, so S_hat is finite.
+    if check.residual_congruence == math.inf:
+        raise NotAutomorphismError(f"no finite factors at mu={mu:.6g}; cannot normalize", check)
     if not check.cone_forward:
         raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0", check)
-    E, F = _congruence(S)
-    _subtract_scaled_j(mu, E, F)
-    E /= mu  # S_hat^T J S_hat - J
-    F /= mu  # S_hat J S_hat^T - J
     S_hat = S / math.sqrt(mu)
+    E, F = _congruence(S_hat)
     head = 1.0 + float(F[0, 0])  # a^2 - ||b||^2
 
-    a, b, c = float(S_hat[0, 0]), S_hat[0, 1:], S_hat[1:, 0]
+    a, b = float(S_hat[0, 0]), S_hat[0, 1:]
     slack_bound = 2.0 * float(np.linalg.norm(E)) / head if head > 0.0 else math.inf
 
     cone_violation = boundary_drift = 0.0
@@ -600,7 +597,6 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
                 boundary_drift = float(np.max(np.abs(slack), initial=0.0))
 
     report = PropertyReport(
-        residual_A1=abs(a - math.sqrt(1.0 + float(c @ c))),
         residual_A2=float(np.linalg.norm(E[1:, 0])),
         residual_A3=float(np.linalg.norm(E[1:, 1:])),
         residual_B1=abs(a - math.sqrt(1.0 + float(b @ b))),

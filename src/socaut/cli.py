@@ -64,10 +64,9 @@ def _report(pairs) -> str:
     )
 
 
-def _relative_residual(A, B) -> float:
-    diff = float(np.linalg.norm(np.asarray(A) - np.asarray(B)))
-    scale = max(1.0, float(np.linalg.norm(B)))
-    return diff / scale
+def _relative_residual(A: np.ndarray, B: np.ndarray) -> float:
+    """``||A - B||_F / ||B||_F``; B is an accepted matrix, so its norm is positive."""
+    return float(np.linalg.norm(A - B)) / float(np.linalg.norm(B))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

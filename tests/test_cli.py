@@ -29,6 +29,12 @@ from socaut.automorphism import CompactFactorization
 from conftest import ROOT, rel_fro, run_socaut
 
 
+IDENTITY_RESIDUALS = ("residual_A2", "residual_A3", "residual_B1", "residual_B2", "residual_B3")
+
+#: A tiny first column beside a huge D: D / nu overflows.
+OVERFLOWING_GRID = "1e-150 0\n0 1e300\n"
+
+
 def parse_report(text: str) -> dict:
     out = {}
     for line in text.strip().splitlines():
@@ -53,6 +59,14 @@ class TestCheck:
         assert report["is_automorphism"] == "true"
         assert report["mu"] == "1"
         assert report["cone_forward"] == "true"
+
+    def test_overflowing_recovery_reports_inf_without_warnings(self, tmp_path, capsys):
+        p = tmp_path / "tiny.txt"
+        p.write_text(OVERFLOWING_GRID)
+        assert main(["check", str(p)]) == 1  # warnings are errors in this suite
+        report = parse_report(capsys.readouterr().out)
+        assert report["residual_congruence"] == "inf"
+        assert report["is_automorphism"] == "false"
 
     def test_rejects_diagonal_stretch(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
@@ -136,6 +150,20 @@ class TestFactorCompose:
         out = tmp_path / "out.json"
         assert main(["compose", str(fact), "--output", str(out)]) == 0
         assert_array_equal(parse_matrix(out.read_text()), compose(f, tol))
+
+    def test_reconstruction_residual_is_scale_invariant(self, tmp_path):
+        # Scaling by 2^-10 is exact and takes ||S||_F below 1.
+        S = sample_automorphism(6, alpha_max=3.0, nu_range=(1.0, 1.0), seed=5)
+        recorded = []
+        for scale in (1.0, 2.0**-10):
+            src = tmp_path / "m.json"
+            src.write_text(dumps_matrix(scale * S))
+            fact = tmp_path / "f.json"
+            assert main(["factor", str(src), "--form", "compact", "--output", str(fact)]) == 0
+            recorded.append(json.loads(fact.read_text())["reconstruction_residual"])
+        assert np.linalg.norm(2.0**-10 * S) < 1.0
+        assert recorded[0] > 0.0
+        assert recorded[1] == recorded[0]
 
     def test_factor_rejects_non_automorphism(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
@@ -248,8 +276,9 @@ class TestVerify:
         assert main(["verify", str(boost_file), "--samples", "200"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["all_within_tol"] == "true"
-        for key in ("residual_A1", "residual_A2", "residual_A3",
-                    "residual_B1", "residual_B2", "residual_B3"):
+        assert len(report) == 11  # mu, the check's residual, 8 report fields, the verdict
+        assert "residual_A1" not in report  # S / nu makes A1 hold by construction
+        for key in IDENTITY_RESIDUALS:
             assert float(report[key]) <= 1e-12
         assert float(report["cone_violation_max"]) <= 1e-12
 
@@ -273,7 +302,7 @@ class TestVerify:
         assert verify.returncode == 0, verify.stdout + verify.stderr
         report = parse_report(verify.stdout)
         assert report["all_within_tol"] == "true"
-        assert float(report["residual_A1"]) <= 1e-15
+        assert max(float(report[key]) for key in IDENTITY_RESIDUALS) <= 1e-15
         assert float(report["cone_slack_bound"]) <= 1e-15
 
     def test_gross_rejection_exits_1_before_report(self, tmp_path, capsys):
@@ -289,6 +318,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: congruence scale mu=-0.99 is not positive" in captured.err
+
+    def test_overflowing_normalization_exits_1_before_report(self, tmp_path, capsys):
+        p = tmp_path / "tiny.txt"
+        p.write_text(OVERFLOWING_GRID)
+        assert main(["verify", str(p)]) == 1  # warnings are errors in this suite
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no finite factors at mu=1e-300; cannot normalize" in captured.err
 
     @pytest.mark.parametrize(
         "flag,message",
@@ -348,10 +385,11 @@ class TestVerify:
         assert report["all_within_tol"] == "true"
 
     def test_cone_slack_bound_gates_on_its_own(self, tmp_path, capsys):
-        # At alpha = 1.5e3 check accepts this member and its identity
-        # residuals stay within tol.  The certificate grows like a times
-        # them (its corner term a^2 - 1 - ||c||^2 is about 2 a A1), so it
-        # alone crosses tol.
+        # At alpha = 1.5e3 check accepts this member and each identity
+        # residual stays within tol (A2 4.4e-10, A3 4.9e-10).  The
+        # certificate is 2 ||E||_F over a^2 - ||b||^2 = 1, and E's blocks add
+        # up (E is symmetric, so A2 counts twice; its corner reads 0 here) to
+        # ||E||_F = 7.9e-10: the certificate, 1.6e-9, alone crosses tol.
         rng = np.random.default_rng(3)
         direction = rng.standard_normal(49)
         c = 1.5e3 * direction / np.linalg.norm(direction)
@@ -369,7 +407,7 @@ class TestVerify:
         first = parse_report(capsys.readouterr().out)
         assert main(["verify", str(boost_file), "--samples", "100", "--seed", "2"]) == 0
         second = parse_report(capsys.readouterr().out)
-        for key in ("residual_A1", "residual_B3"):
+        for key in IDENTITY_RESIDUALS:
             assert first[key] == second[key]
 
 
@@ -456,7 +494,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_70_commands(self, tmp_path):
+    def test_cli_corpus_records_73_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -465,7 +503,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 70
+        assert len(labels) == 73
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -488,7 +526,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 70
+        assert len({p.stem for p in results.iterdir()}) == 73
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_pipe_sample_to_check(self, tmp_path):

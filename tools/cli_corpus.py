@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 70 socaut commands and record what each one prints.
+"""Run a fixed corpus of 73 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR]
 
@@ -25,7 +25,10 @@ of the four factor documents of the two members; ``check``, ``factor`` and
 on two matrices that a two-sided congruence test accepts and whose recovered
 U is not orthogonal (``DISAGREEMENTS``: the alpha = 40 boost, n = 3, with
 entry (2, 2) raised by 1e-3 at ``--tol 1e-4``, and the alpha = 1e4 boost,
-n = 6); three ``sample`` draws;
+n = 6); ``check`` and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose
+D / nu overflows (``tiny_column``); ``factor --form compact`` on an n = 6
+member scaled by 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample``
+draws;
 nine calls with bad arguments; and ``compose`` on fourteen hand-written
 factorization documents (``FACTORIZATIONS``): six malformed, four that break
 an invariant, one (alpha = 1e8) whose product the membership test refuses
@@ -78,9 +81,15 @@ FACTORIZATIONS = {
 
 
 def input_paths(inputs: Path) -> dict[str, Path]:
-    """The input documents' paths in ``inputs`` by name: the seven matrices,
+    """The input documents' paths in ``inputs`` by name: the nine matrices,
     then the factorization documents under ``doc_LABEL``."""
-    names = [*MATRICES, *DISAGREEMENTS, *(f"doc_{label}" for label in FACTORIZATIONS)]
+    names = [
+        *MATRICES,
+        *DISAGREEMENTS,
+        "tiny_column",
+        "scaled",
+        *(f"doc_{label}" for label in FACTORIZATIONS),
+    ]
     return {name: inputs / f"{name}.json" for name in names}
 
 
@@ -102,6 +111,8 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
         "corner": corner,
         "stretched": stretched,
         "wide": boost_matrix(1e4, 6),
+        "tiny_column": np.array([[1e-150, 0.0], [0.0, 1e300]]),
+        "scaled": 2.0**-10 * sample_automorphism(6, 3.0, (1.0, 1.0), 5),
     }
     inputs.mkdir(parents=True, exist_ok=True)
     paths = input_paths(inputs)
@@ -143,6 +154,12 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
             (f"check_{name}", ["check", m, "--tol", tol]),
             (f"factor_{name}", ["factor", m, "--tol", tol]),
         ]
+    tiny = str(paths["tiny_column"])
+    cmds += [
+        ("check_tiny_column", ["check", tiny]),
+        ("verify_tiny_column", ["verify", tiny]),
+        ("factor_compact_scaled", ["factor", str(paths["scaled"]), "--form", "compact"]),
+    ]
     ranges = ["--alpha-max", "100", "--nu-min", "0.5", "--nu-max", "2"]
     cmds += [
         ("sample_member", ["sample", "300", "1", "--seed", "7"]),
