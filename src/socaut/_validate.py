@@ -11,7 +11,9 @@ import numpy as np
 #: the congruence scale mu must exceed tol (an absolute gate); an m x m
 #: orthogonal factor passes when its residual ||M^T M - I||_F <= tol * m,
 #: which for the membership test's recovered U sits beside the first-row
-#: defect gate ||d|| <= tol * a; verify's identity residuals and its
+#: defect gate ||d|| <= tol * a.  That residual is measured once, where the
+#: factor enters, and its factorization keeps it, so each later gate compares
+#: the kept number with its own tol; verify's identity residuals and its
 #: cone_slack_bound (a slack per unit of image head) must be <= tol.  check's
 #: and verify's gates sit side by side in ``automorphism._check``/``_verify``.
 DEFAULT_TOL = 1e-9

@@ -21,14 +21,16 @@ Membership is decided once, in ``_check``, by recovering the compact
 factors (see check_automorphism); factor_compact returns the factors that
 test recovered, so the two cannot disagree.  Both compositions run one
 O(n^2) blockwise assembly of the compact form.  ``_verify`` holds verify's
-gates and forms the congruence defects of S / nu once; a caller-supplied
-orthogonal factor is gated where it enters: file load and the public compose_*.
+gates and forms the congruence defects of S / nu once.  Each orthogonal
+factor's residual ``||M^T M - I||_F`` is measured at most once and kept by
+its factorization: ``_check`` measures the U it recovers, a caller-built or
+loaded factor is measured where it is first gated (file load or compose_*).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .kernels import (
     _sqrt_coefficients,
     haar_orthogonal,
     householder_to_direction,
+    orthogonality_residual,
 )
 from .spin import SpinVector
 
@@ -83,10 +86,16 @@ class NotAutomorphismError(ValueError):
         self.check = check
 
 
-def _frozen(A: np.ndarray) -> np.ndarray:
-    out = np.array(A, dtype=float)
-    out.flags.writeable = False
-    return out
+def _frozen(A) -> np.ndarray:
+    """``A`` as a float array over an immutable ``bytes`` buffer, which no
+    caller can make writeable again; an array already frozen is kept as is."""
+    A = np.asarray(A, dtype=float)
+    base = A
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes):
+        return A
+    return np.ndarray(A.shape, float, A.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +145,33 @@ class AutCheckResult:
     cone_forward: bool
 
 
+class _Factorization:
+    """Base of the two factorization forms.  Their arrays are frozen, so the
+    residual ``||M^T M - I||_F`` of an orthogonal factor M, once measured,
+    stays valid: it is kept in ``_residuals`` and M is measured at most once."""
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor: frozen arrays, nothing kept.
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+
+    def _gate(self, name: str, tol: float, error=ValueError) -> None:
+        """The gate ``residual <= tol * m`` on the factor ``name``, measured on first use."""
+        M = getattr(self, name)
+        kept = self.__dict__.setdefault("_residuals", {})
+        if name not in kept:
+            kept[name] = orthogonality_residual(M)
+        _require_orthogonal(kept[name], len(M), name, tol, error)
+
+
 @dataclass(frozen=True, eq=False)
-class CompactFactorization:
+class CompactFactorization(_Factorization):
     """S = nu * [[a, c^T], [c, P]] @ diag(1, U) with P = sqrt(I + c c^T).
 
     Only ``nu``, ``c``, and ``U`` are stored; ``a`` and ``P`` are derived.
     Shape and positivity are validated on construction; U's orthogonality is
     gated where U enters: the membership test behind factor_compact,
-    parse_factorization, compose_compact.
+    parse_factorization, compose_compact.  U is measured once: compose_compact
+    reuses the residual that the membership test or the file load measured.
     """
 
     nu: float
@@ -177,12 +205,13 @@ class CompactFactorization:
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalFactorization:
+class CanonicalFactorization(_Factorization):
     """S = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U).
 
     ``V`` and ``U`` are (n-1) x (n-1) orthogonal factors, gated where they
     enter: parse_factorization and compose_canonical; factor_canonical's U is
-    gated by the membership test and its V is a reflector.  Shape and sign here.
+    gated by the membership test, which measured it, and its V is a reflector,
+    measured by compose_canonical.  Shape and sign here.
     """
 
     nu: float
@@ -310,9 +339,10 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
 
 def _check(
     S: np.ndarray, tol: float
-) -> tuple[AutCheckResult, tuple[float, np.ndarray, np.ndarray] | str]:
+) -> tuple[AutCheckResult, tuple[float, np.ndarray, np.ndarray, float] | str]:
     """check_automorphism on validated input, with the recovered ``(nu, c, U)``
-    when it accepts, or else a message naming the gates that rejected."""
+    and U's residual ``||U^T U - I||_F`` when it accepts, or else a message
+    naming the gates that rejected."""
     head = float(S[0, 0])
     cone_forward = head > 0.0
     m = len(S) - 1
@@ -329,7 +359,7 @@ def _check(
             cD = c @ U
             # d = b - D^T c / a; U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
             defect = float(np.linalg.norm(S[0, 1:] / nu - cD / a))
-            U += -beta / a * np.outer(c, cD)
+            U += _scaled_outer(c, cD, -beta / a)
             ortho = _orthogonality_residual(U)
     if math.isfinite(ortho + defect):
         res = max(ortho / m, defect / a)
@@ -340,7 +370,7 @@ def _check(
         cone_forward=cone_forward,
     )
     if check.is_automorphism:
-        return check, (nu, c, U)
+        return check, (nu, c, U, ortho)
     reasons = []
     if not mu > tol:
         reasons.append(f"congruence scale mu={mu:.6g} <= tol {tol:.3g}")
@@ -392,8 +422,10 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     check, found = _check(S, as_nonnegative_float(tol, "tol"))
     if not check.is_automorphism:
         raise NotAutomorphismError("cannot factor: " + found, check)
-    nu, c, U = found
-    return CompactFactorization(nu=nu, c=c, U=U)
+    nu, c, U, ortho = found
+    f = CompactFactorization(nu=nu, c=c, U=U)
+    f.__dict__["_residuals"] = {"U": ortho}  # the membership test measured U
+    return f
 
 
 def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
@@ -407,7 +439,9 @@ def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
     compact = factor_compact(S, tol)
     alpha = float(np.linalg.norm(compact.c))
     V = householder_to_direction(compact.c)
-    return CanonicalFactorization(nu=compact.nu, alpha=alpha, V=V, U=compact.U)
+    f = CanonicalFactorization(nu=compact.nu, alpha=alpha, V=V, U=compact.U)
+    f.__dict__["_residuals"] = dict(compact._residuals)
+    return f
 
 
 def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -417,13 +451,21 @@ def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.nda
     ``P = I + beta c c^T``, the product ``nu * [[a, c^T],[c, P]] diag(1,U)``
     has first row ``nu * [a, (c^T U)]``, first column ``nu * [a; c]``, and
     lower block ``nu * (U + beta c (c^T U))``.  U's orthogonality gate
-    (``<= tol * (n-1)``) is enforced here on caller-built factors.
+    (``<= tol * (n-1)``) is enforced here, on the residual that factor_compact
+    or parse_factorization measured, or else on one measured now.
     """
     if not isinstance(f, CompactFactorization):
         raise TypeError(f"expected CompactFactorization, got {type(f).__name__}")
-    tol = as_nonnegative_float(tol, "tol")
-    _require_orthogonal(f.U, "U", tol)
+    f._gate("U", as_nonnegative_float(tol, "tol"))
     return _assemble(f.nu, f.c, f.U)
+
+
+def _scaled_outer(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * np.outer(x, y)`` bit for bit, scaled in place.  Callers add it
+    in place and drop it, so no other temporary of its size is made."""
+    out = np.outer(x, y)
+    out *= scale
+    return out
 
 
 def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -435,7 +477,8 @@ def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
     S[0, 0] = root.a
     S[0, 1:] = cU
     S[1:, 0] = c
-    S[1:, 1:] = U + root.beta * np.outer(c, cU)
+    S[1:, 1:] = U
+    S[1:, 1:] += _scaled_outer(c, cU, root.beta)
     S *= nu
     return S
 
@@ -448,13 +491,15 @@ def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np
     ``nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U)`` is assembled
     blockwise from ``(nu, f.c, U)`` exactly as compose_compact does, in
     O(n^2) and without forming T_alpha.  Both orthogonality gates
-    (``<= tol * (n-1)``) are enforced here on caller-built factors.
+    (``<= tol * (n-1)``) are enforced here, each on the residual measured
+    when the factor entered (factor_canonical's U, a loaded V or U), or
+    else on one measured now.
     """
     if not isinstance(f, CanonicalFactorization):
         raise TypeError(f"expected CanonicalFactorization, got {type(f).__name__}")
     tol = as_nonnegative_float(tol, "tol")
-    _require_orthogonal(f.V, "V", tol)
-    _require_orthogonal(f.U, "U", tol)
+    f._gate("V", tol)
+    f._gate("U", tol)
     return _assemble(f.nu, f.c, f.U)
 
 
@@ -468,16 +513,15 @@ def sample_automorphism(
 
     From ``np.random.default_rng(seed)``, in this fixed order: ``nu``
     uniform over ``nu_range``, ``alpha`` uniform over ``[0, alpha_max]``, an
-    (n-1)^2 standard Gaussian of which only the first column g is kept, and
-    a Haar orthogonal U.  The result is the compact composition of
-    ``(nu, c = alpha g/||g||, U)``, assembled without a gate (U is
-    orthogonal).
+    (n-1)-vector g of standard normals, and a Haar orthogonal U.  The result
+    is the compact composition of ``(nu, c = alpha g/||g||, U)``, assembled
+    without a gate (U is orthogonal).
 
-    The full Gaussian is drawn so that U's draws sit where they would for a
-    Haar V.  ``g/||g||`` is the first column of the sign-fixed Haar QR
-    factor of that draw, and V enters the canonical composition only through
-    ``V e1``, so the result matches the canonical composition with that Haar
-    V up to rounding.
+    V enters the canonical composition only through ``V e1``, and
+    ``g/||g||`` is uniform on the sphere, as ``V e1`` is for a Haar V, so
+    the result has the distribution of the canonical composition with a Haar
+    V.  Only the n - 1 normals of g are drawn for it, not a whole
+    (n-1) x (n-1) Gaussian.
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max", finite_square=True)
@@ -496,8 +540,7 @@ def sample_automorphism(
     rng = np.random.default_rng(seed)
     nu = float(rng.uniform(nu_min, nu_max))
     alpha = float(rng.uniform(0.0, alpha_max))
-    # A copy, not a view, so the (n-1)^2 draw is freed before U's QR.
-    g = rng.standard_normal((n - 1, n - 1))[:, 0].copy()
+    g = rng.standard_normal(n - 1)
     U = haar_orthogonal(rng, n - 1)
     return _assemble(nu, alpha * g / np.linalg.norm(g), U)
 
@@ -584,7 +627,8 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
     head = 1.0 + float(F[0, 0])  # a^2 - ||b||^2
 
     a, b = float(S_hat[0, 0]), S_hat[0, 1:]
-    slack_bound = 2.0 * float(np.linalg.norm(E)) / head if head > 0.0 else math.inf
+    norm_E, A2, A3, B2, B3 = _norms(E, E[1:, 0], E[1:, 1:], F[1:, 0], F[1:, 1:])
+    slack_bound = 2.0 * norm_E / head if head > 0.0 else math.inf
 
     cone_violation = boundary_drift = 0.0
     if n_samples > 0:
@@ -597,17 +641,30 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
                 boundary_drift = float(np.max(np.abs(slack), initial=0.0))
 
     report = PropertyReport(
-        residual_A2=float(np.linalg.norm(E[1:, 0])),
-        residual_A3=float(np.linalg.norm(E[1:, 1:])),
+        residual_A2=A2,
+        residual_A3=A3,
         residual_B1=abs(a - math.sqrt(1.0 + float(b @ b))),
-        residual_B2=float(np.linalg.norm(F[1:, 0])),
-        residual_B3=float(np.linalg.norm(F[1:, 1:])),
+        residual_B2=B2,
+        residual_B3=B3,
         cone_violation_max=cone_violation,
         boundary_drift_max=boundary_drift,
         cone_slack_bound=slack_bound,
     )
     gated = (report.max_identity_residual(), slack_bound, cone_violation, boundary_drift)
     return check, report, check.is_automorphism and all(v <= tol for v in gated)
+
+
+def _norms(*blocks: np.ndarray) -> list[float]:
+    """``np.linalg.norm`` of each block, without an overflow warning.  The
+    check's gates keep S_hat's entries below about 1e154, so E and F are
+    finite, but the squares of their entries can overflow: such a block's
+    norm is taken again after scaling it by its largest entry."""
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(x)) for x in blocks]
+    for i, x in enumerate(blocks):
+        if norms[i] == math.inf and (s := float(np.max(np.abs(x)))) < math.inf:
+            norms[i] = s * float(np.linalg.norm(x / s))
+    return norms
 
 
 def apply(S, x: SpinVector) -> SpinVector:
@@ -628,7 +685,7 @@ def algebra_automorphism(D, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     D = as_square_matrix(D, "D", min_n=1)
     tol = as_nonnegative_float(tol, "tol")
-    _require_orthogonal(D, "D", tol)
+    _require_orthogonal(orthogonality_residual(D), len(D), "D", tol)
     n = D.shape[0] + 1
     out = np.zeros((n, n))
     out[0, 0] = 1.0

@@ -20,10 +20,13 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL
 from .automorphism import (
+    CanonicalFactorization,
     NotAutomorphismError,
     _assemble,
     _verify,
     check_automorphism,
+    compose_canonical,
+    compose_compact,
     factor_canonical,
     factor_compact,
     sample_automorphism,
@@ -87,8 +90,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    f, _ = parse_factorization(_read_input(args.input))  # gates V and U
-    S = _assemble(f.nu, f.c, f.U)
+    f, tol = parse_factorization(_read_input(args.input))  # measures and gates V and U
+    compose = compose_canonical if isinstance(f, CanonicalFactorization) else compose_compact
+    S = compose(f, tol)  # gates the residuals parse kept, at the same tol
     result = check_automorphism(S, args.tol)
     if not result.is_automorphism:
         raise NotAutomorphismError(

@@ -36,7 +36,6 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL, as_float, as_nonnegative_float, as_square_matrix
 from .automorphism import CanonicalFactorization, CompactFactorization
-from .kernels import _require_orthogonal
 
 __all__ = [
     "FileFormatError",
@@ -310,7 +309,8 @@ def parse_factorization(text: str):
     FileFormatError, the first in document order; mathematical invariant
     violations (nu <= 0, alpha < 0, non-orthogonal factors beyond
     ``tol * m``) raise InvalidFactorizationError.  These are a loaded
-    factor's only gates.
+    factor's only measurements: the factorization keeps each orthogonal
+    factor's residual, and compose_* gates that number at its own tol.
     """
     obj = _loads(text.strip() or "{}")
     form = obj.get("form")
@@ -340,10 +340,11 @@ def parse_factorization(text: str):
         raise InvalidFactorizationError(
             f"alpha must be >= 0, got {format_float(values['alpha'])}"
         )
+    f = kind(**values)
     for name, ndim in fields.items():
-        if ndim == 2:
-            _require_orthogonal(values[name], name, tol, InvalidFactorizationError)
-    return kind(**values), tol
+        if ndim == 2:  # measured here once; compose_* reuses the kept residual
+            f._gate(name, tol, InvalidFactorizationError)
+    return f, tol
 
 
 def load_factorization(path):

@@ -149,14 +149,14 @@ def _orthogonality_residual(M: np.ndarray) -> float:
 
 
 def _require_orthogonal(
-    M: np.ndarray, name: str, tol: float, error: Callable[[str], Exception] = ValueError
+    residual: float, m: int, name: str, tol: float, error: Callable[[str], Exception] = ValueError
 ) -> None:
-    """Raise ``error(message)`` unless ``orthogonality_residual(M) <= tol * m``."""
-    res = orthogonality_residual(M)
-    bound = tol * M.shape[0]
-    if res > bound:
+    """The gate of an m x m orthogonal factor: raise ``error(message)`` unless
+    its measured ``orthogonality_residual`` is ``<= tol * m``."""
+    bound = tol * m
+    if residual > bound:
         raise error(
-            f"{name} is not orthogonal within tolerance: residual {res:.3e} "
+            f"{name} is not orthogonal within tolerance: residual {residual:.3e} "
             f"> {bound:.3e}"
         )
 
@@ -172,7 +172,8 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     Q, R = np.linalg.qr(G)
     d = np.sign(np.diagonal(R))
     d[d == 0.0] = 1.0
-    return Q * d[np.newaxis, :]
+    Q *= d
+    return Q
 
 
 def sample_haar_orthogonal(m: int, seed: int = 0) -> np.ndarray:

@@ -32,10 +32,10 @@ def run_socaut(*args: str, input: str | None = None) -> subprocess.CompletedProc
 
 
 def rel_fro(A, B) -> float:
-    """Relative Frobenius distance ||A - B||_F / max(1, ||B||_F)."""
+    """Relative Frobenius distance ||A - B||_F / ||B||_F, for a nonzero B."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    return float(np.linalg.norm(A - B)) / max(1.0, float(np.linalg.norm(B)))
+    return float(np.linalg.norm(A - B)) / float(np.linalg.norm(B))
 
 
 def congruence_defect(S, mu=None) -> float:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import copy
+import dataclasses
 import io
 import math
+import pickle
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -43,8 +46,8 @@ from socaut import (
     sqrt_rank_one,
     unit,
 )
-from socaut import automorphism, cli
-from socaut.fileio import dumps_matrix
+from socaut import automorphism, cli, kernels
+from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization
 from socaut.kernels import haar_orthogonal
 from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
 
@@ -503,6 +506,17 @@ class TestCompose:
         with pytest.raises(ValueError, match="squared norm"):
             compose(f)
 
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_assembly_is_the_closed_form_bit_for_bit(self, n):
+        S = sample_automorphism(n, nu_range=(0.5, 2.0), seed=6)
+        f = factor_compact(S)
+        root = RankOneSqrt.from_vector(f.c)
+        cU = f.c @ f.U
+        expected = np.empty((n, n))
+        expected[0, 0], expected[0, 1:], expected[1:, 0] = root.a, cU, f.c
+        expected[1:, 1:] = f.U + root.beta * np.outer(f.c, cU)
+        assert compose_compact(f).tobytes() == (f.nu * expected).tobytes()
+
     def test_compact_identity(self):
         f = CompactFactorization(nu=1.0, c=np.zeros(3), U=np.eye(3))
         assert_array_equal(compose_compact(f), np.eye(4))
@@ -610,44 +624,161 @@ class TestCompose:
             compose_canonical(np.eye(3))
 
 
-class TestSampleAutomorphism:
-    @pytest.mark.parametrize(
-        "n,alpha_max,nu_range", [(2, 10.0, (1.0, 1.0)), (7, 1e4, (1e-3, 1e3))]
-    )
-    def test_equals_gated_composition_of_its_draws(self, n, alpha_max, nu_range):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            nu = float(rng.uniform(*nu_range))
-            alpha = float(rng.uniform(0.0, alpha_max))
-            g = rng.standard_normal((n - 1, n - 1))[:, 0]
-            U = haar_orthogonal(rng, n - 1)
-            f = CompactFactorization(nu=nu, c=alpha * g / np.linalg.norm(g), U=U)
-            assert_array_equal(
-                sample_automorphism(n, alpha_max, nu_range, seed), compose_compact(f)
-            )
+@pytest.fixture
+def measured(monkeypatch):
+    """Every array whose orthogonality residual is measured, in call order."""
+    arrays = []
+    residual = kernels._orthogonality_residual
 
+    def counting(M):
+        arrays.append(M)
+        return residual(M)
+
+    monkeypatch.setattr(kernels, "_orthogonality_residual", counting)
+    monkeypatch.setattr(automorphism, "_orthogonality_residual", counting)
+    return arrays
+
+
+def stretched_haar(m: int, seed: int) -> np.ndarray:
+    """A Haar orthogonal matrix with its first column stretched by 1e-6."""
+    M = sample_haar_orthogonal(m, seed=seed)
+    M[:, 0] *= 1.0 + 1e-6
+    return M
+
+
+def frozen_arrays(f) -> list[np.ndarray]:
+    """The array fields of a factorization."""
+    values = [getattr(f, field.name) for field in dataclasses.fields(f)]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+FORMS = [(factor_compact, compose_compact), (factor_canonical, compose_canonical)]
+
+
+class TestKeptResiduals:
+    """Each orthogonal factor is measured at most once: a factorization keeps
+    the residual the membership test, the file load or its first gate
+    measured, and its frozen arrays keep that number valid."""
+
+    @pytest.mark.parametrize("form,count", zip(FORMS, [1, 2]), ids=["compact", "canonical"])
+    def test_factor_then_compose_measures_each_factor_once(self, form, count, measured):
+        factor, compose = form
+        compose(factor(sample_automorphism(30, nu_range=(0.5, 2.0), seed=12)))
+        # The membership test's U; canonical also V, a reflector, in compose.
+        assert len(measured) == count
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 400])
+    def test_kept_residual_is_a_fresh_measurement_bit_for_bit(self, n):
+        for S in random_automorphisms(3, n, seed0=900 + n):
+            for factor, _ in FORMS:
+                f = factor(S)
+                assert f._residuals["U"] == orthogonality_residual(f.U)
+
+    @pytest.mark.parametrize("form", FORMS, ids=["compact", "canonical"])
+    def test_parse_then_compose_measures_each_loaded_factor_once(self, form, measured):
+        factor, compose = form
+        text = dumps_factorization(factor(sample_automorphism(5, seed=3)), tol=1e-6)
+        measured.clear()
+        f, tol = parse_factorization(text)
+        for gate_tol in (tol, DEFAULT_TOL):
+            compose(f, gate_tol)
+        names = [field.name for field in dataclasses.fields(f) if field.name in ("V", "U")]
+        assert len(measured) == len(names)
+        assert all(M is getattr(f, name) for M, name in zip(measured, names))
+
+    @pytest.mark.parametrize(
+        "form,bad", [("compact", "U"), ("canonical", "V"), ("canonical", "U")]
+    )
+    def test_caller_built_factor_keeps_every_verdict_and_message(self, form, bad, measured):
+        # The same object composed at each tol: the kept residual must give the
+        # verdict and message of a fresh measurement, gated V then U.
+        m = 4
+        factors = {"V": sample_haar_orthogonal(m, seed=2), "U": sample_haar_orthogonal(m, seed=3)}
+        factors[bad] = stretched_haar(m, seed=4)
+        if form == "compact":
+            f = CompactFactorization(2.0, np.full(m, 0.5), factors["U"])
+            compose, order = compose_compact, ["U"]
+        else:
+            f = CanonicalFactorization(2.0, 0.75, **factors)
+            compose, order = compose_canonical, ["V", "U"]
+        fresh = {name: orthogonality_residual(M) for name, M in factors.items()}
+        r = fresh[bad]
+        assert r > 1e-7
+        measured.clear()
+        for tol in (0.0, np.nextafter(r / m, 0.0), np.nextafter(r / m, math.inf), DEFAULT_TOL):
+            expected = None
+            for name in order:
+                if (res := fresh[name]) > tol * m:
+                    expected = (
+                        f"{name} is not orthogonal within tolerance: residual {res:.3e} "
+                        f"> {tol * m:.3e}"
+                    )
+                    break
+            if expected is None:
+                compose(f, tol)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    compose(f, tol)
+                assert str(exc.value) == expected
+        assert len(measured) == len({id(M) for M in measured}) <= len(order)
+
+    def test_factors_cannot_be_made_writeable(self):
+        S = sample_automorphism(6, seed=1)
+        built = [
+            CompactFactorization(1.0, np.ones(5), np.eye(5)),
+            CanonicalFactorization(1.0, 0.5, np.eye(5), np.eye(5)),
+        ]
+        for f in [factor(S) for factor, _ in FORMS] + built:
+            for M in frozen_arrays(f):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    M.flags.writeable = True
+
+    def test_a_frozen_factor_is_not_copied_again(self):
+        f = factor_compact(sample_automorphism(6, seed=1))
+        assert CompactFactorization(2.0, f.c, f.U).U is f.U
+        assert CanonicalFactorization(2.0, 1.0, f.U, f.U).V is f.U
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_frozen_and_compose_with_the_same_verdict(self, copier):
+        S = sample_automorphism(6, seed=1)
+        for factor, compose in FORMS:
+            f = factor(S)
+            g = copier(f)
+            for M in frozen_arrays(g):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    M.flags.writeable = True
+            assert_array_equal(compose(g), compose(f))
+            for h in (f, g):  # U's rounding residual is above 0
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    compose(h, 0.0)
+
+
+class TestSampleAutomorphism:
     @pytest.mark.parametrize(
         "n,alpha_max,nu_range",
         [
             (2, 10.0, (1.0, 1.0)),
             (5, 0.0, (0.5, 2.0)),
-            (12, 1e4, (1e-3, 1e3)),
+            (7, 1e4, (1e-3, 1e3)),
             (60, 10.0, (0.5, 2.0)),
-            (200, 1e2, (1e2, 1e3)),
         ],
     )
-    def test_within_rounding_of_a_full_haar_v(self, n, alpha_max, nu_range):
-        # The construction that QR-factors V's draw and reads c off V e1.
+    def test_equals_gated_composition_of_its_draws(self, n, alpha_max, nu_range):
+        # The draw recipe, bit for bit: nu, alpha, n - 1 normals g, then U's Haar draw.
         for seed in range(5):
             rng = np.random.default_rng(seed)
             nu = float(rng.uniform(*nu_range))
             alpha = float(rng.uniform(0.0, alpha_max))
-            V = haar_orthogonal(rng, n - 1)
+            g = rng.standard_normal(n - 1)
             U = haar_orthogonal(rng, n - 1)
-            full = compose_canonical(CanonicalFactorization(nu=nu, alpha=alpha, V=V, U=U))
-            S = sample_automorphism(n, alpha_max, nu_range, seed)
-            bound = 4 * n * np.finfo(float).eps * (1.0 + alpha**2) * nu
-            assert np.abs(S - full).max() <= bound
+            f = CompactFactorization(nu=nu, c=alpha * g / np.linalg.norm(g), U=U)
+            assert_array_equal(
+                sample_automorphism(n, alpha_max, nu_range, seed), compose_compact(f)
+            )
 
     def test_one_qr_per_call(self, monkeypatch):
         sizes = []
@@ -900,6 +1031,17 @@ class TestPropertyReport:
         message = r"no finite factors at mu=1e-(300|08); cannot normalize"
         with pytest.raises(NotAutomorphismError, match=message):
             property_report(S)
+
+    @pytest.mark.parametrize("big", [1e100, 1.3e154])
+    def test_squares_past_the_double_range_report_without_a_warning(self, big):
+        # The check passes S on to the report, and E holds big^2, whose square
+        # overflows; the report's norms are finite and verify still rejects.
+        S = boost_matrix(1.0, 3)
+        S[0, 2] = big
+        rep = property_report(S)
+        assert rep.residual_A3 == pytest.approx(big * big, rel=1e-12)
+        assert rep.residual_B2 == pytest.approx(big, rel=1e-12)
+        assert not automorphism._verify(S, DEFAULT_TOL, 0, 0)[2]
 
     def test_samples_zero_allowed(self):
         rep = property_report(np.eye(3), n_samples=0)

@@ -136,20 +136,22 @@ class TestFactorCompose:
 
     @pytest.mark.parametrize("form", ["canonical", "compact"])
     def test_cli_matches_the_gated_library_compose(self, form, tmp_path):
-        # The CLI assembles already-gated factors directly; the public compose_*,
-        # which gates them again, must give the same matrix bit for bit.
-        S = sample_automorphism(6, alpha_max=50.0, nu_range=(0.5, 2.0), seed=31)
-        src = tmp_path / "m.json"
-        src.write_text(dumps_matrix(S))
-        fact = tmp_path / "f.json"
-        assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
-        f, tol = parse_factorization(fact.read_text())
-        compose = compose_canonical if form == "canonical" else compose_compact
-        recorded = json.loads(fact.read_text())["reconstruction_residual"]
-        assert recorded == rel_fro(compose(f, tol), S)
-        out = tmp_path / "out.json"
-        assert main(["compose", str(fact), "--output", str(out)]) == 0
-        assert_array_equal(parse_matrix(out.read_text()), compose(f, tol))
+        # socaut compose is the public compose_* at the document's tol, bit for bit,
+        # and factor records the residual relative to ||S||_F.
+        member = sample_automorphism(6, alpha_max=50.0, nu_range=(0.5, 2.0), seed=31)
+        for scale in (1.0, 2.0**-10):  # 2^-10 takes ||S||_F below 1
+            S = scale * member
+            src = tmp_path / "m.json"
+            src.write_text(dumps_matrix(S))
+            fact = tmp_path / "f.json"
+            assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+            f, tol = parse_factorization(fact.read_text())
+            compose = compose_canonical if form == "canonical" else compose_compact
+            recorded = json.loads(fact.read_text())["reconstruction_residual"]
+            assert recorded == rel_fro(compose(f, tol), S)
+            out = tmp_path / "out.json"
+            assert main(["compose", str(fact), "--output", str(out)]) == 0
+            assert_array_equal(parse_matrix(out.read_text()), compose(f, tol))
 
     def test_reconstruction_residual_is_scale_invariant(self, tmp_path):
         # Scaling by 2^-10 is exact and takes ||S||_F below 1.
@@ -412,8 +414,9 @@ class TestVerify:
 
 
 class TestGateSites:
-    """Each orthogonal factor is gated once, where it enters the program:
-    a loaded one by the public gate, a recovered U by the membership test."""
+    """Each orthogonal factor is measured once, where it enters the program:
+    a loaded one as parse_factorization gates it, a recovered U by the
+    membership test."""
 
     @pytest.fixture
     def gates(self, monkeypatch):
@@ -426,9 +429,10 @@ class TestGateSites:
 
             return wrapped
 
-        public = counting("loaded", kernels.orthogonality_residual)
+        # The public orthogonality_residual measures through kernels' private one.
+        public = counting("loaded", kernels._orthogonality_residual)
         check = counting("recovered", automorphism._orthogonality_residual)
-        monkeypatch.setattr(kernels, "orthogonality_residual", public)
+        monkeypatch.setattr(kernels, "_orthogonality_residual", public)
         monkeypatch.setattr(automorphism, "_orthogonality_residual", check)
         return calls
 
@@ -447,7 +451,8 @@ class TestGateSites:
         assert gates == ["recovered"]
         gates.clear()
         assert main(["compose", str(fact), "--quiet"]) == 0
-        # V and U, or U, in parse_factorization; then the product's membership test.
+        # V and U, or U, measured once in parse_factorization (compose_* reuses
+        # those numbers); then the product's membership test.
         assert gates == ["loaded"] * compose_gates + ["recovered"]
 
 
@@ -494,7 +499,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_73_commands(self, tmp_path):
+    def test_cli_corpus_records_74_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -503,7 +508,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 73
+        assert len(labels) == 74
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -526,7 +531,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 73
+        assert len({p.stem for p in results.iterdir()}) == 74
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_pipe_sample_to_check(self, tmp_path):

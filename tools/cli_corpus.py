@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 73 socaut commands and record what each one prints.
+"""Run a fixed corpus of 74 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR]
 
@@ -29,11 +29,13 @@ n = 6); ``check`` and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose
 D / nu overflows (``tiny_column``); ``factor --form compact`` on an n = 6
 member scaled by 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample``
 draws;
-nine calls with bad arguments; and ``compose`` on fourteen hand-written
+nine calls with bad arguments; ``compose`` on fourteen hand-written
 factorization documents (``FACTORIZATIONS``): six malformed, four that break
 an invariant, one (alpha = 1e8) whose product the membership test refuses
 (mu cancels to 0), one whose ``||c||^2`` overflows, and two with two faults
-each.
+each; and ``compose --tol 1e-3`` on a document that declares ``tol`` 1e-3 and
+whose U is orthogonal only to that tolerance (``LOOSE``), which a compose
+gating at the default tol would refuse.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ FACTORIZATIONS = {
     "nu_zero_c_u_length": {**_COMPACT, "nu": 0, "c": [0.75]},
     "alpha_not_number_u_ragged": {**_CANONICAL, "alpha": "x", "U": [[0, 1], [1]]},
 }
+#: A document that ``compose --tol 1e-3`` accepts only at its declared tol:
+#: U's residual is about 2e-4, within 1e-3 * 2 but not 1e-9 * 2.
+LOOSE = {**_COMPACT, "U": [[0, 1.0001], [1, 0]], "tol": 1e-3}
 
 
 def input_paths(inputs: Path) -> dict[str, Path]:
@@ -89,6 +94,7 @@ def input_paths(inputs: Path) -> dict[str, Path]:
         "tiny_column",
         "scaled",
         *(f"doc_{label}" for label in FACTORIZATIONS),
+        "doc_loose",
     ]
     return {name: inputs / f"{name}.json" for name in names}
 
@@ -118,7 +124,7 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
     paths = input_paths(inputs)
     for name, S in matrices.items():
         paths[name].write_text(dumps_matrix(S))
-    for label, doc in FACTORIZATIONS.items():
+    for label, doc in {**FACTORIZATIONS, "loose": LOOSE}.items():
         paths[f"doc_{label}"].write_text(json.dumps(doc, indent=2) + "\n")
     return paths
 
@@ -183,6 +189,7 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         (f"compose_doc_{label}", ["compose", str(paths[f"doc_{label}"])])
         for label in FACTORIZATIONS
     ]
+    cmds.append(("compose_doc_loose", ["compose", str(paths["doc_loose"]), "--tol", "1e-3"]))
     return cmds
 
 
