@@ -1,21 +1,16 @@
-"""Shared argument checking for the public API."""
+"""Shared argument checking for the public API, and the one rule that
+freezes the package's value types."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
-#: Default tolerance for every gate in the package.  Only some gates scale
-#: it: the cone-classification slack passes when r <= tol * max(1, scale);
-#: the congruence scale mu must exceed tol (an absolute gate); an m x m
-#: orthogonal factor passes when its residual ||M^T M - I||_F <= tol * m,
-#: which for the membership test's recovered U sits beside the first-row
-#: defect gate ||d|| <= tol * a.  That residual is measured once, where the
-#: factor enters, and its factorization keeps it, so each later gate compares
-#: the kept number with its own tol; verify's identity residuals and its
-#: cone_slack_bound (a slack per unit of image head) must be <= tol.  check's
-#: and verify's gates sit side by side in ``automorphism._check``/``_verify``.
+#: Default tolerance for every gate in the package.  Each gate states its own
+#: scaling where it is applied: ``spin.cone_classify``,
+#: ``kernels._require_orthogonal`` and ``automorphism._check``/``_verify``.
 DEFAULT_TOL = 1e-9
 
 
@@ -85,3 +80,29 @@ def as_index(x, name: str = "n", minimum: int = 0) -> int:
     if val < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {val}")
     return val
+
+
+def frozen(A) -> np.ndarray:
+    """``A`` as a float array over an immutable ``bytes`` buffer, which no
+    caller can make writeable again; an array already frozen is kept as is."""
+    A = np.asarray(A, dtype=float)
+    base = A
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes):
+        return A
+    return np.ndarray(A.shape, float, A.tobytes())
+
+
+class FrozenValue:
+    """Base of the package's immutable value types (frozen dataclasses).  Each
+    constructor freezes its array fields with ``frozen``, and copies and
+    pickles go through the constructor, so they are frozen too."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+
+    def _set(self, **values) -> None:
+        """Store validated field values on the frozen instance."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)

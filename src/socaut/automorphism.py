@@ -30,18 +30,20 @@ loaded factor is measured where it is first gated (file load or compose_*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._validate import (
     DEFAULT_TOL,
+    FrozenValue,
     as_float,
     as_index,
     as_nonnegative_float,
     as_positive_float,
     as_square_matrix,
     as_vector,
+    frozen,
 )
 from .kernels import (
     RankOneSqrt,
@@ -86,26 +88,17 @@ class NotAutomorphismError(ValueError):
         self.check = check
 
 
-def _frozen(A) -> np.ndarray:
-    """``A`` as a float array over an immutable ``bytes`` buffer, which no
-    caller can make writeable again; an array already frozen is kept as is."""
-    A = np.asarray(A, dtype=float)
-    base = A
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if isinstance(base, bytes):
-        return A
-    return np.ndarray(A.shape, float, A.tobytes())
-
-
 @dataclass(frozen=True, eq=False)
-class BlockView:
+class BlockView(FrozenValue):
     """The block split S = [[a, b^T], [c, D]] of an n x n matrix, n >= 2."""
 
     a: float
     b: np.ndarray
     c: np.ndarray
     D: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._set(b=frozen(self.b), c=frozen(self.c), D=frozen(self.D))
 
     def reassemble(self) -> np.ndarray:
         """Rebuild the source matrix exactly from the four blocks."""
@@ -145,22 +138,25 @@ class AutCheckResult:
     cone_forward: bool
 
 
-class _Factorization:
-    """Base of the two factorization forms.  Their arrays are frozen, so the
-    residual ``||M^T M - I||_F`` of an orthogonal factor M, once measured,
-    stays valid: it is kept in ``_residuals`` and M is measured at most once."""
+class _Factorization(FrozenValue):
+    """Base of the two factorization forms, which name their orthogonal factors
+    in ``_orthogonal``.  Frozen arrays keep the residual ``||M^T M - I||_F`` of
+    such a factor M valid: it is kept in ``_residuals``, so M is measured once."""
 
-    def __reduce__(self):
-        # Copies and pickles go through the constructor: frozen arrays, nothing kept.
-        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+    @property
+    def n(self) -> int:
+        """Ambient dimension ``1 + len(U)``."""
+        return 1 + len(self.U)
 
-    def _gate(self, name: str, tol: float, error=ValueError) -> None:
-        """The gate ``residual <= tol * m`` on the factor ``name``, measured on first use."""
-        M = getattr(self, name)
+    def _gate(self, tol: float, error=ValueError) -> None:
+        """The gate ``residual <= tol * m`` on each orthogonal factor in
+        ``_orthogonal`` order, each measured on first use."""
         kept = self.__dict__.setdefault("_residuals", {})
-        if name not in kept:
-            kept[name] = orthogonality_residual(M)
-        _require_orthogonal(kept[name], len(M), name, tol, error)
+        for name in self._orthogonal:
+            M = getattr(self, name)
+            if name not in kept:
+                kept[name] = orthogonality_residual(M)
+            _require_orthogonal(kept[name], len(M), name, tol, error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,21 +173,15 @@ class CompactFactorization(_Factorization):
     nu: float
     c: np.ndarray
     U: np.ndarray
+    _orthogonal = ("U",)
 
     def __post_init__(self) -> None:
         nu = as_positive_float(self.nu, "nu")
-        c = _frozen(as_vector(self.c, "c", min_len=1))
-        U = _frozen(as_square_matrix(self.U, "U"))
+        c = frozen(as_vector(self.c, "c", min_len=1))
+        U = frozen(as_square_matrix(self.U, "U"))
         if U.shape != (c.size, c.size):
             raise ValueError(f"U must be {c.size}x{c.size} to match c, got shape {U.shape}")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "U", U)
-
-    @property
-    def n(self) -> int:
-        """Ambient dimension ``1 + len(c)``."""
-        return 1 + self.c.size
+        self._set(nu=nu, c=c, U=U)
 
     @property
     def a(self) -> float:
@@ -218,23 +208,16 @@ class CanonicalFactorization(_Factorization):
     alpha: float
     V: np.ndarray
     U: np.ndarray
+    _orthogonal = ("V", "U")
 
     def __post_init__(self) -> None:
         nu = as_positive_float(self.nu, "nu")
         alpha = as_nonnegative_float(self.alpha, "alpha")
-        V = _frozen(as_square_matrix(self.V, "V"))
-        U = _frozen(as_square_matrix(self.U, "U"))
+        V = frozen(as_square_matrix(self.V, "V"))
+        U = frozen(as_square_matrix(self.U, "U"))
         if U.shape != V.shape:
             raise ValueError(f"U must match V's shape {V.shape}, got {U.shape}")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "U", U)
-
-    @property
-    def n(self) -> int:
-        """Ambient dimension ``1 + V.shape[0]``."""
-        return 1 + self.V.shape[0]
+        self._set(nu=nu, alpha=alpha, V=V, U=U)
 
     @property
     def c(self) -> np.ndarray:
@@ -294,12 +277,7 @@ def split_blocks(S) -> BlockView:
     Lossless: ``split_blocks(S).reassemble()`` equals S bit for bit.
     """
     S = as_square_matrix(S, "S", min_n=2)
-    return BlockView(
-        a=float(S[0, 0]),
-        b=_frozen(S[0, 1:]),
-        c=_frozen(S[1:, 0]),
-        D=_frozen(S[1:, 1:]),
-    )
+    return BlockView(a=float(S[0, 0]), b=S[0, 1:], c=S[1:, 0], D=S[1:, 1:])
 
 
 def _congruence(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +434,7 @@ def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.nda
     """
     if not isinstance(f, CompactFactorization):
         raise TypeError(f"expected CompactFactorization, got {type(f).__name__}")
-    f._gate("U", as_nonnegative_float(tol, "tol"))
+    f._gate(as_nonnegative_float(tol, "tol"))
     return _assemble(f.nu, f.c, f.U)
 
 
@@ -497,9 +475,7 @@ def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np
     """
     if not isinstance(f, CanonicalFactorization):
         raise TypeError(f"expected CanonicalFactorization, got {type(f).__name__}")
-    tol = as_nonnegative_float(tol, "tol")
-    f._gate("V", tol)
-    f._gate("U", tol)
+    f._gate(as_nonnegative_float(tol, "tol"))
     return _assemble(f.nu, f.c, f.U)
 
 
@@ -521,7 +497,8 @@ def sample_automorphism(
     ``g/||g||`` is uniform on the sphere, as ``V e1`` is for a Haar V, so
     the result has the distribution of the canonical composition with a Haar
     V.  Only the n - 1 normals of g are drawn for it, not a whole
-    (n-1) x (n-1) Gaussian.
+    (n-1) x (n-1) Gaussian.  Ranges whose largest entry ``nu * sqrt(1 +
+    alpha^2)`` could overflow are refused with a ValueError before any draw.
     """
     n = as_index(n, "n", minimum=2)
     alpha_max = as_nonnegative_float(alpha_max, "alpha_max", finite_square=True)
@@ -535,6 +512,12 @@ def sample_automorphism(
     if not 0.0 < nu_min <= nu_max:
         raise ValueError(
             f"nu_range must satisfy 0 < nu_min <= nu_max, got ({nu_min!r}, {nu_max!r})"
+        )
+    # Each entry is at most nu * sqrt(1 + alpha^2) up to rounding; 2 leaves room for it.
+    if math.isinf(2.0 * nu_max * math.hypot(1.0, alpha_max)):
+        raise ValueError(
+            "nu_range and alpha_max must keep the entries finite: 2 * nu_max * "
+            f"sqrt(1 + alpha_max^2) overflows, got nu_max={nu_max!r}, alpha_max={alpha_max!r}"
         )
     seed = as_index(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)

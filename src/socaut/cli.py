@@ -90,7 +90,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    f, tol = parse_factorization(_read_input(args.input))  # measures and gates V and U
+    f, tol = parse_factorization(_read_input(args.input))  # gates the orthogonal factors
     compose = compose_canonical if isinstance(f, CanonicalFactorization) else compose_compact
     S = compose(f, tol)  # gates the residuals parse kept, at the same tol
     result = check_automorphism(S, args.tol)

@@ -251,8 +251,7 @@ def load_matrix(path) -> np.ndarray:
 # -- factorization documents -------------------------------------------------
 
 
-#: form -> (factorization type, {field: ndim} in document order); the 2-D
-#: fields are the orthogonal factors.
+#: form -> (factorization type, {field: ndim} in document order).
 _FORMS = {
     "canonical": (CanonicalFactorization, {"nu": 0, "alpha": 0, "V": 2, "U": 2}),
     "compact": (CompactFactorization, {"nu": 0, "c": 1, "U": 2}),
@@ -314,7 +313,7 @@ def parse_factorization(text: str):
     """
     obj = _loads(text.strip() or "{}")
     form = obj.get("form")
-    if form not in _FORMS:
+    if not isinstance(form, str) or form not in _FORMS:
         raise FileFormatError(
             f"field 'form' must be \"canonical\" or \"compact\", got {form!r}"
         )
@@ -341,9 +340,7 @@ def parse_factorization(text: str):
             f"alpha must be >= 0, got {format_float(values['alpha'])}"
         )
     f = kind(**values)
-    for name, ndim in fields.items():
-        if ndim == 2:  # measured here once; compose_* reuses the kept residual
-            f._gate(name, tol, InvalidFactorizationError)
+    f._gate(tol, InvalidFactorizationError)  # measured here once; compose_* reuses them
     return f, tol
 
 

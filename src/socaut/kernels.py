@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import as_index, as_nonnegative_float, as_vector
+from ._validate import FrozenValue, as_index, as_nonnegative_float, as_vector, frozen
 
 __all__ = [
     "RankOneSqrt",
@@ -33,13 +33,13 @@ PARALLEL_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
-class RankOneSqrt:
+class RankOneSqrt(FrozenValue):
     """Closed form of ``sqrt(I + c c^T)`` as ``I + beta c c^T``.
 
     Attributes
     ----------
     c : ndarray
-        The update vector, copied and write-protected.
+        The update vector, frozen on construction.
     a : float
         ``sqrt(1 + ||c||^2)``, the largest eigenvalue of the square root.
     beta : float
@@ -51,12 +51,14 @@ class RankOneSqrt:
     a: float
     beta: float
 
+    def __post_init__(self) -> None:
+        self._set(c=frozen(self.c))
+
     @classmethod
     def from_vector(cls, c) -> "RankOneSqrt":
         """Build the square-root representation for a given ``c``.  Raises
         ValueError when ``1 + ||c||^2`` overflows; every composition builds one."""
-        c = as_vector(c, "c", min_len=1).copy()
-        c.flags.writeable = False
+        c = as_vector(c, "c", min_len=1)
         a, beta = _sqrt_coefficients(c)
         if math.isinf(a):
             raise ValueError("c must have a finite squared norm, got ||c||^2 = inf")
@@ -117,10 +119,14 @@ def householder_to_direction(c) -> np.ndarray:
     """
     c = as_vector(c, "c", min_len=1)
     m = c.size
-    norm = float(np.linalg.norm(c))
-    if norm == 0.0:
+    top = float(np.max(np.abs(c)))
+    if top == 0.0:
         return np.eye(m)
-    w = c / norm
+    # Scaled by the power of two nearest 1 / max|c| first, so ||c|| neither
+    # overflows nor underflows; the scaling is exact, so w gets the bits it had
+    # unscaled wherever ||c||^2 is representable.
+    w = np.ldexp(c, -math.frexp(top)[1])
+    w /= float(np.linalg.norm(w))
     u0 = float(w[0])
     # w = u - e1.  For u0 > 0 the head u0 - 1 cancels; use the equal
     # -||u[1:]||^2 / (1 + u0), exact to rounding even when u is near e1.
@@ -134,11 +140,15 @@ def householder_to_direction(c) -> np.ndarray:
 
 
 def orthogonality_residual(M) -> float:
-    """Frobenius norm of ``M^T M - I`` (raw, unscaled)."""
+    """Frobenius norm of ``M^T M - I`` (raw, unscaled); inf, without a
+    warning, when ``M^T M`` overflows or M holds a NaN."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be a square matrix, got shape {M.shape}")
-    return _orthogonality_residual(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _orthogonality_residual(M)
+    # Overflowing products of both signs can sum to inf - inf = nan, which no gate refuses.
+    return math.inf if math.isnan(residual) else residual
 
 
 def _orthogonality_residual(M: np.ndarray) -> float:

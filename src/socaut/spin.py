@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import DEFAULT_TOL, as_float, as_index, as_nonnegative_float, as_vector
+from ._validate import (
+    DEFAULT_TOL,
+    FrozenValue,
+    as_float,
+    as_index,
+    as_nonnegative_float,
+    as_vector,
+    frozen,
+)
 
 __all__ = [
     "ConeRegion",
@@ -39,12 +47,11 @@ class ConeRegion(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SpinVector:
+class SpinVector(FrozenValue):
     """Element of the spin algebra: scalar head ``x0`` plus tail ``xbar``.
 
     The ambient dimension ``n = 1 + len(xbar)`` must be at least 2.
-    Instances are immutable; the tail is copied and write-protected on
-    construction.
+    Instances are immutable; the tail is frozen on construction.
     """
 
     x0: float
@@ -54,10 +61,7 @@ class SpinVector:
         x0 = as_float(self.x0)
         if not math.isfinite(x0):
             raise ValueError("x0 must be finite")
-        xbar = as_vector(self.xbar, "xbar", min_len=1).copy()
-        xbar.flags.writeable = False
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "xbar", xbar)
+        self._set(x0=x0, xbar=frozen(as_vector(self.xbar, "xbar", min_len=1)))
 
     @property
     def n(self) -> int:
@@ -73,9 +77,6 @@ class SpinVector:
         """Build a SpinVector from a flat coordinate vector of length >= 2."""
         arr = as_vector(arr, "arr", min_len=2)
         return cls(float(arr[0]), arr[1:])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpinVector(x0={self.x0!r}, xbar={self.xbar!r})"
 
 
 def jordan_product(x: SpinVector, y: SpinVector) -> SpinVector:

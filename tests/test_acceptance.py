@@ -43,11 +43,7 @@ from socaut import (
 from socaut.cli import main
 from socaut.fileio import dumps_matrix, parse_matrix
 
-from conftest import run_socaut
-
-
-def rel_fro(A: np.ndarray, B: np.ndarray) -> float:
-    return float(np.linalg.norm(A - B) / max(1.0, np.linalg.norm(B)))
+from conftest import rel_fro, run_socaut
 
 
 def jordan_product_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

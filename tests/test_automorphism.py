@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from socaut import (
     DEFAULT_TOL,
+    BlockView,
     CanonicalFactorization,
     CompactFactorization,
     ConeRegion,
@@ -647,7 +648,7 @@ def stretched_haar(m: int, seed: int) -> np.ndarray:
 
 
 def frozen_arrays(f) -> list[np.ndarray]:
-    """The array fields of a factorization."""
+    """The array fields of a frozen value type, in field order."""
     values = [getattr(f, field.name) for field in dataclasses.fields(f)]
     return [v for v in values if isinstance(v, np.ndarray)]
 
@@ -757,6 +758,56 @@ class TestKeptResiduals:
                     compose(h, 0.0)
 
 
+#: value type -> ways to build one from a writeable member S: directly, then
+#: through each factory.
+FROZEN_VALUES = {
+    "SpinVector": (
+        lambda S: SpinVector(1.0, S[1:, 0]),
+        lambda S: SpinVector.from_array(S[:, 0]),
+    ),
+    "RankOneSqrt": (
+        lambda S: RankOneSqrt(S[1:, 0], 2.0, 0.5),
+        lambda S: RankOneSqrt.from_vector(S[1:, 0]),
+    ),
+    "BlockView": (
+        lambda S: BlockView(float(S[0, 0]), S[0, 1:], S[1:, 0], S[1:, 1:]),
+        split_blocks,
+    ),
+    "CompactFactorization": (
+        lambda S: CompactFactorization(1.0, S[1:, 0], np.eye(4)),
+        factor_compact,
+        lambda S: parse_factorization(dumps_factorization(factor_compact(S)))[0],
+    ),
+    "CanonicalFactorization": (
+        lambda S: CanonicalFactorization(1.0, 0.5, np.eye(4), S[1:, 1:]),
+        factor_canonical,
+        lambda S: parse_factorization(dumps_factorization(factor_canonical(S)))[0],
+    ),
+}
+COPIERS = {
+    "built": lambda value: value,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+@pytest.mark.parametrize("builders", FROZEN_VALUES.values(), ids=FROZEN_VALUES)
+def test_no_array_field_of_a_value_can_be_made_writeable(builders, copier):
+    S = sample_automorphism(5, seed=1)
+    for build in builders:
+        value = build(S)
+        got = copier(value)
+        assert type(got) is type(value)
+        arrays = frozen_arrays(got)
+        assert len(arrays) == len(frozen_arrays(value)) >= 1
+        for M, source in zip(arrays, frozen_arrays(value)):
+            assert_array_equal(M, source)
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                M.flags.writeable = True
+
+
 class TestSampleAutomorphism:
     @pytest.mark.parametrize(
         "n,alpha_max,nu_range",
@@ -830,6 +881,22 @@ class TestSampleAutomorphism:
     def test_alpha_max_message(self, alpha_max):
         with pytest.raises(ValueError, match="alpha_max must be a finite non-negative number"):
             sample_automorphism(4, alpha_max=alpha_max)
+
+    @pytest.mark.parametrize(
+        "alpha_max,nu_max", [(1e150, 1e200), (0.0, 1e308), (1e154, 1e154)]
+    )
+    def test_ranges_whose_entries_overflow_are_refused(self, alpha_max, nu_max):
+        with pytest.raises(ValueError) as exc:
+            sample_automorphism(3, alpha_max, (1.0, nu_max))
+        assert str(exc.value) == (
+            "nu_range and alpha_max must keep the entries finite: 2 * nu_max * "
+            f"sqrt(1 + alpha_max^2) overflows, got nu_max={nu_max!r}, alpha_max={alpha_max!r}"
+        )
+
+    def test_ranges_just_inside_the_limit_sample_finite_entries(self):
+        nu = 0.99 * np.finfo(float).max / 2.0 / 1e100
+        S = sample_automorphism(4, 1e100, (nu, nu), seed=3)
+        assert np.isfinite(S).all()
 
     @pytest.mark.parametrize(
         "nu_range",

@@ -499,7 +499,35 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_74_commands(self, tmp_path):
+    @pytest.mark.parametrize("form", ['["compact"]', '{"compact": 1}'], ids=["list", "object"])
+    def test_non_string_form_exits_2_without_traceback(self, form):
+        doc = '{"form": %s, "nu": 1, "c": [1], "U": [[1]]}' % form
+        proc = run_socaut("compose", "-", input=doc)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: field 'form' must be \"canonical\" or \"compact\"")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_compose_u_whose_gram_overflows_exits_1_without_warnings(self, tmp_path):
+        doc = tmp_path / "f.json"
+        doc.write_text('{"form": "compact", "nu": 1, "c": [1], "U": [[1e200]]}')
+        proc = run_socaut("compose", str(doc))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: U is not orthogonal within tolerance: residual inf > 1.000e-09\n"
+        )
+        assert proc.stdout == ""
+
+    def test_sample_ranges_whose_entries_overflow_exit_2_without_warnings(self):
+        proc = run_socaut(
+            "sample", "3", "1", "--alpha-max", "1e150", "--nu-min", "1e200", "--nu-max", "1e200"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: nu_range and alpha_max must keep the entries finite")
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_cli_corpus_records_77_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -508,7 +536,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 74
+        assert len(labels) == 77
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -531,7 +559,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 74
+        assert len({p.stem for p in results.iterdir()}) == 77
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_pipe_sample_to_check(self, tmp_path):

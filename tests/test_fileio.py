@@ -189,6 +189,17 @@ class TestFactorizationDocuments:
         [
             ("", "form"),
             ('{"form": "sideways", "nu": 1}', "form"),
+            # A non-string form is unhashable for the form table; it must not leak a TypeError.
+            pytest.param(
+                '{"form": ["compact"], "nu": 1, "c": [1], "U": [[1]]}',
+                r"^field 'form' must be \"canonical\" or \"compact\", got \['compact'\]$",
+                id="form-list",
+            ),
+            pytest.param(
+                '{"form": {"compact": 1}, "nu": 1, "c": [1], "U": [[1]]}',
+                r"^field 'form' must be \"canonical\" or \"compact\", got \{'compact': 1\}$",
+                id="form-object",
+            ),
             ('{"form": "compact", "nu": 1, "U": [[1]]}', "missing"),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "alpha": 0}', "unexpected"),
             (
@@ -261,6 +272,12 @@ class TestFactorizationDocuments:
                 "alpha",
             ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[2]]}', "orthogonal"),
+            # U^T U overflows: the residual is inf, without a warning.
+            pytest.param(
+                '{"form": "compact", "nu": 1, "c": [1], "U": [[1e200]]}',
+                r"^U is not orthogonal within tolerance: residual inf > 1\.000e-09$",
+                id="U-gram-overflows",
+            ),
             (
                 '{"form": "canonical", "nu": 1, "alpha": 1, "V": [[0.5]], "U": [[1]]}',
                 "V is not orthogonal",

@@ -39,6 +39,16 @@ class TestRankOneSqrt:
         assert r.beta == 1.0 / (math.sqrt(26.0) + 1.0)
         assert_allclose(r.matrix() @ r.matrix(), [[10.0, 12.0], [12.0, 17.0]], atol=1e-13)
 
+    def test_keeps_a_frozen_c_and_freezes_any_other(self):
+        r = RankOneSqrt.from_vector(np.array([3.0, 4.0]))
+        assert RankOneSqrt.from_vector(r.c).c is r.c
+        src = np.array([3.0, 4.0])
+        s = RankOneSqrt.from_vector(src)
+        src[0] = 9.0
+        assert s.c[0] == 3.0
+        with pytest.raises(ValueError):
+            s.c.flags.writeable = True
+
     def test_zero_vector(self):
         r = RankOneSqrt.from_vector(np.zeros(3))
         assert r.beta == 0.0
@@ -173,6 +183,26 @@ class TestHouseholder:
         V = householder_to_direction(np.array([-2.0, 0.0]))
         assert_array_equal(V, [[-1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-160, 1e160, 1e300, 1.7e308])
+    def test_maps_e1_to_direction_at_every_finite_scale(self, scale):
+        # ||c||^2 underflows or overflows here; the reflector must not notice.
+        rng = np.random.default_rng(23)
+        for m in (1, 2, 5):
+            g = rng.standard_normal(m)
+            c = scale * (g / np.max(np.abs(g)))  # max|c| = scale
+            u = c / scale  # the direction of c as stored
+            V = householder_to_direction(c)
+            assert_allclose(V[:, 0], u / np.linalg.norm(u), atol=1e-15)
+            assert orthogonality_residual(V) <= 4 * np.finfo(float).eps * m
+
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        rng = np.random.default_rng(29)
+        for m in (2, 5, 30):
+            c = rng.standard_normal(m)
+            V = householder_to_direction(c)
+            for k in (-1000, -500, -1, 1, 500, 1000):
+                assert_array_equal(householder_to_direction(np.ldexp(c, k)), V)
+
 
 class TestOrthogonalityResidual:
     def test_identity_is_zero(self):
@@ -185,6 +215,12 @@ class TestOrthogonalityResidual:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             orthogonality_residual(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "M", [[[1e200]], [[1e200, 1e200], [1e200, -1e200]]], ids=["one-sign", "both-signs"]
+    )
+    def test_gram_overflow_is_inf_without_a_warning(self, M):
+        assert orthogonality_residual(np.array(M)) == math.inf
 
 
 class TestHaarSampling:

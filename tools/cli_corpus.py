@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 74 socaut commands and record what each one prints.
+"""Run a fixed corpus of 77 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR]
 
@@ -6,8 +6,11 @@ Every command runs through ``socaut.cli.main`` in this one process, with
 socaut imported from SRC (default: this checkout's ``src``).  The input
 documents go to ``OUTDIR/inputs``; each command writes its exit code,
 standard output and standard error to ``OUTDIR/results/LABEL.exit``,
-``LABEL.stdout`` and ``LABEL.stderr``.  To compare two trees, run the script
-against each tree's ``src`` into two directories and ``diff -r`` them.
+``LABEL.stdout`` and ``LABEL.stderr``.  An exception that escapes
+``cli.main`` is recorded as that command's result, the way a process would
+end: exit code 1 and the traceback on standard error.  To compare two trees,
+run the script against each tree's ``src`` into two directories and
+``diff -r`` them.
 
 The member matrices come from ``sample_automorphism``, so a tree whose
 sampler rounds differently writes different inputs, and every output derived
@@ -29,13 +32,15 @@ n = 6); ``check`` and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose
 D / nu overflows (``tiny_column``); ``factor --form compact`` on an n = 6
 member scaled by 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample``
 draws;
-nine calls with bad arguments; ``compose`` on fourteen hand-written
-factorization documents (``FACTORIZATIONS``): six malformed, four that break
-an invariant, one (alpha = 1e8) whose product the membership test refuses
-(mu cancels to 0), one whose ``||c||^2`` overflows, and two with two faults
-each; and ``compose --tol 1e-3`` on a document that declares ``tol`` 1e-3 and
-whose U is orthogonal only to that tolerance (``LOOSE``), which a compose
-gating at the default tol would refuse.
+ten calls with bad arguments, the last a ``sample`` range whose entries
+overflow; ``compose`` on sixteen hand-written factorization documents
+(``FACTORIZATIONS``): seven malformed (one with a list as its ``form``), five
+that break an invariant (one a U whose U^T U overflows), one (alpha = 1e8)
+whose product the membership test refuses (mu cancels to 0), one whose
+``||c||^2`` overflows, and two with two faults each; and ``compose --tol
+1e-3`` on a document that declares ``tol`` 1e-3 and whose U is orthogonal
+only to that tolerance (``LOOSE``), which a compose gating at the default
+tol would refuse.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import contextlib
 import io
 import json
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -68,6 +74,7 @@ FACTORIZATIONS = {
     "missing_field": {k: v for k, v in _COMPACT.items() if k != "U"},
     "unexpected_field": {**_CANONICAL, "extra": 1},
     "bad_form": {**_COMPACT, "form": "polar"},
+    "form_list": {**_COMPACT, "form": ["compact"]},
     "v_u_size": {**_CANONICAL, "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     "c_u_length": {**_COMPACT, "c": [0.75, 0.0, 0.0]},
     "non_number": {**_COMPACT, "U": [[0, "1"], [1, 0]]},
@@ -75,6 +82,7 @@ FACTORIZATIONS = {
     "alpha_negative": {**_CANONICAL, "alpha": -0.5},
     "u_not_orthogonal": {**_COMPACT, "U": _SHEAR},
     "v_not_orthogonal": {**_CANONICAL, "V": _SHEAR},
+    "u_gram_overflow": {"form": "compact", "nu": 1, "c": [1], "U": [[1e200]]},
     "alpha_wide": {**_CANONICAL, "alpha": 1e8},
     "alpha_overflow": {**_CANONICAL, "alpha": 1e200},
     "nu_zero_c_u_length": {**_COMPACT, "nu": 0, "c": [0.75]},
@@ -183,6 +191,7 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         ["verify", member, "--tol", "-1"],
         ["verify", member, "--samples", "-1"],
         ["verify", member, "--seed", "-1"],
+        ["sample", "3", "1", "--alpha-max", "1e150", "--nu-min", "1e200", "--nu-max", "1e200"],
     ]
     cmds += [(f"bad_{i}", argv) for i, argv in enumerate(bad)]
     cmds += [
@@ -227,7 +236,11 @@ def main(argv: list[str] | None = None) -> int:
             warnings.catch_warnings(),
         ):
             warnings.simplefilter("always")  # every command shows its own warnings
-            code = cli.main(cmd)
+            try:
+                code = cli.main(cmd)
+            except Exception:
+                traceback.print_exc()
+                code = 1
         (results / f"{label}.exit").write_text(f"{code}\n")
         (results / f"{label}.stdout").write_text(out.getvalue())
         (results / f"{label}.stderr").write_text(err.getvalue())
