@@ -489,9 +489,11 @@ def sample_automorphism(
 
     From ``np.random.default_rng(seed)``, in this fixed order: ``nu``
     uniform over ``nu_range``, ``alpha`` uniform over ``[0, alpha_max]``, an
-    (n-1)-vector g of standard normals, and a Haar orthogonal U.  The result
-    is the compact composition of ``(nu, c = alpha g/||g||, U)``, assembled
-    without a gate (U is orthogonal).
+    (n-1)-vector g of standard normals, then the ``m(m+1)/2`` normals
+    (m = n - 1) of the Householder vectors that ``haar_orthogonal`` turns
+    into a Haar orthogonal U.  The result is the compact composition of
+    ``(nu, c = alpha g/||g||, U)``, assembled without a gate (U is
+    orthogonal).
 
     V enters the canonical composition only through ``V e1``, and
     ``g/||g||`` is uniform on the sphere, as ``V e1`` is for a Haar V, so

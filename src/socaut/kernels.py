@@ -4,7 +4,8 @@ Everything here is closed-form or a thin, documented wrapper over numpy:
 rank-one-update square roots ``sqrt(I + c c^T)``, Householder reflectors
 aligned with a direction, an orthogonality residual and the one gate built
 on it (``residual <= tol * m``), Haar-distributed orthogonal samples, and
-the hyperbolic boost block.
+the hyperbolic boost block.  The Haar sampler draws Householder vectors
+directly (Stewart's method), so it runs no QR.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
 #: Below this distance between c/||c|| and e1, the reflector degenerates and
 #: the identity is returned instead.
 PARALLEL_TOL = 1e-14
+
+#: Reflectors per compact-WY block in ``haar_orthogonal``.
+_HAAR_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +178,45 @@ def _require_orthogonal(
 def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     """Draw an ``m x m`` Haar-distributed orthogonal matrix from ``rng``.
 
-    Standard-normal fill, QR factorization, then column signs fixed so the
-    R factor has a positive diagonal, which makes the Q factor Haar.
+    Stewart's method (G. W. Stewart, "The efficient generation of random
+    orthogonal matrices with an application to condition estimators", SIAM
+    J. Numer. Anal. 17, 1980): the Householder vectors of a Gaussian's QR
+    are themselves independent Gaussian vectors, so they are drawn directly
+    and no QR is run.  One ``standard_normal`` call fills the lower triangle
+    of an m x m array X row by row, ``m(m+1)/2`` normals; column k, rows
+    ``k..m-1``, is reflector k's Gaussian vector x.  Its reflector vector is
+    ``v = x + sign(x0) ||x|| e1``, with ``||v||^2 / 2 = ||x|| (||x|| +
+    |x0|)``, free of cancellation; a zero x gives the identity.  The result
+    is ``H_0 H_1 ... H_{m-1} D`` with ``D = diag(-sign(x0_k))``, the column
+    signs that give the implied R factor a positive diagonal, which makes
+    the product Haar (F. Mezzadri, "How to generate random matrices from the
+    classical compact groups", Notices AMS 54, 2007).  ``H_{m-1}`` acts on
+    one coordinate, where it is -1, so D absorbs it exactly.  The reflectors
+    are applied right to left in compact-WY blocks ``I - V T V^T``, ``T^-1 =
+    triu(V^T V, 1) + diag(||v_k||^2 / 2)``, each touching only the trailing
+    block.
     """
     m = as_index(m, "m", minimum=1)
-    G = rng.standard_normal((m, m))
-    Q, R = np.linalg.qr(G)
-    d = np.sign(np.diagonal(R))
-    d[d == 0.0] = 1.0
-    Q *= d
+    lower = np.tri(m, dtype=bool)
+    X = np.zeros((m, m))  # column k: reflector k's x, then v, in rows k..m-1
+    X[lower] = rng.standard_normal(m * (m + 1) // 2)
+    x0 = X.diagonal().copy()
+    s = np.copysign(1.0, x0)
+    X[-1, -1] = 0.0  # H_{m-1} = -1 moves into D
+    s[-1] = -s[-1]
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    X.reshape(-1)[:: m + 1] += s * norms
+    half = norms * (norms + np.abs(x0))
+    half[half == 0.0] = 1.0  # x = 0: v = 0, and T^-1 keeps a unit diagonal
+    Q = np.diag(-s)
+    for k0 in reversed(range(0, m, _HAAR_BLOCK)):
+        k1 = min(k0 + _HAAR_BLOCK, m)
+        V = X[k0:, k0:k1]
+        T_inv = V.T @ V
+        T_inv[lower[: k1 - k0, : k1 - k0]] = 0.0
+        T_inv.reshape(-1)[:: k1 - k0 + 1] = half[k0:k1]
+        Qt = Q[k0:, k0:]
+        Qt -= V @ np.linalg.solve(T_inv, V.T @ Qt)
     return Q
 
 

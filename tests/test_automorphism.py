@@ -831,7 +831,7 @@ class TestSampleAutomorphism:
                 sample_automorphism(n, alpha_max, nu_range, seed), compose_compact(f)
             )
 
-    def test_one_qr_per_call(self, monkeypatch):
+    def test_one_haar_draw_per_call(self, monkeypatch):
         sizes = []
 
         def counting(rng, m):

@@ -15,6 +15,7 @@ from socaut import (
     boost_matrix,
     householder_to_direction,
     inv_sqrt_rank_one,
+    kernels,
     orthogonality_residual,
     sample_haar_orthogonal,
     signature_matrix,
@@ -223,7 +224,83 @@ class TestOrthogonalityResidual:
         assert orthogonality_residual(np.array(M)) == math.inf
 
 
+def stewart_reference(normals: np.ndarray, m: int) -> np.ndarray:
+    """Stewart's Haar draw, one reflector at a time: column k of the lower
+    triangle (filled row by row) is reflector k's Gaussian vector x, and the
+    column signs are those of the implied R's diagonal."""
+    X = np.zeros((m, m))
+    X[np.tril_indices(m)] = normals
+    Q = np.eye(m)
+    signs = np.empty(m)
+    for k in range(m - 1):
+        x = X[k:, k]
+        v = x.copy()
+        v[0] += math.copysign(float(np.linalg.norm(x)), x[0])
+        if v @ v > 0.0:  # x = 0: the identity
+            Q[:, k:] -= np.outer(Q[:, k:] @ v, 2.0 * v / (v @ v))
+        signs[k] = -math.copysign(1.0, x[0])  # H_k x = -sign(x0) ||x|| e1
+    signs[-1] = math.copysign(1.0, X[-1, -1])  # one coordinate: no reflector, R = x
+    return Q * signs
+
+
+class FixedNormals:
+    """A stand-in generator whose ``standard_normal`` returns given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_normal(self, size):
+        assert self.values.shape == (size,)
+        return self.values.copy()
+
+
+#: Statistics of an O(4) Haar matrix Q: (its mean, its standard deviation).
+#: tr Q has the first four moments of a standard normal; Q00^2 is Beta(1/2, 3/2).
+#: The deviation of (tr Q)^4, sqrt(E (tr Q)^8 - 9), is about 10 over 4e4 QR draws.
+HAAR_O4_STATISTICS = {
+    "tr Q": (lambda Q, t: t, 0.0, 1.0),
+    "(tr Q)^2": (lambda Q, t: t**2, 1.0, math.sqrt(2.0)),
+    "(tr Q)^4": (lambda Q, t: t**4, 3.0, 10.0),
+    "Q00^2": (lambda Q, t: Q[:, 0, 0] ** 2, 0.25, 0.25),
+    "det Q > 0": (lambda Q, t: np.linalg.det(Q) > 0.0, 0.5, 0.5),
+}
+
+
 class TestHaarSampling:
+    DRAWS = 4000
+
+    @pytest.fixture(scope="class")
+    def o4_draws(self):
+        return np.array([sample_haar_orthogonal(4, seed=s) for s in range(self.DRAWS)])
+
+    @pytest.mark.parametrize("name", list(HAAR_O4_STATISTICS))
+    def test_o4_moments_match_haar(self, o4_draws, name):
+        statistic, mean, sd = HAAR_O4_STATISTICS[name]
+        values = statistic(o4_draws, np.trace(o4_draws, axis1=1, axis2=2))
+        # 4 standard errors of the mean over DRAWS independent seeds.
+        assert abs(float(np.mean(values)) - mean) <= 4.0 * sd / math.sqrt(self.DRAWS)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 129])
+    def test_blocked_product_matches_reflector_loop(self, m):
+        normals = np.random.default_rng(m).standard_normal(m * (m + 1) // 2)
+        Q = kernels.haar_orthogonal(np.random.default_rng(m), m)
+        assert np.max(np.abs(Q - stewart_reference(normals, m))) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 3, 70])
+    def test_zero_normals_give_identity_reflectors(self, m):
+        Q = kernels.haar_orthogonal(FixedNormals(np.zeros(m * (m + 1) // 2)), m)
+        assert np.all(np.isfinite(Q))
+        assert orthogonality_residual(Q) == 0.0
+
+    def test_one_zero_reflector_among_gaussians(self):
+        m = 5
+        normals = np.random.default_rng(4).standard_normal(m * (m + 1) // 2)
+        _, cols = np.tril_indices(m)
+        normals[cols == 1] = 0.0  # reflector 1 draws x = 0
+        Q = kernels.haar_orthogonal(FixedNormals(normals), m)
+        assert orthogonality_residual(Q) <= 1e-13 * m
+        assert np.max(np.abs(Q - stewart_reference(normals, m))) <= 1e-14
+
     def test_deterministic(self):
         A = sample_haar_orthogonal(6, seed=123)
         B = sample_haar_orthogonal(6, seed=123)
@@ -231,7 +308,7 @@ class TestHaarSampling:
         C = sample_haar_orthogonal(6, seed=124)
         assert not np.array_equal(A, C)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 10, 40])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 40, 63, 64, 65, 129])
     def test_orthogonal(self, m):
         Q = sample_haar_orthogonal(m, seed=m)
         assert orthogonality_residual(Q) <= 1e-13 * m
