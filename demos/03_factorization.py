@@ -40,14 +40,16 @@ print("\ncompact: nu =", compact.nu, " ||c|| =", np.linalg.norm(compact.c))
 print("reconstruction error:", np.linalg.norm(compose_compact(compact) - S))
 
 # The canonical form replaces (c, P) by an aligned boost: alpha = ||c|| and
-# a reflector V with c = alpha * V e1.
+# a reflector V with c = alpha * V e1.  Only V e1 enters the product, so the
+# canonical factorization stores the compact c and derives alpha and V when
+# they are read; ||c - alpha V e1|| is the reflector's rounding, a few ulps.
 canonical = factor_canonical(S)
 print("\ncanonical: nu =", canonical.nu, " alpha =", canonical.alpha)
 aligned = canonical.alpha * canonical.V[:, 0]
 print("||c - alpha V e1|| =", np.linalg.norm(compact.c - aligned))
 print("reconstruction error:", np.linalg.norm(compose_canonical(canonical) - S))
 
-# Both reconstructions agree with each other as well as with S.
+# Both reconstructions run on the same (nu, c, U), so they agree bit for bit.
 print(
     "\ncompact vs canonical reconstruction:",
     np.linalg.norm(compose_compact(compact) - compose_canonical(canonical)),

@@ -19,12 +19,16 @@ sample-free bound on how far any cone point can be pushed out.
 
 Membership is decided once, in ``_check``, by recovering the compact
 factors (see check_automorphism); factor_compact returns the factors that
-test recovered, so the two cannot disagree.  Both compositions run one
-O(n^2) blockwise assembly of the compact form.  ``_verify`` holds verify's
-gates and forms the congruence defects of S / nu once.  Each orthogonal
-factor's residual ``||M^T M - I||_F`` is measured at most once and kept by
-its factorization: ``_check`` measures the U it recovers, a caller-built or
-loaded factor is measured where it is first gated (file load or compose_*).
+test recovered, so the two cannot disagree.  Only ``V e1 = c / alpha``
+enters the canonical product, so the canonical form is a view of the
+compact one: both store ``(nu, c, U)``, and the canonical form derives alpha
+and V on access.  Both compositions run one O(n^2) blockwise assembly of the
+compact form.  ``_verify`` holds verify's gates and forms the congruence
+defects of S / nu once.  Each orthogonal factor's residual
+``||M^T M - I||_F`` is measured at most once and kept by its factorization:
+``_check`` measures the U it recovers, the canonical constructor a caller's
+or a loaded V, and a caller-built or loaded U is measured where it is first
+gated (file load or compose_*).
 """
 
 from __future__ import annotations
@@ -98,7 +102,17 @@ class BlockView(FrozenValue):
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        self._set(b=frozen(self.b), c=frozen(self.c), D=frozen(self.D))
+        a = as_float(self.a)
+        if not math.isfinite(a):
+            raise ValueError(f"a must be a finite number, got {self.a!r}")
+        b, c = as_vector(self.b, "b", min_len=1), as_vector(self.c, "c", min_len=1)
+        D = as_square_matrix(self.D, "D")
+        if not b.size == c.size == len(D):
+            raise ValueError(
+                "blocks must fit one square matrix: b has "
+                f"{b.size} entries, c has {c.size}, D is {D.shape[0]}x{D.shape[1]}"
+            )
+        self._set(a=a, b=frozen(b), c=frozen(c), D=frozen(D))
 
     def reassemble(self) -> np.ndarray:
         """Rebuild the source matrix exactly from the four blocks."""
@@ -138,10 +152,28 @@ class AutCheckResult:
     cone_forward: bool
 
 
+@dataclass(frozen=True, eq=False)
 class _Factorization(FrozenValue):
-    """Base of the two factorization forms, which name their orthogonal factors
-    in ``_orthogonal``.  Frozen arrays keep the residual ``||M^T M - I||_F`` of
-    such a factor M valid: it is kept in ``_residuals``, so M is measured once."""
+    """Base of the two factorization forms.  Both store the compact factors
+    ``nu``, ``c`` and ``U``, validated here.  Frozen arrays keep the residual
+    ``||M^T M - I||_F`` of an orthogonal factor M valid: it is kept in
+    ``_residuals``, so M is measured once, and copies and pickles keep it."""
+
+    nu: float
+    c: np.ndarray
+    U: np.ndarray
+
+    def __post_init__(self) -> None:
+        nu = as_positive_float(self.nu, "nu")
+        c = frozen(as_vector(self.c, "c", min_len=1))
+        U = frozen(as_square_matrix(self.U, "U"))
+        if U.shape != (c.size, c.size):
+            raise ValueError(f"U must be {c.size}x{c.size} to match c, got shape {U.shape}")
+        self._set(nu=nu, c=c, U=U)
+
+    def __reduce__(self):
+        kept = self.__dict__.get("_residuals", {})
+        return _restore, (type(self), self.nu, self.c, self.U, kept)
 
     @property
     def n(self) -> int:
@@ -149,14 +181,24 @@ class _Factorization(FrozenValue):
         return 1 + len(self.U)
 
     def _gate(self, tol: float, error=ValueError) -> None:
-        """The gate ``residual <= tol * m`` on each orthogonal factor in
-        ``_orthogonal`` order, each measured on first use."""
+        """The gate ``residual <= tol * m`` on each kept residual, in the order
+        the factors entered (a caller's canonical V, then U); U is measured on
+        first use."""
         kept = self.__dict__.setdefault("_residuals", {})
-        for name in self._orthogonal:
-            M = getattr(self, name)
-            if name not in kept:
-                kept[name] = orthogonality_residual(M)
-            _require_orthogonal(kept[name], len(M), name, tol, error)
+        if "U" not in kept:
+            kept["U"] = orthogonality_residual(self.U)
+        for name, residual in kept.items():
+            _require_orthogonal(residual, len(self.U), name, tol, error)
+
+
+def _restore(kind: type, nu: float, c, U, residuals: dict) -> "_Factorization":
+    """A ``kind`` over the compact factors ``(nu, c, U)`` that keeps the
+    residuals already measured on them: the frozen arrays keep those numbers
+    valid.  Builds factor_* results, copies and pickles."""
+    f = object.__new__(kind)
+    _Factorization.__init__(f, nu, c, U)
+    f.__dict__["_residuals"] = dict(residuals)
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,19 +212,6 @@ class CompactFactorization(_Factorization):
     reuses the residual that the membership test or the file load measured.
     """
 
-    nu: float
-    c: np.ndarray
-    U: np.ndarray
-    _orthogonal = ("U",)
-
-    def __post_init__(self) -> None:
-        nu = as_positive_float(self.nu, "nu")
-        c = frozen(as_vector(self.c, "c", min_len=1))
-        U = frozen(as_square_matrix(self.U, "U"))
-        if U.shape != (c.size, c.size):
-            raise ValueError(f"U must be {c.size}x{c.size} to match c, got shape {U.shape}")
-        self._set(nu=nu, c=c, U=U)
-
     @property
     def a(self) -> float:
         """``sqrt(1 + ||c||^2)``."""
@@ -194,35 +223,45 @@ class CompactFactorization(_Factorization):
         return RankOneSqrt.from_vector(self.c).matrix()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CanonicalFactorization(_Factorization):
-    """S = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U).
+    """S = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U), a view of the
+    compact form.
 
-    ``V`` and ``U`` are (n-1) x (n-1) orthogonal factors, gated where they
-    enter: parse_factorization and compose_canonical; factor_canonical's U is
-    gated by the membership test, which measured it, and its V is a reflector,
-    measured by compose_canonical.  Shape and sign here.
+    The first three factors multiply out to ``[[a, c^T], [c, P]]`` with
+    ``c = alpha V e1``, so only ``V e1`` enters the product: ``nu``, ``c`` and
+    ``U`` are stored, and ``alpha = ||c||`` and V, the Householder reflector
+    with ``V e1 = c / ||c||``, are derived on access.  The constructor takes
+    the canonical factors: it measures V once, keeps that residual for the
+    gates (V before U), and reduces V to ``c = alpha V[:, 0]``, so a caller's
+    alpha and V read back as ``||c||`` and c's reflector.
     """
 
-    nu: float
-    alpha: float
-    V: np.ndarray
-    U: np.ndarray
-    _orthogonal = ("V", "U")
-
-    def __post_init__(self) -> None:
-        nu = as_positive_float(self.nu, "nu")
-        alpha = as_nonnegative_float(self.alpha, "alpha")
-        V = frozen(as_square_matrix(self.V, "V"))
-        U = frozen(as_square_matrix(self.U, "U"))
+    def __init__(self, nu: float, alpha: float, V: np.ndarray, U: np.ndarray) -> None:
+        nu = as_positive_float(nu, "nu")
+        alpha = as_nonnegative_float(alpha, "alpha")
+        V = as_square_matrix(V, "V")
+        U = as_square_matrix(U, "U")
         if U.shape != V.shape:
             raise ValueError(f"U must match V's shape {V.shape}, got {U.shape}")
-        self._set(nu=nu, alpha=alpha, V=V, U=U)
+        residual = orthogonality_residual(V)
+        with np.errstate(over="ignore"):
+            c = alpha * V[:, 0]
+        if not np.isfinite(c).all():
+            raise ValueError(f"c = alpha V e1 must be finite, got alpha={alpha!r}")
+        super().__init__(nu, c, U)
+        self.__dict__["_residuals"] = {"V": residual}
 
     @property
-    def c(self) -> np.ndarray:
-        """The compact form's ``c = alpha V e1``."""
-        return self.alpha * self.V[:, 0]
+    def alpha(self) -> float:
+        """The boost strength ``||c||`` (finite whenever c is)."""
+        return _norms(self.c)[0]
+
+    @property
+    def V(self) -> np.ndarray:
+        """The reflector with ``V e1 = c / ||c||`` (the identity when c = 0),
+        built on each access and frozen."""
+        return frozen(householder_to_direction(self.c))
 
 
 @dataclass(frozen=True)
@@ -401,25 +440,21 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     if not check.is_automorphism:
         raise NotAutomorphismError("cannot factor: " + found, check)
     nu, c, U, ortho = found
-    f = CompactFactorization(nu=nu, c=c, U=U)
-    f.__dict__["_residuals"] = {"U": ortho}  # the membership test measured U
-    return f
+    return _restore(CompactFactorization, nu, c, U, {"U": ortho})  # the check measured U
 
 
 def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
     """Factor an accepted S as ``nu * diag(1,V) T_alpha diag(1,V^T) diag(1,U)``.
 
-    Built on factor_compact: ``alpha = ||c||`` and ``V`` is the Householder
-    reflector aligning ``e1`` with ``c`` (identity when ``c = 0``), so that
-    ``c = alpha V e1`` with ``alpha >= 0``.  (V, U) are not unique; only the
-    reconstruction ``compose_canonical(result) ~ S`` is contractual.
+    A view of factor_compact's result: it shares that factorization's frozen
+    ``c``, its ``U`` and U's measured residual, and builds no V.  On access,
+    ``alpha = ||c||`` and ``V`` is the Householder reflector aligning ``e1``
+    with ``c`` (identity when ``c = 0``), so that ``c = alpha V e1`` with
+    ``alpha >= 0``.  (V, U) are not unique; only the reconstruction
+    ``compose_canonical(result) ~ S`` is contractual.
     """
-    compact = factor_compact(S, tol)
-    alpha = float(np.linalg.norm(compact.c))
-    V = householder_to_direction(compact.c)
-    f = CanonicalFactorization(nu=compact.nu, alpha=alpha, V=V, U=compact.U)
-    f.__dict__["_residuals"] = dict(compact._residuals)
-    return f
+    f = factor_compact(S, tol)
+    return _restore(CanonicalFactorization, f.nu, f.c, f.U, f._residuals)
 
 
 def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -432,8 +467,25 @@ def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.nda
     (``<= tol * (n-1)``) is enforced here, on the residual that factor_compact
     or parse_factorization measured, or else on one measured now.
     """
-    if not isinstance(f, CompactFactorization):
-        raise TypeError(f"expected CompactFactorization, got {type(f).__name__}")
+    return _compose(f, CompactFactorization, tol)
+
+
+def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Multiply a canonical factorization back into a dense matrix.
+
+    The product is assembled from the stored ``(nu, c, U)`` exactly as
+    compose_compact does, in O(n^2), without forming V or T_alpha.  The
+    orthogonality gates (``<= tol * (n-1)``) are enforced here on the kept
+    residuals: a caller's or a loaded V's, then U's, which is measured now
+    if neither factor_canonical nor parse_factorization measured it.
+    """
+    return _compose(f, CanonicalFactorization, tol)
+
+
+def _compose(f: _Factorization, kind: type, tol: float) -> np.ndarray:
+    """compose_*: gate the kept residuals of ``f``, a ``kind``, and assemble."""
+    if not isinstance(f, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(f).__name__}")
     f._gate(as_nonnegative_float(tol, "tol"))
     return _assemble(f.nu, f.c, f.U)
 
@@ -459,24 +511,6 @@ def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
     S[1:, 1:] += _scaled_outer(c, cU, root.beta)
     S *= nu
     return S
-
-
-def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Multiply a canonical factorization back into a dense matrix.
-
-    The first three factors multiply out to ``[[a, c^T], [c, P]]`` with
-    ``c = alpha V e1``, so the product
-    ``nu * diag(1,V) @ T_alpha @ diag(1,V^T) @ diag(1,U)`` is assembled
-    blockwise from ``(nu, f.c, U)`` exactly as compose_compact does, in
-    O(n^2) and without forming T_alpha.  Both orthogonality gates
-    (``<= tol * (n-1)``) are enforced here, each on the residual measured
-    when the factor entered (factor_canonical's U, a loaded V or U), or
-    else on one measured now.
-    """
-    if not isinstance(f, CanonicalFactorization):
-        raise TypeError(f"expected CanonicalFactorization, got {type(f).__name__}")
-    f._gate(as_nonnegative_float(tol, "tol"))
-    return _assemble(f.nu, f.c, f.U)
 
 
 def sample_automorphism(

@@ -82,7 +82,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_factor(args: argparse.Namespace) -> int:
     S = parse_matrix(_read_input(args.input))
     factor = factor_canonical if args.form == "canonical" else factor_compact
-    f = factor(S, args.tol)  # gates U; a canonical V is a reflector
+    f = factor(S, args.tol)  # gates U; the canonical form builds no V
     residual = _relative_residual(_assemble(f.nu, f.c, f.U), S)
     doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual)
     _emit(doc, args.output, args.quiet)

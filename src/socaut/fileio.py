@@ -18,6 +18,11 @@ field with one ``np.array`` call; ``_rows`` writes it through one ``%.17g``
 row template.  Entries are walked one by one only on the error path, to name
 the offender.
 
+A canonical document's ``V`` is measured and gated at the document's ``tol``
+as it loads, and reduced to ``c = alpha V[:, 0]``: the loaded factorization
+stores only the compact factors, and writes back ``||c||`` and the reflector
+of c, which match the document's alpha and V to rounding, not to the byte.
+
 Structural problems (bad syntax, duplicate, missing or mismatched fields,
 non-numbers, non-finite numbers, wrong shapes) raise FileFormatError.  Well-formed
 documents whose payload breaks a mathematical invariant (``nu <= 0``,

@@ -56,17 +56,28 @@ class RankOneSqrt(FrozenValue):
     beta: float
 
     def __post_init__(self) -> None:
-        self._set(c=frozen(self.c))
+        """Direct construction: ``c`` must be a finite vector and ``(a, beta)``
+        exactly the pair that from_vector derives from it."""
+        root = self.from_vector(self.c)
+        if (self.a, self.beta) != (root.a, root.beta):
+            raise ValueError(
+                f"(a, beta) must be ({root.a!r}, {root.beta!r}) for this c, "
+                f"got ({self.a!r}, {self.beta!r})"
+            )
+        self._set(c=root.c, a=root.a, beta=root.beta)
 
     @classmethod
     def from_vector(cls, c) -> "RankOneSqrt":
-        """Build the square-root representation for a given ``c``.  Raises
-        ValueError when ``1 + ||c||^2`` overflows; every composition builds one."""
+        """Build the square-root representation for a given ``c``, validated
+        once.  Raises ValueError when ``1 + ||c||^2`` overflows; every
+        composition builds one."""
         c = as_vector(c, "c", min_len=1)
         a, beta = _sqrt_coefficients(c)
         if math.isinf(a):
             raise ValueError("c must have a finite squared norm, got ||c||^2 = inf")
-        return cls(c=c, a=a, beta=beta)
+        root = object.__new__(cls)
+        root._set(c=frozen(c), a=a, beta=beta)
+        return root
 
     @property
     def gamma(self) -> float:

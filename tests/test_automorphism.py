@@ -6,6 +6,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import json
 import math
 import pickle
 import tempfile
@@ -36,6 +37,7 @@ from socaut import (
     cone_classify,
     factor_canonical,
     factor_compact,
+    householder_to_direction,
     jordan_product,
     normalize,
     orthogonality_residual,
@@ -110,6 +112,23 @@ class TestSplitBlocks:
             split_blocks(np.ones((1, 1)))
         with pytest.raises(ValueError):
             split_blocks(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "blocks,fragment",
+        [
+            ((1.0, np.zeros(3), np.zeros(2), np.eye(4)), "blocks must fit one square matrix"),
+            ((1.0, np.zeros(2), np.zeros(2), np.eye(3)), "blocks must fit one square matrix"),
+            ((1.0, np.zeros((1, 2)), np.zeros(2), np.eye(2)), "b must be one-dimensional"),
+            ((1.0, np.zeros(2), np.zeros(2), np.ones((2, 3))), "D must be a square matrix"),
+            ((1.0, np.zeros(0), np.zeros(0), np.eye(0)), "at least 1 entries"),
+            ((math.nan, np.zeros(2), np.zeros(2), np.eye(2)), "a must be a finite number"),
+            ((1.0, np.zeros(2), [math.inf, 0.0], np.eye(2)), "c must have finite entries"),
+        ],
+        ids=["b3-c2-D4", "D-too-big", "2d-b", "nonsquare-D", "empty", "nan-a", "inf-c"],
+    )
+    def test_direct_construction_validates(self, blocks, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            BlockView(*blocks)
 
 
 class TestCheckAutomorphism:
@@ -648,8 +667,11 @@ def stretched_haar(m: int, seed: int) -> np.ndarray:
 
 
 def frozen_arrays(f) -> list[np.ndarray]:
-    """The array fields of a frozen value type, in field order."""
+    """The array fields of a frozen value type, in field order, then the V
+    that a canonical factorization derives."""
     values = [getattr(f, field.name) for field in dataclasses.fields(f)]
+    if isinstance(f, CanonicalFactorization):
+        values.append(f.V)
     return [v for v in values if isinstance(v, np.ndarray)]
 
 
@@ -661,12 +683,22 @@ class TestKeptResiduals:
     the residual the membership test, the file load or its first gate
     measured, and its frozen arrays keep that number valid."""
 
-    @pytest.mark.parametrize("form,count", zip(FORMS, [1, 2]), ids=["compact", "canonical"])
-    def test_factor_then_compose_measures_each_factor_once(self, form, count, measured):
+    @pytest.mark.parametrize("form", FORMS, ids=["compact", "canonical"])
+    def test_factor_then_compose_measures_each_factor_once(self, form, measured, monkeypatch):
+        reflectors = []
+        householder = kernels.householder_to_direction
+
+        def counting(c):
+            reflectors.append(c)
+            return householder(c)
+
+        for module in (kernels, automorphism):
+            monkeypatch.setattr(module, "householder_to_direction", counting)
         factor, compose = form
         compose(factor(sample_automorphism(30, nu_range=(0.5, 2.0), seed=12)))
-        # The membership test's U; canonical also V, a reflector, in compose.
-        assert len(measured) == count
+        # Only the membership test's U; the canonical form builds and measures no V.
+        assert len(measured) == 1
+        assert reflectors == []
 
     @pytest.mark.parametrize("n", [2, 3, 10, 100, 400])
     def test_kept_residual_is_a_fresh_measurement_bit_for_bit(self, n):
@@ -679,13 +711,16 @@ class TestKeptResiduals:
     def test_parse_then_compose_measures_each_loaded_factor_once(self, form, measured):
         factor, compose = form
         text = dumps_factorization(factor(sample_automorphism(5, seed=3)), tol=1e-6)
+        doc = json.loads(text)
+        loaded = [np.array(doc[name]) for name in ("V", "U") if name in doc]
         measured.clear()
         f, tol = parse_factorization(text)
         for gate_tol in (tol, DEFAULT_TOL):
             compose(f, gate_tol)
-        names = [field.name for field in dataclasses.fields(f) if field.name in ("V", "U")]
-        assert len(measured) == len(names)
-        assert all(M is getattr(f, name) for M, name in zip(measured, names))
+        # The document's orthogonal factors, V before U, each measured once as
+        # it is loaded; a loaded V is reduced to c, so U is the one f keeps.
+        assert [M.tobytes() for M in measured] == [M.tobytes() for M in loaded]
+        assert measured[-1] is f.U
 
     @pytest.mark.parametrize(
         "form,bad", [("compact", "U"), ("canonical", "V"), ("canonical", "U")]
@@ -734,10 +769,22 @@ class TestKeptResiduals:
                 with pytest.raises(ValueError, match="WRITEABLE"):
                     M.flags.writeable = True
 
-    def test_a_frozen_factor_is_not_copied_again(self):
-        f = factor_compact(sample_automorphism(6, seed=1))
+    def test_a_frozen_factor_is_not_copied_again(self, monkeypatch):
+        S = sample_automorphism(6, seed=1)
+        f = factor_compact(S)
         assert CompactFactorization(2.0, f.c, f.U).U is f.U
-        assert CanonicalFactorization(2.0, 1.0, f.U, f.U).V is f.U
+        assert CanonicalFactorization(2.0, 1.0, f.U, f.U).U is f.U
+        # factor_canonical shares factor_compact's c, U and U's residual.
+        compact = []
+
+        def recording(S, tol):
+            compact.append(factor_compact(S, tol))
+            return compact[-1]
+
+        monkeypatch.setattr(automorphism, "factor_compact", recording)
+        g = factor_canonical(S)
+        assert (g.c, g.U) == (compact[0].c, compact[0].U) and g.c is compact[0].c
+        assert g._residuals == compact[0]._residuals
 
     @pytest.mark.parametrize(
         "copier",
@@ -758,6 +805,79 @@ class TestKeptResiduals:
                     compose(h, 0.0)
 
 
+class TestCanonicalView:
+    """The canonical form stores the compact factors (nu, c, U) and derives
+    alpha = ||c|| and the reflector V of c on access."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_composes_as_the_compact_form_bit_for_bit(self, n):
+        for S in random_automorphisms(3, n, seed0=1200 + n):
+            canonical = compose_canonical(factor_canonical(S))
+            assert canonical.tobytes() == compose_compact(factor_compact(S)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_derived_alpha_and_v_are_those_of_the_compact_c(self, n):
+        # What `socaut factor` writes: alpha and V bytes as before.
+        for S in random_automorphisms(3, n, seed0=1300 + n):
+            f, c = factor_canonical(S), factor_compact(S).c
+            assert f.alpha == float(np.linalg.norm(c))
+            assert f.V.tobytes() == householder_to_direction(c).tobytes()
+
+    def test_a_caller_built_v_is_reduced_to_c(self):
+        V, U = stretched_haar(4, seed=5), sample_haar_orthogonal(4, seed=6)
+        f = CanonicalFactorization(1.5, 3.0, V, U)
+        assert f.c.tobytes() == (3.0 * V[:, 0]).tobytes()
+        assert f.alpha == float(np.linalg.norm(f.c))
+        assert f.V.tobytes() == householder_to_direction(f.c).tobytes()
+
+    def test_refuses_a_c_that_overflows(self):
+        # Only a V with an entry above 1 can take alpha V e1 past the double range.
+        with pytest.raises(ValueError, match=r"^c = alpha V e1 must be finite"):
+            CanonicalFactorization(1.0, 1e300, np.array([[1e10]]), np.eye(1))
+
+    @pytest.mark.parametrize("build", ["factor", "built"])
+    def test_derived_v_and_stored_c_cannot_be_made_writeable(self, build):
+        S = sample_automorphism(6, seed=1)
+        if build == "factor":
+            f = factor_canonical(S)
+        else:
+            f = CanonicalFactorization(1.0, 0.5, sample_haar_orthogonal(5, seed=2), np.eye(5))
+        for M in (f.c, f.V, f.V):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                M.flags.writeable = True
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_the_verdict_and_message_of_a_callers_v(self, copier, measured):
+        # V and U both fail their gate, U by more: V's message comes first
+        # until the tol lets V through.
+        m = 4
+        V, U = stretched_haar(m, seed=4), sample_haar_orthogonal(m, seed=3)
+        U[:, 0] *= 1.0 + 1e-5
+        fresh = {"V": orthogonality_residual(V), "U": orthogonality_residual(U)}
+        f = CanonicalFactorization(2.0, 0.75, V, U)
+        g = copier(f)
+        assert type(g) is CanonicalFactorization
+        measured.clear()
+        between = fresh["V"] / m * 2.0
+        assert fresh["V"] <= between * m < fresh["U"]
+        for tol, name in ((0.0, "V"), (DEFAULT_TOL, "V"), (between, "U")):
+            expected = (
+                f"{name} is not orthogonal within tolerance: residual {fresh[name]:.3e} "
+                f"> {tol * m:.3e}"
+            )
+            for h in (g, f):
+                with pytest.raises(ValueError) as exc:
+                    compose_canonical(h, tol)
+                assert str(exc.value) == expected
+        assert_array_equal(compose_canonical(g, 1e-3), compose_canonical(f, 1e-3))
+        # U once in each of f and g; V's residual came with the copy.
+        assert len(measured) == 2
+
+
 #: value type -> ways to build one from a writeable member S: directly, then
 #: through each factory.
 FROZEN_VALUES = {
@@ -766,7 +886,7 @@ FROZEN_VALUES = {
         lambda S: SpinVector.from_array(S[:, 0]),
     ),
     "RankOneSqrt": (
-        lambda S: RankOneSqrt(S[1:, 0], 2.0, 0.5),
+        lambda S: RankOneSqrt(S[1:, 0], *kernels._sqrt_coefficients(S[1:, 0])),
         lambda S: RankOneSqrt.from_vector(S[1:, 0]),
     ),
     "BlockView": (

@@ -127,6 +127,39 @@ class TestRankOneSqrt:
         with pytest.raises(ValueError):
             sqrt_rank_one(np.empty(0))
 
+    @pytest.mark.parametrize(
+        "args,fragment",
+        [
+            (([np.nan, 1.0], 5.0, 7.0), "finite entries"),
+            (([[3.0, 4.0]], 5.0, 1.0 / 6.0), "one-dimensional"),
+            (([3.0, 4.0], math.sqrt(26.0), 7.0), r"\(a, beta\) must be"),
+            (([3.0, 4.0], 5.0, 1.0 / 6.0), r"\(a, beta\) must be"),
+            (([1e200, 1.0], math.inf, 0.0), "squared norm"),
+        ],
+        ids=["nan-c", "2d-c", "wrong-beta", "wrong-a", "overflow"],
+    )
+    def test_direct_construction_validates(self, args, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            RankOneSqrt(*args)
+
+    def test_direct_construction_takes_the_derived_pair(self):
+        r = RankOneSqrt.from_vector([3.0, 4.0])
+        s = RankOneSqrt(np.array([3.0, 4.0]), r.a, r.beta)
+        assert (s.a, s.beta) == (r.a, r.beta) == (math.sqrt(26.0), 1.0 / (math.sqrt(26.0) + 1.0))
+        assert_array_equal(s.c, r.c)
+
+    def test_from_vector_validates_c_once(self, monkeypatch):
+        calls = []
+        as_vector = kernels.as_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return as_vector(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "as_vector", counting)
+        RankOneSqrt.from_vector([3.0, 4.0])
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("c", [[1e200, 1.0], [1e155, 1e155], [-1.5e154, 1e154]])
     def test_refuses_squared_norm_that_overflows(self, c):
         # Every entry is finite but 1 + ||c||^2 is not; refused with no
