@@ -32,7 +32,9 @@ __all__ = [
 #: the identity is returned instead.
 PARALLEL_TOL = 1e-14
 
-#: Reflectors per compact-WY block in ``haar_orthogonal``.
+#: Reflectors per compact-WY block in ``haar_orthogonal``.  Blocks of 96 or
+#: 128 are a few ms faster at m = 999 but raise the mean ||Q^T Q - I||_F at
+#: m = 100 by about a fifth.
 _HAAR_BLOCK = 64
 
 
@@ -203,9 +205,13 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     the product Haar (F. Mezzadri, "How to generate random matrices from the
     classical compact groups", Notices AMS 54, 2007).  ``H_{m-1}`` acts on
     one coordinate, where it is -1, so D absorbs it exactly.  The reflectors
-    are applied right to left in compact-WY blocks ``I - V T V^T``, ``T^-1 =
-    triu(V^T V, 1) + diag(||v_k||^2 / 2)``, each touching only the trailing
-    block.
+    are applied right to left in compact-WY blocks ``I - V T V^T`` of
+    ``_HAAR_BLOCK`` (64) reflectors (R. Schreiber and C. Van Loan, SIAM J.
+    Sci. Stat. Comput. 10, 1989), each touching only the trailing r x r
+    block of Q.  A block inverts its b x b ``T^-1 = triu(V^T V, 1) +
+    diag(||v_k||^2 / 2)`` once, so its update ``Q -= V (T (V^T Q))`` is
+    three matrix products and no solve; the r x r product goes into one
+    scratch buffer allocated per call.
     """
     m = as_index(m, "m", minimum=1)
     lower = np.tri(m, dtype=bool)
@@ -220,14 +226,17 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     half = norms * (norms + np.abs(x0))
     half[half == 0.0] = 1.0  # x = 0: v = 0, and T^-1 keeps a unit diagonal
     Q = np.diag(-s)
+    product = np.empty(m * m)  # V (T (V^T Q)) of each block, in its first r * r entries
     for k0 in reversed(range(0, m, _HAAR_BLOCK)):
         k1 = min(k0 + _HAAR_BLOCK, m)
+        b, r = k1 - k0, m - k0
         V = X[k0:, k0:k1]
         T_inv = V.T @ V
-        T_inv[lower[: k1 - k0, : k1 - k0]] = 0.0
-        T_inv.reshape(-1)[:: k1 - k0 + 1] = half[k0:k1]
+        T_inv[lower[:b, :b]] = 0.0
+        T_inv.reshape(-1)[:: b + 1] = half[k0:k1]
+        T = np.linalg.inv(T_inv)  # b x b, upper triangular
         Qt = Q[k0:, k0:]
-        Qt -= V @ np.linalg.solve(T_inv, V.T @ Qt)
+        Qt -= np.matmul(V, T @ (V.T @ Qt), out=product[: r * r].reshape(r, r))
     return Q
 
 

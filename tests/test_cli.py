@@ -308,8 +308,14 @@ class TestVerify:
         assert verify.returncode == 0, verify.stdout + verify.stderr
         report = parse_report(verify.stdout)
         assert report["all_within_tol"] == "true"
-        assert max(float(report[key]) for key in IDENTITY_RESIDUALS) <= 1e-15
-        assert float(report["cone_slack_bound"]) <= 1e-15
+        # The rounding floors test_automorphism's exact_report proves for a
+        # stored member: 4 n eps a^2 for the residuals, 8 n eps a^2 for the
+        # certificate (seeds 0-19 read at most a quarter of each).  The
+        # near-one defect this test guards read residuals of about 4e-2.
+        S = parse_matrix(sample.stdout)
+        unit = len(S) * np.finfo(float).eps * S[0, 0] ** 2 / float(report["mu"])
+        assert max(float(report[key]) for key in IDENTITY_RESIDUALS) <= 4.0 * unit
+        assert float(report["cone_slack_bound"]) <= 8.0 * unit
 
     def test_gross_rejection_exits_1_before_report(self, tmp_path, capsys):
         p = tmp_path / "r.txt"

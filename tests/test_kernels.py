@@ -299,6 +299,17 @@ HAAR_O4_STATISTICS = {
 }
 
 
+#: Orders at the edges of haar_orthogonal's compact-WY blocks: B - 1, B, B + 1, 2B + 1.
+BLOCK_EDGES = [kernels._HAAR_BLOCK + d for d in (-1, 0, 1)] + [2 * kernels._HAAR_BLOCK + 1]
+
+
+def qr_haar(seed: int, m: int) -> np.ndarray:
+    """The QR recipe for a Haar draw: LAPACK's Q of an m x m Gaussian, with
+    the column signs that make R's diagonal positive."""
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    return Q * np.copysign(1.0, R.diagonal())
+
+
 class TestHaarSampling:
     DRAWS = 4000
 
@@ -313,7 +324,25 @@ class TestHaarSampling:
         # 4 standard errors of the mean over DRAWS independent seeds.
         assert abs(float(np.mean(values)) - mean) <= 4.0 * sd / math.sqrt(self.DRAWS)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 129])
+    @pytest.mark.parametrize("name", ["tr Q", "(tr Q)^2"])
+    def test_trace_moments_match_haar_across_blocks(self, name):
+        # tr Q has mean 0 and variance 1 on every O(m), m >= 2, so these two
+        # rows of the O(4) table hold at m = 2B + 1, a product of three blocks.
+        draws = 300
+        Q = np.array([sample_haar_orthogonal(BLOCK_EDGES[-1], seed=s) for s in range(draws)])
+        statistic, mean, sd = HAAR_O4_STATISTICS[name]
+        values = statistic(Q, np.trace(Q, axis1=1, axis2=2))
+        assert abs(float(np.mean(values)) - mean) <= 4.0 * sd / math.sqrt(draws)
+
+    @pytest.mark.parametrize("m,seeds", [(3, 300), (20, 100), (100, 20)])
+    def test_accuracy_within_twice_the_qr_recipe(self, m, seeds):
+        # Mean ||Q^T Q - I||_F over the same seeds: 1.19, 1.38 and 1.45 times
+        # the QR recipe's at m = 3, 20 and 100.
+        ours = np.mean([orthogonality_residual(sample_haar_orthogonal(m, s)) for s in range(seeds)])
+        qr = np.mean([orthogonality_residual(qr_haar(s, m)) for s in range(seeds)])
+        assert ours <= 2.0 * qr
+
+    @pytest.mark.parametrize("m", [1, 2, 3, *BLOCK_EDGES])
     def test_blocked_product_matches_reflector_loop(self, m):
         normals = np.random.default_rng(m).standard_normal(m * (m + 1) // 2)
         Q = kernels.haar_orthogonal(np.random.default_rng(m), m)
@@ -341,7 +370,7 @@ class TestHaarSampling:
         C = sample_haar_orthogonal(6, seed=124)
         assert not np.array_equal(A, C)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 10, 40, 63, 64, 65, 129])
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 40, *BLOCK_EDGES])
     def test_orthogonal(self, m):
         Q = sample_haar_orthogonal(m, seed=m)
         assert orthogonality_residual(Q) <= 1e-13 * m
