@@ -21,7 +21,7 @@ def as_vector(v, name: str = "v", min_len: int = 0) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < min_len:
         raise ValueError(f"{name} must have at least {min_len} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 
@@ -35,7 +35,7 @@ def as_square_matrix(M, name: str = "M", min_n: int = 1) -> np.ndarray:
         raise ValueError(
             f"{name} must be at least {min_n}x{min_n}, got {arr.shape[0]}x{arr.shape[0]}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 

@@ -51,6 +51,8 @@ from ._validate import (
 )
 from .kernels import (
     RankOneSqrt,
+    _finite_sqrt_coefficients,
+    _norm,
     _orthogonality_residual,
     _require_orthogonal,
     _sqrt_coefficients,
@@ -155,9 +157,11 @@ class AutCheckResult:
 @dataclass(frozen=True, eq=False)
 class _Factorization(FrozenValue):
     """Base of the two factorization forms.  Both store the compact factors
-    ``nu``, ``c`` and ``U``, validated here.  Frozen arrays keep the residual
-    ``||M^T M - I||_F`` of an orthogonal factor M valid: it is kept in
-    ``_residuals``, so M is measured once, and copies and pickles keep it."""
+    ``nu``, ``c`` and ``U``, validated here when they come from a caller, a
+    document, a copy or a pickle; factor_* results carry the factors their
+    membership gate just checked (see ``_wrap``).  Frozen arrays keep the
+    residual ``||M^T M - I||_F`` of an orthogonal factor M valid: it is kept
+    in ``_residuals``, so M is measured once, and copies and pickles keep it."""
 
     nu: float
     c: np.ndarray
@@ -192,12 +196,20 @@ class _Factorization(FrozenValue):
 
 
 def _restore(kind: type, nu: float, c, U, residuals: dict) -> "_Factorization":
-    """A ``kind`` over the compact factors ``(nu, c, U)`` that keeps the
-    residuals already measured on them: the frozen arrays keep those numbers
-    valid.  Builds factor_* results, copies and pickles."""
+    """A ``kind`` over the compact factors ``(nu, c, U)``, validated, that keeps
+    the residuals already measured on them: the frozen arrays keep those
+    numbers valid.  Builds copies and pickles."""
     f = object.__new__(kind)
     _Factorization.__init__(f, nu, c, U)
     f.__dict__["_residuals"] = dict(residuals)
+    return f
+
+
+def _wrap(kind: type, nu: float, c: np.ndarray, U: np.ndarray, residuals: dict):
+    """``_restore`` without the validation, for factors that the membership
+    gate of the same call has just checked: builds factor_* results."""
+    f = object.__new__(kind)
+    f._set(nu=nu, c=frozen(c), U=frozen(U), _residuals=dict(residuals))
     return f
 
 
@@ -375,7 +387,7 @@ def _check(
             U = S[1:, 1:] / nu  # the D block
             cD = c @ U
             # d = b - D^T c / a; U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
-            defect = float(np.linalg.norm(S[0, 1:] / nu - cD / a))
+            defect = _norm(S[0, 1:] / nu - cD / a)
             U += _scaled_outer(c, cD, -beta / a)
             ortho = _orthogonality_residual(U)
     if math.isfinite(ortho + defect):
@@ -440,7 +452,8 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     if not check.is_automorphism:
         raise NotAutomorphismError("cannot factor: " + found, check)
     nu, c, U, ortho = found
-    return _restore(CompactFactorization, nu, c, U, {"U": ortho})  # the check measured U
+    # The gate makes nu positive and c finite, and U too unless tol * m overflows.
+    return _wrap(CompactFactorization, nu, c, as_square_matrix(U, "U"), {"U": ortho})
 
 
 def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
@@ -454,7 +467,7 @@ def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
     ``compose_canonical(result) ~ S`` is contractual.
     """
     f = factor_compact(S, tol)
-    return _restore(CanonicalFactorization, f.nu, f.c, f.U, f._residuals)
+    return _wrap(CanonicalFactorization, f.nu, f.c, f.U, f._residuals)
 
 
 def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -493,22 +506,23 @@ def _compose(f: _Factorization, kind: type, tol: float) -> np.ndarray:
 def _scaled_outer(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
     """``scale * np.outer(x, y)`` bit for bit, scaled in place.  Callers add it
     in place and drop it, so no other temporary of its size is made."""
-    out = np.outer(x, y)
+    out = np.multiply.outer(x, y)
     out *= scale
     return out
 
 
 def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``nu * [[a, c^T], [c, P]] @ diag(1, U)``, built blockwise in O(n^2)."""
-    root = RankOneSqrt.from_vector(c)
+    """``nu * [[a, c^T], [c, P]] @ diag(1, U)``, built blockwise in O(n^2) from
+    finite factors; raises ValueError when ``||c||^2`` overflows."""
+    a, beta = _finite_sqrt_coefficients(c)
     cU = c @ U
     n = 1 + c.size
     S = np.empty((n, n))
-    S[0, 0] = root.a
+    S[0, 0] = a
     S[0, 1:] = cU
     S[1:, 0] = c
     S[1:, 1:] = U
-    S[1:, 1:] += _scaled_outer(c, cU, root.beta)
+    S[1:, 1:] += _scaled_outer(c, cU, beta)
     S *= nu
     return S
 
@@ -561,7 +575,13 @@ def sample_automorphism(
     alpha = float(rng.uniform(0.0, alpha_max))
     g = rng.standard_normal(n - 1)
     U = haar_orthogonal(rng, n - 1)
-    return _assemble(nu, alpha * g / np.linalg.norm(g), U)
+    return _assemble(nu, alpha * g / _norm(g), U)
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X, axis=1)`` of a float matrix bit for bit: the square
+    root of each row's sum of squares."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 def _sample_cone_points(
@@ -570,7 +590,7 @@ def _sample_cone_points(
     """Sample cone points as rows: tail uniform on a sphere of radius
     r in (0, 10], head r (boundary) or r*(1+u), u in (0, 1] (interior)."""
     G = rng.standard_normal((count, n - 1))
-    norms = np.linalg.norm(G, axis=1)
+    norms = _row_norms(G)
     norms[norms == 0.0] = 1.0
     r = 10.0 - rng.uniform(0.0, 10.0, size=count)  # uniform on (0, 10]
     X = np.empty((count, n))
@@ -654,10 +674,10 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
         rng = np.random.default_rng(seed)
         for boundary in (False, True):  # interior first: the seeded draw order is fixed
             Y = _sample_cone_points(rng, len(S), n_samples, boundary) @ S_hat.T
-            slack = np.linalg.norm(Y[:, 1:], axis=1) - Y[:, 0]
-            cone_violation = max(cone_violation, float(np.max(slack, initial=0.0)))
+            slack = _row_norms(Y[:, 1:]) - Y[:, 0]
+            cone_violation = max(cone_violation, float(slack.max(initial=0.0)))
             if boundary:
-                boundary_drift = float(np.max(np.abs(slack), initial=0.0))
+                boundary_drift = float(np.abs(slack).max(initial=0.0))
 
     report = PropertyReport(
         residual_A2=A2,
@@ -679,10 +699,10 @@ def _norms(*blocks: np.ndarray) -> list[float]:
     finite, but the squares of their entries can overflow: such a block's
     norm is taken again after scaling it by its largest entry."""
     with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(x)) for x in blocks]
+        norms = [_norm(x) for x in blocks]
     for i, x in enumerate(blocks):
-        if norms[i] == math.inf and (s := float(np.max(np.abs(x)))) < math.inf:
-            norms[i] = s * float(np.linalg.norm(x / s))
+        if norms[i] == math.inf and (s := float(np.abs(x).max())) < math.inf:
+            norms[i] = s * _norm(x / s)
     return norms
 
 

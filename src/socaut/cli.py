@@ -39,6 +39,7 @@ from .fileio import (
     parse_factorization,
     parse_matrix,
 )
+from .kernels import _norm
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -69,7 +70,7 @@ def _report(pairs) -> str:
 
 def _relative_residual(A: np.ndarray, B: np.ndarray) -> float:
     """``||A - B||_F / ||B||_F``; B is an accepted matrix, so its norm is positive."""
-    return float(np.linalg.norm(A - B)) / float(np.linalg.norm(B))
+    return _norm(A - B) / _norm(B)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -237,7 +237,7 @@ def _parse_matrix_grid(text: str) -> np.ndarray:
                     f"grid token {idx + 1} ({token!r}) is not a number"
                 ) from None
         raise
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FileFormatError(f"grid token {bad + 1} is not finite")
     k = math.isqrt(len(tokens))

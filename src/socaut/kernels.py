@@ -74,9 +74,7 @@ class RankOneSqrt(FrozenValue):
         once.  Raises ValueError when ``1 + ||c||^2`` overflows; every
         composition builds one."""
         c = as_vector(c, "c", min_len=1)
-        a, beta = _sqrt_coefficients(c)
-        if math.isinf(a):
-            raise ValueError("c must have a finite squared norm, got ||c||^2 = inf")
+        a, beta = _finite_sqrt_coefficients(c)
         root = object.__new__(cls)
         root._set(c=frozen(c), a=a, beta=beta)
         return root
@@ -93,23 +91,40 @@ class RankOneSqrt(FrozenValue):
     def matrix(self) -> np.ndarray:
         """Materialize ``P = I + beta c c^T``."""
         P = np.eye(self.c.size)
-        P += self.beta * np.outer(self.c, self.c)
+        P += self.beta * np.multiply.outer(self.c, self.c)
         return P
 
     def inverse_matrix(self) -> np.ndarray:
         """Materialize ``P^{-1} = I + gamma c c^T``."""
         Q = np.eye(self.c.size)
-        Q += self.gamma * np.outer(self.c, self.c)
+        Q += self.gamma * np.multiply.outer(self.c, self.c)
         return Q
 
 
 def _sqrt_coefficients(c: np.ndarray) -> tuple[float, float]:
     """``(a, beta)`` of ``sqrt(I + c c^T) = I + beta c c^T`` for a finite c,
-    unvalidated; ``a`` is inf, without a warning, when ``||c||^2`` overflows."""
-    with np.errstate(over="ignore"):
-        s = float(c @ c)
+    unvalidated; ``a`` is inf when ``||c||^2`` overflows, which warns unless
+    the caller ignores overflow."""
+    s = float(c @ c)
     a = math.sqrt(1.0 + s)
     return a, 0.0 if s == 0.0 else 1.0 / (a + 1.0)
+
+
+def _finite_sqrt_coefficients(c: np.ndarray) -> tuple[float, float]:
+    """``_sqrt_coefficients(c)``, raising ValueError, without a warning, when
+    ``1 + ||c||^2`` overflows."""
+    with np.errstate(over="ignore"):
+        a, beta = _sqrt_coefficients(c)
+    if math.isinf(a):
+        raise ValueError("c must have a finite squared norm, got ||c||^2 = inf")
+    return a, beta
+
+
+def _norm(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` of a float array, bit for bit and with the
+    same overflow warning: the same arithmetic without its Python dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def sqrt_rank_one(c) -> np.ndarray:
@@ -136,14 +151,14 @@ def householder_to_direction(c) -> np.ndarray:
     """
     c = as_vector(c, "c", min_len=1)
     m = c.size
-    top = float(np.max(np.abs(c)))
+    top = float(np.abs(c).max())
     if top == 0.0:
         return np.eye(m)
     # Scaled by the power of two nearest 1 / max|c| first, so ||c|| neither
     # overflows nor underflows; the scaling is exact, so w gets the bits it had
     # unscaled wherever ||c||^2 is representable.
     w = np.ldexp(c, -math.frexp(top)[1])
-    w /= float(np.linalg.norm(w))
+    w /= _norm(w)
     u0 = float(w[0])
     # w = u - e1.  For u0 > 0 the head u0 - 1 cancels; use the equal
     # -||u[1:]||^2 / (1 + u0), exact to rounding even when u is near e1.
@@ -152,7 +167,7 @@ def householder_to_direction(c) -> np.ndarray:
     if math.sqrt(wnorm2) <= PARALLEL_TOL:
         return np.eye(m)
     V = np.eye(m)
-    V -= (2.0 / wnorm2) * np.outer(w, w)
+    V -= (2.0 / wnorm2) * np.multiply.outer(w, w)
     return V
 
 
@@ -172,7 +187,7 @@ def _orthogonality_residual(M: np.ndarray) -> float:
     """orthogonality_residual of a square float array, unvalidated."""
     G = M.T @ M
     G.reshape(-1)[:: len(G) + 1] -= 1.0  # the diagonal, as a view
-    return float(np.linalg.norm(G))
+    return _norm(G)
 
 
 def _require_orthogonal(
@@ -214,7 +229,8 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     scratch buffer allocated per call.
     """
     m = as_index(m, "m", minimum=1)
-    lower = np.tri(m, dtype=bool)
+    rows = np.arange(m)
+    lower = rows[:, np.newaxis] >= rows
     X = np.zeros((m, m))  # column k: reflector k's x, then v, in rows k..m-1
     X[lower] = rng.standard_normal(m * (m + 1) // 2)
     x0 = X.diagonal().copy()
@@ -225,7 +241,8 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     X.reshape(-1)[:: m + 1] += s * norms
     half = norms * (norms + np.abs(x0))
     half[half == 0.0] = 1.0  # x = 0: v = 0, and T^-1 keeps a unit diagonal
-    Q = np.diag(-s)
+    Q = np.zeros((m, m))
+    Q.reshape(-1)[:: m + 1] = -s
     product = np.empty(m * m)  # V (T (V^T Q)) of each block, in its first r * r entries
     for k0 in reversed(range(0, m, _HAAR_BLOCK)):
         k1 = min(k0 + _HAAR_BLOCK, m)

@@ -27,6 +27,7 @@ from ._validate import (
     as_vector,
     frozen,
 )
+from .kernels import _norm
 
 __all__ = [
     "ConeRegion",
@@ -74,9 +75,12 @@ class SpinVector(FrozenValue):
 
     @classmethod
     def from_array(cls, arr) -> "SpinVector":
-        """Build a SpinVector from a flat coordinate vector of length >= 2."""
+        """Build a SpinVector from a flat coordinate vector of length >= 2,
+        checked once: its head and tail are not checked again."""
         arr = as_vector(arr, "arr", min_len=2)
-        return cls(float(arr[0]), arr[1:])
+        x = object.__new__(cls)
+        x._set(x0=float(arr[0]), xbar=frozen(arr[1:]))
+        return x
 
 
 def jordan_product(x: SpinVector, y: SpinVector) -> SpinVector:
@@ -102,12 +106,20 @@ def cone_classify(x: SpinVector, tol: float = DEFAULT_TOL) -> ConeRegion:
 
     With slack ``s = x0 - ||xbar||`` and scale ``m = max(1, ||x||)``:
     interior when ``s > tol*m``, boundary when ``|s| <= tol*m``, outside
-    otherwise.
+    otherwise.  Both sides are compared on ``x / 2^e``, with ``2^e`` the
+    power of two just above ``max|x_i|`` (but at least ``2^-1022``, so that
+    ``2^-e`` is finite), as ``s / 2^e`` against ``tol * max(2^-e, ||x /
+    2^e||)``: no square in ``||xbar||^2`` then overflows, and the largest does
+    not underflow.  The scaling is exact, so the verdict is the unscaled one
+    wherever ``||xbar||^2`` is representable, and scaling x by a power of two
+    does not change it.
     """
     tol = as_nonnegative_float(tol, "tol")
-    tail_norm = float(np.linalg.norm(x.xbar))
-    slack = x.x0 - tail_norm
-    scale = max(1.0, float(np.hypot(x.x0, tail_norm)))
+    e = max(math.frexp(max(abs(x.x0), float(np.abs(x.xbar).max())))[1], -1022)
+    x0 = math.ldexp(x.x0, -e)
+    tail_norm = _norm(np.ldexp(x.xbar, -e))
+    slack = x0 - tail_norm
+    scale = max(math.ldexp(1.0, -e), float(np.hypot(x0, tail_norm)))
     if slack > tol * scale:
         return ConeRegion.INTERIOR
     if abs(slack) <= tol * scale:

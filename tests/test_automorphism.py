@@ -1336,6 +1336,37 @@ class TestPropertyReport:
         slack, cap = cone_slack_caps(S, rep, interior)
         assert np.all(slack <= cap)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_sampled_cross_check_matches_the_reference_bit_for_bit(self, n):
+        def reference(S, n_samples, seed):
+            # The sampled cross-check through np.linalg.norm(axis=1) and np.max.
+            S_hat = S / math.sqrt(check_automorphism(S).mu)
+            rng = np.random.default_rng(seed)
+            violation = drift = 0.0
+            for boundary in (False, True):
+                G = rng.standard_normal((n_samples, n - 1))
+                norms = np.linalg.norm(G, axis=1)
+                norms[norms == 0.0] = 1.0
+                r = 10.0 - rng.uniform(0.0, 10.0, size=n_samples)
+                X = np.empty((n_samples, n))
+                X[:, 1:] = G * (r / norms)[:, np.newaxis]
+                X[:, 0] = r if boundary else r * (1.0 + (1.0 - rng.random(size=n_samples)))
+                Y = X @ S_hat.T
+                slack = np.linalg.norm(Y[:, 1:], axis=1) - Y[:, 0]
+                violation = max(violation, float(np.max(slack, initial=0.0)))
+                if boundary:
+                    drift = float(np.max(np.abs(slack), initial=0.0))
+            return violation, drift
+
+        for seed in range(6):
+            S = sample_automorphism(n, alpha_max=30.0, nu_range=(0.5, 2.0), seed=seed)
+            if seed % 2:
+                S[n - 1, 0] += 1e-6  # a non-member: positive slacks
+            for n_samples in (1, 64, 500):
+                rep = property_report(S, n_samples, seed)
+                got = (rep.cone_violation_max, rep.boundary_drift_max)
+                assert got == reference(S, n_samples, seed), (seed, n_samples)
+
     def test_deterministic_in_seed(self):
         S = sample_automorphism(4, seed=77)
         a = property_report(S, n_samples=500, seed=3)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import json
+import shutil
 import subprocess
 import sys
 
@@ -575,6 +576,24 @@ class TestProcessLevel:
         results = tmp_path / "out" / "results"
         assert len({p.stem for p in results.iterdir()}) == 77
         assert (results / "check_gaussian.exit").read_text() == "0\n"
+
+    def test_cli_corpus_against_another_tree_lists_each_differing_file(self, tmp_path):
+        # The other tree exits 3 where this one exits 2: only those .exit files differ.
+        other = tmp_path / "other"
+        shutil.copytree(ROOT / "src" / "socaut", other / "socaut")
+        cli_py = other / "socaut" / "cli.py"
+        cli_py.write_text(cli_py.read_text().replace("EXIT_MALFORMED = 2", "EXIT_MALFORMED = 3"))
+        out = tmp_path / "out"
+        argv = [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(out)]
+        proc = subprocess.run([*argv, "--against", str(other)], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        listed = [line.strip() for line in proc.stdout.splitlines() if line.startswith("  ")]
+        malformed = {
+            p.name for p in (out / "against" / "results").glob("*.exit") if p.read_text() == "3\n"
+        }
+        assert malformed and set(listed) == malformed
+        assert f"{len(malformed)} result file(s) differ" in proc.stdout
+        assert not (out / "against" / "inputs").exists()  # the second run read out/inputs
 
     def test_pipe_sample_to_check(self, tmp_path):
         sample = run_socaut("sample", "3", "1", "--seed", "4")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,48 @@ class TestOrthogonalityResidual:
     )
     def test_gram_overflow_is_inf_without_a_warning(self, M):
         assert orthogonality_residual(np.array(M)) == math.inf
+
+
+def _norm_cases():
+    rng = np.random.default_rng(41)
+    E = rng.standard_normal((6, 5))
+    return {
+        "vector": rng.standard_normal(7),
+        "C-ordered": E,
+        "F-ordered": np.asfortranarray(E),
+        "transposed": E.T,
+        "strided column": E[1:, 0],
+        "strided row": E[0, ::2],
+        "block": E[1:, 1:],
+        "empty": np.zeros(0),
+        "nan": np.array([1.0, np.nan, 2.0]),
+        "squares overflow": np.array([1e200, -3e180, 2e200]),
+        "squares underflow": np.array([3e-170, 1e-200]),
+    }
+
+
+class TestNorm:
+    """``kernels._norm`` is np.linalg.norm of a float array, without the wrapper."""
+
+    @pytest.mark.parametrize("name", list(_norm_cases()))
+    def test_equals_linalg_norm_bit_for_bit_with_the_same_warnings(self, name):
+        x = _norm_cases()[name]
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = float(np.linalg.norm(x))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = kernels._norm(x)
+        assert type(got) is float
+        assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert [(w.category, str(w.message)) for w in got_warnings] == [
+            (w.category, str(w.message)) for w in want_warnings
+        ]
+
+    def test_overflow_warns_like_linalg_norm(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert kernels._norm(np.array([1e200, 1e200])) == math.inf
 
 
 def stewart_reference(normals: np.ndarray, m: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,65 @@ class TestConeClassify:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             cone_classify(unit(3), tol=-1e-9)
+
+    @pytest.mark.parametrize(
+        "x0,xbar,region",
+        [
+            (2e200, [1e200, 0.0], ConeRegion.INTERIOR),
+            (1e200, [2e200, 0.0], ConeRegion.OUTSIDE),
+            (1e200, [1e200, 0.0], ConeRegion.BOUNDARY),
+            (1.5e308, [1e308, 0.0], ConeRegion.INTERIOR),
+            (1e308, [1.5e308, 1e308], ConeRegion.OUTSIDE),
+        ],
+    )
+    def test_tail_whose_square_overflows(self, x0, xbar, region):
+        # ||xbar||^2 overflows; warnings are errors in this suite.
+        assert cone_classify(SpinVector(x0, xbar)) is region
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_three_regions_at_every_power_of_two_scale(self, tol):
+        # Slacks +1, 0, -1 against ||xbar|| = 13, exact at every scale 2^k.
+        xbar = np.array([3.0, 4.0, 12.0])
+        base = {14.0: ConeRegion.INTERIOR, 13.0: ConeRegion.BOUNDARY, 12.0: ConeRegion.OUTSIDE}
+        for k in range(-1000, 1001, 25):
+            for x0, region in base.items():
+                x = SpinVector(math.ldexp(x0, k), np.ldexp(xbar, k))
+                norm = math.hypot(x0, 13.0)
+                # Outside the band when 2^k |slack| > tol max(1, 2^k ||x||).
+                clear = 2.0**k > tol * max(1.0, 2.0**k * norm)
+                want = region if clear else ConeRegion.BOUNDARY
+                assert cone_classify(x, tol) is want, (k, x0)
+
+    def test_verdict_is_the_unscaled_one_near_the_band_edge(self):
+        # Points whose slack sits within a few ulps of the margin tol * m, at
+        # scales where ||xbar||^2 is representable: the verdict must be the one
+        # the unscaled formula gives, bit for bit.
+        def unscaled(x, tol):
+            tail_norm = float(np.linalg.norm(x.xbar))
+            slack = x.x0 - tail_norm
+            scale = max(1.0, float(np.hypot(x.x0, tail_norm)))
+            if slack > tol * scale:
+                return ConeRegion.INTERIOR
+            if abs(slack) <= tol * scale:
+                return ConeRegion.BOUNDARY
+            return ConeRegion.OUTSIDE
+
+        rng = np.random.default_rng(43)
+        seen = set()
+        for _ in range(3000):
+            m = int(rng.integers(1, 6))
+            tol = float(rng.choice([0.0, 1e-12, 1e-9, 1e-3]))
+            xbar = rng.standard_normal(m) * 10.0 ** rng.uniform(-140.0, 140.0)
+            tail_norm = float(np.linalg.norm(xbar))
+            edge = tail_norm + float(rng.choice([-1.0, 1.0])) * tol * max(1.0, tail_norm)
+            x0 = float(np.nextafter(edge, math.inf * rng.choice([-1.0, 1.0])))
+            for _ in range(int(rng.integers(0, 4))):
+                x0 = float(np.nextafter(x0, math.inf * rng.choice([-1.0, 1.0])))
+            x = SpinVector(x0, xbar)
+            want = unscaled(x, tol)
+            assert cone_classify(x, tol) is want
+            seen.add(want)
+        assert seen == set(ConeRegion)
 
 
 class TestSignatureAndUnit:

@@ -1,6 +1,6 @@
 """Run a fixed corpus of 77 socaut commands and record what each one prints.
 
-    python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR]
+    python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR] [--against OTHER]
 
 Every command runs through ``socaut.cli.main`` in this one process, with
 socaut imported from SRC (default: this checkout's ``src``).  The input
@@ -8,16 +8,23 @@ documents go to ``OUTDIR/inputs``; each command writes its exit code,
 standard output and standard error to ``OUTDIR/results/LABEL.exit``,
 ``LABEL.stdout`` and ``LABEL.stderr``.  An exception that escapes
 ``cli.main`` is recorded as that command's result, the way a process would
-end: exit code 1 and the traceback on standard error.  To compare two trees,
-run the script against each tree's ``src`` into two directories and
-``diff -r`` them.
+end: exit code 1 and the traceback on standard error.
+
+``--against OTHER`` compares two trees: after the run above, the corpus runs
+again, in a fresh process, on the socaut imported from OTHER (another tree's
+``src``), reading the same input documents and writing its results to
+``OUTDIR/against/results``.  The script then lists every result file that
+differs between the two runs, or is missing from one, and exits 1 if there
+is any; it exits 0 when all are byte-identical, and 2 when the second run
+fails.  A recorded traceback names its own tree's files, so a command whose
+exception escapes differs between any two checkouts.
 
 The member matrices come from ``sample_automorphism``, so a tree whose
 sampler rounds differently writes different inputs, and every output derived
 from them differs too.  ``--inputs DIR`` reads the input documents from DIR
-(for instance the first run's ``OUTDIR/inputs``) instead of writing them, so
-both trees run on identical inputs; only the ``sample_*`` commands then
-depend on the sampler.
+(for instance another run's ``OUTDIR/inputs``) instead of writing them.  The
+second run of ``--against`` reads the first run's inputs this way, so only
+the ``sample_*`` commands depend on each tree's sampler.
 
 The corpus: ``check``, ``factor`` (both forms), ``verify`` and
 ``verify --samples 2000 --seed 0|3`` on five matrices (an n = 300 member,
@@ -49,6 +56,7 @@ import argparse
 import contextlib
 import io
 import json
+import subprocess
 import sys
 import traceback
 import warnings
@@ -214,14 +222,21 @@ def main(argv: list[str] | None = None) -> int:
         help="read the input documents from this directory (another run's OUTDIR/inputs) "
         "instead of writing them",
     )
+    parser.add_argument(
+        "--against",
+        type=Path,
+        help="also run the corpus on the socaut imported from this directory, on the same "
+        "inputs, and list every result file that differs (exit 1 if any)",
+    )
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from socaut import cli
 
+    inputs = args.outdir / "inputs" if args.inputs is None else args.inputs
     if args.inputs is None:
-        paths = write_inputs(args.outdir / "inputs")
+        paths = write_inputs(inputs)
     else:
-        paths = input_paths(args.inputs)
+        paths = input_paths(inputs)
         missing = [str(p) for p in paths.values() if not p.is_file()]
         if missing:
             parser.error(f"missing input document(s): {', '.join(missing)}")
@@ -245,7 +260,33 @@ def main(argv: list[str] | None = None) -> int:
         (results / f"{label}.stdout").write_text(out.getvalue())
         (results / f"{label}.stderr").write_text(err.getvalue())
     print(f"{len(corpus)} commands run; results in {results}")
-    return 0
+    if args.against is None:
+        return 0
+    other = args.outdir / "against"
+    rerun = [sys.executable, __file__, str(other), "--src", str(args.against)]
+    if subprocess.run([*rerun, "--inputs", str(inputs)]).returncode != 0:
+        print(f"error: the corpus run under {args.against} failed", file=sys.stderr)
+        return 2
+    differ = differing(results, other / "results")
+    if not differ:
+        print(f"no differences: every result file is byte-identical under {args.against}")
+        return 0
+    print(f"{len(differ)} result file(s) differ under {args.against}:")
+    for name in differ:
+        print(f"  {name}")
+    return 1
+
+
+def differing(left: Path, right: Path) -> list[str]:
+    """Names of the files in either directory that the other lacks or holds
+    with other bytes, sorted."""
+    names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
+    return [
+        name
+        for name in names
+        if not ((left / name).is_file() and (right / name).is_file())
+        or (left / name).read_bytes() != (right / name).read_bytes()
+    ]
 
 
 if __name__ == "__main__":
