@@ -14,8 +14,8 @@ with nu > 0, c in R^(n-1), a = sqrt(1 + ||c||^2), P = sqrt(I + c c^T),
 alpha = ||c||, c = alpha V e1, V and U orthogonal, and T_alpha the
 hyperbolic boost.  This module implements the membership test, both
 factorizations, their inverses (composition), a seeded sampler, and a
-residual report for the block identities behind the factorization, with a
-sample-free bound on how far any cone point can be pushed out.
+residual report of the congruence defect, with a sample-free bound on how
+far any cone point can be pushed out.
 
 Membership is decided once, in ``_check``, by recovering the compact
 factors (see check_automorphism); factor_compact returns the factors that
@@ -23,8 +23,9 @@ test recovered, so the two cannot disagree.  Only ``V e1 = c / alpha``
 enters the canonical product, so the canonical form is a view of the
 compact one: both store ``(nu, c, U)``, and the canonical form derives alpha
 and V on access.  Both compositions run one O(n^2) blockwise assembly of the
-compact form.  ``_verify`` holds verify's gates and forms the congruence
-defects of S / nu once.  Each orthogonal factor's residual
+compact form.  ``_verify`` holds verify's gates and reads the congruence
+defect of S / nu off the parts ``_check`` recovered, in O(n^2): U's Gram
+defect and the first-row defect.  Each orthogonal factor's residual
 ``||M^T M - I||_F`` is measured at most once and kept by its factorization:
 ``_check`` measures the U it recovers, the canonical constructor a caller's
 or a loaded V, and a caller-built or loaded U is measured where it is first
@@ -53,7 +54,7 @@ from .kernels import (
     RankOneSqrt,
     _finite_sqrt_coefficients,
     _norm,
-    _orthogonality_residual,
+    _gram_defect,
     _require_orthogonal,
     _sqrt_coefficients,
     haar_orthogonal,
@@ -278,21 +279,21 @@ class CanonicalFactorization(_Factorization):
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Residuals of five block identities, a cone certificate, and optional
+    """Residuals of two block identities, a cone certificate, and optional
     sampled cone-image statistics.
 
     Membership makes the normalized S_hat = S / nu = [[a, b^T], [c, D]]
-    satisfy six identities:
+    satisfy three identities:
 
-        A1: a = sqrt(1 + ||c||^2)     B1: a = sqrt(1 + ||b||^2)
-        A2: a b = D^T c               B2: a c = D b
-        A3: D^T D = I + b b^T         B3: D D^T = I + c c^T
+        A1: a = sqrt(1 + ||c||^2)
+        A2: a b = D^T c
+        A3: D^T D = I + b b^T
 
-    The A family are the blocks of E = S_hat^T J S_hat - J, the B family
-    those of F = S_hat J S_hat^T - J: A2 and A3 are the norms of E's lower
-    blocks ``E[1:, 0]`` and ``E[1:, 1:]``, B2 and B3 those of F's, and B1 is
-    read off the first row.  A1 is not reported: nu^2 is read off the first
-    column, so the normalization makes A1 hold by construction.
+    They are the blocks of E = S_hat^T J S_hat - J: A2 and A3 are the norms
+    of its lower blocks ``E[1:, 0]`` and ``E[1:, 1:]``.  A1 is not reported:
+    nu^2 is read off the first column, so the normalization makes A1 hold by
+    construction.  For invertible S, ``S^T J S = mu J`` iff ``S J S^T = mu J``,
+    so E alone decides membership.
 
     ``cone_slack_bound`` is ``2 ||E||_F / (a^2 - ||b||^2)``, or inf when the
     denominator is <= 0; for y = S x every cone point x has a slack
@@ -304,22 +305,13 @@ class PropertyReport:
 
     residual_A2: float
     residual_A3: float
-    residual_B1: float
-    residual_B2: float
-    residual_B3: float
     cone_violation_max: float
     boundary_drift_max: float
     cone_slack_bound: float
 
     def max_identity_residual(self) -> float:
-        """Largest of the five identity residuals."""
-        return max(
-            self.residual_A2,
-            self.residual_A3,
-            self.residual_B1,
-            self.residual_B2,
-            self.residual_B3,
-        )
+        """Largest of the two identity residuals."""
+        return max(self.residual_A2, self.residual_A3)
 
 
 def split_blocks(S) -> BlockView:
@@ -329,23 +321,6 @@ def split_blocks(S) -> BlockView:
     """
     S = as_square_matrix(S, "S", min_n=2)
     return BlockView(a=float(S[0, 0]), b=S[0, 1:], c=S[1:, 0], D=S[1:, 1:])
-
-
-def _congruence(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(S^T J S - J, S J S^T - J)`` for a validated n x n S, which only
-    verify's report forms.  Each product is a rank-one term minus a Gram
-    matrix: ``S[0]^T S[0] - S[1:]^T S[1:]`` and
-    ``S[:,0] S[:,0]^T - S[:,1:] S[:,1:]^T``.  NumPy runs ``A.T @ A`` as a
-    symmetric rank-k update, about twice as fast as a general product."""
-    left = S[0, :, np.newaxis] * S[0]
-    left -= S[1:].T @ S[1:]
-    right = S[:, 0, np.newaxis] * S[:, 0]
-    right -= S[:, 1:] @ S[:, 1:].T
-    for M in (left, right):
-        d = M.reshape(-1)[:: len(M) + 1]  # a view of the diagonal
-        d[0] -= 1.0
-        d[1:] += 1.0
-    return left, right
 
 
 def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
@@ -366,16 +341,17 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     return _check(S, as_nonnegative_float(tol, "tol"))[0]
 
 
-def _check(
-    S: np.ndarray, tol: float
-) -> tuple[AutCheckResult, tuple[float, np.ndarray, np.ndarray, float] | str]:
-    """check_automorphism on validated input, with the recovered ``(nu, c, U)``
-    and U's residual ``||U^T U - I||_F`` when it accepts, or else a message
-    naming the gates that rejected."""
+def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str]:
+    """check_automorphism on validated input.  Returns the result, the
+    recovered parts ``(nu, c, U, ortho, a, G, v, d)`` whenever they are
+    finite (else None), and a message naming the gates that rejected ('' on
+    accept).  ``G = U^T U - I`` and ``ortho = ||G||_F``; ``v = U^T c``, read
+    as ``D^T c / a``, and ``d = b - v`` is the first-row defect."""
     head = float(S[0, 0])
     cone_forward = head > 0.0
     m = len(S) - 1
     res = ortho = defect = a = math.inf
+    parts = None
     # Overflow (mu, or D / nu beside a tiny first column) leaves inf or nan: res is inf.
     with np.errstate(over="ignore", invalid="ignore"):
         mu = head * head - float(S[1:, 0] @ S[1:, 0])
@@ -386,26 +362,32 @@ def _check(
         if a < math.inf:
             U = S[1:, 1:] / nu  # the D block
             cD = c @ U
-            # d = b - D^T c / a; U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
-            defect = _norm(S[0, 1:] / nu - cD / a)
+            v = cD / a
+            d = S[0, 1:] / nu - v
+            defect = _norm(d)
+            # U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
             U += _scaled_outer(c, cD, -beta / a)
-            ortho = _orthogonality_residual(U)
+            G = _gram_defect(U)
+            ortho = _norm(G)
     if math.isfinite(ortho + defect):
         res = max(ortho / m, defect / a)
+        parts = (nu, c, U, ortho, a, G, v, d)
+    # Only finite factors are accepted: tol * m can overflow, and inf <= inf.
+    accept = parts is not None and mu > tol and ortho <= tol * m and defect <= tol * a
     check = AutCheckResult(
-        is_automorphism=mu > tol and ortho <= tol * m and defect <= tol * a and cone_forward,
+        is_automorphism=accept and cone_forward,
         mu=mu,
         residual_congruence=res,
         cone_forward=cone_forward,
     )
     if check.is_automorphism:
-        return check, (nu, c, U, ortho)
+        return check, parts, ""
     reasons = []
     if not mu > tol:
         reasons.append(f"congruence scale mu={mu:.6g} <= tol {tol:.3g}")
     if not cone_forward:
         reasons.append("cone-reversing: (S e)_0 <= 0")
-    if res == math.inf:  # nothing finite recovered: mu <= 0 said so above, unless mu is inf
+    if parts is None:  # nothing finite recovered: mu <= 0 said so above, unless mu is inf
         if mu > tol:
             reasons.append(f"no finite factors at mu={mu:.6g}")
     elif not ortho / m <= max(tol, defect / a):
@@ -415,7 +397,7 @@ def _check(
         )
     elif not defect <= tol * a:
         reasons.append(f"first-row defect ||d|| {defect:.3e} > {tol * a:.3e}")
-    return check, "; ".join(reasons)
+    return check, parts, "; ".join(reasons)
 
 
 def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
@@ -448,12 +430,12 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
     gate that decided.
     """
     S = as_square_matrix(S, "S", min_n=2)
-    check, found = _check(S, as_nonnegative_float(tol, "tol"))
+    check, parts, reasons = _check(S, as_nonnegative_float(tol, "tol"))
     if not check.is_automorphism:
-        raise NotAutomorphismError("cannot factor: " + found, check)
-    nu, c, U, ortho = found
-    # The gate makes nu positive and c finite, and U too unless tol * m overflows.
-    return _wrap(CompactFactorization, nu, c, as_square_matrix(U, "U"), {"U": ortho})
+        raise NotAutomorphismError("cannot factor: " + reasons, check)
+    nu, c, U, ortho = parts[:4]
+    del parts  # check's Gram matrix goes before _wrap copies U
+    return _wrap(CompactFactorization, nu, c, U, {"U": ortho})
 
 
 def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
@@ -604,73 +586,91 @@ def _sample_cone_points(
 
 
 def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
-    """Evaluate five block identities and the cone certificate for S.
+    """Evaluate two block identities and the cone certificate for S.
 
-    S is normalized once: ``S_hat = S / sqrt(mu)``, with mu the congruence
-    scale that check_automorphism reports.  The residuals are raw norms of
-    the blocks of E = S_hat^T J S_hat - J and F = S_hat J S_hat^T - J, both
-    formed on that matrix S_hat = [[a, b^T], [c, D]] (see PropertyReport,
-    which also says why A1 is not reported).  Gross non-automorphisms
-    (``mu <= 0``, no finite factors, as when S_hat overflows, cone-reversing)
-    raise NotAutomorphismError; tolerance-level failures still produce a
-    report — that is the diagnostic purpose of this function.
+    The residuals are raw norms of the lower blocks of E = S_hat^T J S_hat - J
+    for ``S_hat = S / sqrt(mu) = [[a', b^T], [c, D]]``, with mu the
+    congruence scale that check_automorphism reports (see PropertyReport,
+    which also says why A1 is not reported).  E is read off the parts the
+    membership test recovered, in O(n^2), without forming S_hat: with
+    ``U = P^{-1} D``, ``G = U^T U - I``, ``v = U^T c`` and the first-row
+    defect ``d = b - v``, the identities ``D^T c = a v`` and
+    ``D^T D = U^T U + v v^T`` give
 
-    ``cone_slack_bound`` is ``2 ||E||_F / (a^2 - ||b||^2)``, with the head
-    ``a^2 - ||b||^2`` read off F + J.  Why it bounds the slack of every cone
-    point x (x0 >= ||xbar||), with y = S_hat x:
+        E[0, 0] = a'^2 - ||c||^2 - 1,   E[1:, 0] = a' b - a v,
+        E[1:, 1:] = -G + v d^T + d b^T.
+
+    Gross non-automorphisms (``mu`` not positive or not finite, no finite
+    factors, as when S_hat overflows, cone-reversing) raise
+    NotAutomorphismError; tolerance-level failures still produce a report —
+    that is the diagnostic purpose of this function.
+
+    ``cone_slack_bound`` is ``2 ||E||_F / (a'^2 - ||b||^2)``, with the head
+    read off row 0.  Why it bounds the slack of every cone point x
+    (x0 >= ||xbar||), with y = S_hat x:
 
     1. ``y0^2 - ||ybar||^2 = x^T J x + x^T E x >= -||E||_2 ||x||^2
        >= -2 ||E||_F x0^2``, using ``||E||_2 <= ||E||_F`` and
        ``||x||^2 <= 2 x0^2``; on the boundary ``x^T J x = 0``, so
        ``|y0^2 - ||ybar||^2| <= 2 ||E||_F x0^2``.
-    2. ``y0 = a x0 + b . xbar >= x0 (a - ||b||)``, which is > 0 whenever the
+    2. ``y0 = a' x0 + b . xbar >= x0 (a' - ||b||)``, which is > 0 whenever the
        bound is finite.
     3. Hence ``||ybar|| - y0 = (||ybar||^2 - y0^2) / (||ybar|| + y0)
-       <= 2 ||E||_F x0 / (a - ||b||) = cone_slack_bound * (a + ||b||) x0``,
+       <= 2 ||E||_F x0 / (a' - ||b||) = cone_slack_bound * (a' + ||b||) x0``,
        and the same for ``| ||ybar|| - y0 |`` on the boundary.
 
     This is the S-lemma view of cone-preserving maps (Loewy & Schneider,
     "Positive operators on the n-dimensional ice cream cone", J. Math. Anal.
     Appl. 49, 1975).
 
-    Sampling is an opt-in cross-check: with ``n_samples > 0``, ``n_samples``
-    interior and ``n_samples`` boundary points (seeded) are mapped through
-    S_hat (the cone is scale-invariant, and this keeps the absolute slacks
-    meaningful at any mu): ``cone_violation_max`` is the largest positive
-    slack ``||ybar|| - y0`` over all images, ``boundary_drift_max`` the
-    largest ``| ||ybar|| - y0 |`` over boundary images.  Both are 0 when
-    ``n_samples`` is 0, the default.
+    Sampling is an opt-in cross-check: with ``n_samples > 0``, S_hat is
+    formed and ``n_samples`` interior and ``n_samples`` boundary points
+    (seeded) are mapped through it (the cone is scale-invariant, and this
+    keeps the absolute slacks meaningful at any mu): ``cone_violation_max``
+    is the largest positive slack ``||ybar|| - y0`` over all images,
+    ``boundary_drift_max`` the largest ``| ||ybar|| - y0 |`` over boundary
+    images.  Both are 0 when ``n_samples`` is 0, the default.
     """
     return _verify(S, DEFAULT_TOL, n_samples, seed)[1]
 
 
 def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bool]:
-    """socaut verify: check, property_report off its residuals, the gates (all <= tol)."""
+    """socaut verify: check, property_report off the parts it recovered, the
+    gates (all <= tol)."""
     S = as_square_matrix(S, "S", min_n=2)
     tol = as_nonnegative_float(tol, "tol")
     n_samples = as_index(n_samples, "n_samples", minimum=0)
     seed = as_index(seed, "seed", minimum=0)
-    check = _check(S, tol)[0]
+    check, parts, _ = _check(S, tol)
     mu = check.mu
-    if not math.isfinite(mu) or mu <= 0.0:
+    if mu <= 0.0:
         raise NotAutomorphismError(
             f"congruence scale mu={mu:.6g} is not positive; cannot normalize", check
         )
-    # A finite check residual takes finite c, D / nu and b / nu, so S_hat is finite.
-    if check.residual_congruence == math.inf:
+    if not mu < math.inf:  # inf, or nan when both squares overflow
+        raise NotAutomorphismError(
+            f"congruence scale mu={mu:.6g} is not finite; cannot normalize", check
+        )
+    if parts is None:
         raise NotAutomorphismError(f"no finite factors at mu={mu:.6g}; cannot normalize", check)
     if not check.cone_forward:
         raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0", check)
-    S_hat = S / math.sqrt(mu)
-    E, F = _congruence(S_hat)
-    head = 1.0 + float(F[0, 0])  # a^2 - ||b||^2
-
-    a, b = float(S_hat[0, 0]), S_hat[0, 1:]
-    norm_E, A2, A3, B2, B3 = _norms(E, E[1:, 0], E[1:, 1:], F[1:, 0], F[1:, 1:])
+    nu, c = parts[:2]
+    a, G, v, d = parts[4:]
+    del parts  # U: only its Gram matrix G is needed
+    a1, b = float(S[0, 0]) / nu, S[0, 1:] / nu  # the first row of S_hat
+    # E from the parts (see property_report); G becomes -E[1:, 1:] in place,
+    # with v d^T + d b^T formed as one rank-2 product.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G -= np.array((v, d)).T @ np.array((d, b))
+        A2, A3 = _norms(a1 * b - a * v, G)
+        norm_E = math.hypot(a1 * a1 - float(c @ c) - 1.0, A2, A2, A3)  # E is symmetric
+        head = a1 * a1 - float(b @ b)
     slack_bound = 2.0 * norm_E / head if head > 0.0 else math.inf
 
     cone_violation = boundary_drift = 0.0
     if n_samples > 0:
+        S_hat = S / nu
         rng = np.random.default_rng(seed)
         for boundary in (False, True):  # interior first: the seeded draw order is fixed
             Y = _sample_cone_points(rng, len(S), n_samples, boundary) @ S_hat.T
@@ -682,22 +682,18 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
     report = PropertyReport(
         residual_A2=A2,
         residual_A3=A3,
-        residual_B1=abs(a - math.sqrt(1.0 + float(b @ b))),
-        residual_B2=B2,
-        residual_B3=B3,
         cone_violation_max=cone_violation,
         boundary_drift_max=boundary_drift,
         cone_slack_bound=slack_bound,
     )
-    gated = (report.max_identity_residual(), slack_bound, cone_violation, boundary_drift)
+    gated = (A2, A3, slack_bound, cone_violation, boundary_drift)
     return check, report, check.is_automorphism and all(v <= tol for v in gated)
 
 
 def _norms(*blocks: np.ndarray) -> list[float]:
-    """``np.linalg.norm`` of each block, without an overflow warning.  The
-    check's gates keep S_hat's entries below about 1e154, so E and F are
-    finite, but the squares of their entries can overflow: such a block's
-    norm is taken again after scaling it by its largest entry."""
+    """``np.linalg.norm`` of each block, without an overflow warning.  A block
+    whose entries are finite can still have squares that overflow: its norm
+    is taken again after scaling it by its largest entry."""
     with np.errstate(over="ignore"):
         norms = [_norm(x) for x in blocks]
     for i, x in enumerate(blocks):

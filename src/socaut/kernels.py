@@ -178,16 +178,17 @@ def orthogonality_residual(M) -> float:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be a square matrix, got shape {M.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _orthogonality_residual(M)
+        residual = _norm(_gram_defect(M))
     # Overflowing products of both signs can sum to inf - inf = nan, which no gate refuses.
     return math.inf if math.isnan(residual) else residual
 
 
-def _orthogonality_residual(M: np.ndarray) -> float:
-    """orthogonality_residual of a square float array, unvalidated."""
+def _gram_defect(M: np.ndarray) -> np.ndarray:
+    """``M^T M - I`` of a square float array, unvalidated: the Gram matrix
+    behind every orthogonality residual."""
     G = M.T @ M
     G.reshape(-1)[:: len(G) + 1] -= 1.0  # the diagonal, as a view
-    return _norm(G)
+    return G
 
 
 def _require_orthogonal(

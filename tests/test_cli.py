@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -27,12 +28,13 @@ from socaut import (
 )
 from socaut.cli import main
 from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization, parse_matrix
-from socaut.automorphism import CompactFactorization
+from socaut.automorphism import CompactFactorization, PropertyReport
 
 from conftest import ROOT, rel_fro, run_socaut
 
 
-IDENTITY_RESIDUALS = ("residual_A2", "residual_A3", "residual_B1", "residual_B2", "residual_B3")
+REPORT_FIELDS = [field.name for field in dataclasses.fields(PropertyReport)]
+IDENTITY_RESIDUALS = [name for name in REPORT_FIELDS if name.startswith("residual_")]
 
 #: A tiny first column beside a huge D: D / nu overflows.
 OVERFLOWING_GRID = "1e-150 0\n0 1e300\n"
@@ -70,6 +72,17 @@ class TestCheck:
         report = parse_report(capsys.readouterr().out)
         assert report["residual_congruence"] == "inf"
         assert report["is_automorphism"] == "false"
+
+    def test_infinite_mu_reports_without_a_traceback(self, tmp_path, capsys):
+        # mu = inf (the head's square overflows), and tol * m overflows too.
+        p = tmp_path / "inf.txt"
+        p.write_text("2e154 0 0\n1e154 1e308 1e308\n0 1e308 1e308\n")
+        assert main(["check", str(p), "--tol", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = parse_report(captured.out)
+        assert report["is_automorphism"] == "false"
+        assert report["mu"] == report["residual_congruence"] == "inf"
 
     def test_rejects_diagonal_stretch(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
@@ -283,7 +296,9 @@ class TestVerify:
         assert main(["verify", str(boost_file), "--samples", "200"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["all_within_tol"] == "true"
-        assert len(report) == 11  # mu, the check's residual, 8 report fields, the verdict
+        # mu, the check's residual, the report's fields, the verdict
+        assert list(report) == ["mu", "residual_congruence", *REPORT_FIELDS, "all_within_tol"]
+        assert len(report) == 8
         assert "residual_A1" not in report  # S / nu makes A1 hold by construction
         for key in IDENTITY_RESIDUALS:
             assert float(report[key]) <= 1e-12
@@ -331,6 +346,11 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: congruence scale mu=-0.99 is not positive" in captured.err
+        p.write_text(dumps_matrix(1e200 * np.eye(3)))  # mu = inf: positive, not finite
+        assert main(["verify", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: congruence scale mu=inf is not finite; cannot normalize" in captured.err
 
     def test_overflowing_normalization_exits_1_before_report(self, tmp_path, capsys):
         p = tmp_path / "tiny.txt"
@@ -399,10 +419,10 @@ class TestVerify:
 
     def test_cone_slack_bound_gates_on_its_own(self, tmp_path, capsys):
         # At alpha = 1.5e3 check accepts this member and each identity
-        # residual stays within tol (A2 4.4e-10, A3 4.9e-10).  The
+        # residual stays within tol (A2 2.7e-10, A3 3.7e-10).  The
         # certificate is 2 ||E||_F over a^2 - ||b||^2 = 1, and E's blocks add
         # up (E is symmetric, so A2 counts twice; its corner reads 0 here) to
-        # ||E||_F = 7.9e-10: the certificate, 1.6e-9, alone crosses tol.
+        # ||E||_F = 7.1e-10: the certificate, 1.4e-9, alone crosses tol.
         # U comes from a local Gaussian QR, so the sampler's stream cannot move these numbers.
         rng = np.random.default_rng(3)
         direction = rng.standard_normal(49)
@@ -444,11 +464,11 @@ class TestGateSites:
 
             return wrapped
 
-        # The public orthogonality_residual measures through kernels' private one.
-        public = counting("loaded", kernels._orthogonality_residual)
-        check = counting("recovered", automorphism._orthogonality_residual)
-        monkeypatch.setattr(kernels, "_orthogonality_residual", public)
-        monkeypatch.setattr(automorphism, "_orthogonality_residual", check)
+        # The public orthogonality_residual measures through kernels' Gram helper.
+        public = counting("loaded", kernels._gram_defect)
+        check = counting("recovered", automorphism._gram_defect)
+        monkeypatch.setattr(kernels, "_gram_defect", public)
+        monkeypatch.setattr(automorphism, "_gram_defect", check)
         return calls
 
     def test_sample_runs_no_gate(self, gates):
