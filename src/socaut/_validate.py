@@ -10,7 +10,8 @@ import numpy as np
 
 #: Default tolerance for every gate in the package.  Each gate states its own
 #: scaling where it is applied: ``spin.cone_classify``,
-#: ``kernels._require_orthogonal`` and ``automorphism._check``/``_verify``.
+#: ``kernels._require_orthogonal``, ``automorphism._check``/``_verify`` and
+#: ``fileio.parse_factorization`` (a document's V).
 DEFAULT_TOL = 1e-9
 
 
@@ -96,11 +97,16 @@ def frozen(A) -> np.ndarray:
 
 class FrozenValue:
     """Base of the package's immutable value types (frozen dataclasses).  Each
-    constructor freezes its array fields with ``frozen``, and copies and
-    pickles go through the constructor, so they are frozen too."""
+    constructor takes exactly the fields it stores, derives the rest, and
+    freezes its array fields with ``frozen``.  Copies and pickles go through
+    the constructor, so they are frozen too, and keep what was measured on
+    the frozen fields (attributes that are not fields) as their state."""
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+        names = {field.name for field in fields(self)}
+        kept = {k: v for k, v in vars(self).items() if k not in names}
+        args = tuple(getattr(self, field.name) for field in fields(self) if field.init)
+        return type(self), args, kept or None
 
     def _set(self, **values) -> None:
         """Store validated field values on the frozen instance."""

@@ -21,21 +21,23 @@ Membership is decided once, in ``_check``, by recovering the compact
 factors (see check_automorphism); factor_compact returns the factors that
 test recovered, so the two cannot disagree.  Only ``V e1 = c / alpha``
 enters the canonical product, so the canonical form is a view of the
-compact one: both store ``(nu, c, U)``, and the canonical form derives alpha
-and V on access.  Both compositions run one O(n^2) blockwise assembly of the
-compact form.  ``_verify`` holds verify's gates and reads the congruence
-defect of S / nu off the parts ``_check`` recovered, in O(n^2): U's Gram
-defect and the first-row defect.  Each orthogonal factor's residual
-``||M^T M - I||_F`` is measured at most once and kept by its factorization:
-``_check`` measures the U it recovers, the canonical constructor a caller's
-or a loaded V, and a caller-built or loaded U is measured where it is first
-gated (file load or compose_*).
+compact one: both are built from and store ``(nu, c, U)``, and the canonical
+form derives alpha and V on access.  Both compositions run one O(n^2)
+blockwise assembly of the compact form.  ``_verify`` holds verify's gates
+and reads the congruence defect of S / nu off the parts ``_check``
+recovered, in O(n^2): U's Gram defect and the first-row defect.  U's
+residual ``||U^T U - I||_F`` is measured at most once and kept by its
+factorization: ``_check`` measures the U it recovers, and a caller-built or
+loaded U is measured where it is first gated (file load or compose_*).  A
+full V enters only from a canonical document, where fileio measures and
+gates it as it reduces V to c.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,12 +159,12 @@ class AutCheckResult:
 
 @dataclass(frozen=True, eq=False)
 class _Factorization(FrozenValue):
-    """Base of the two factorization forms.  Both store the compact factors
-    ``nu``, ``c`` and ``U``, validated here when they come from a caller, a
-    document, a copy or a pickle; factor_* results carry the factors their
-    membership gate just checked (see ``_wrap``).  Frozen arrays keep the
-    residual ``||M^T M - I||_F`` of an orthogonal factor M valid: it is kept
-    in ``_residuals``, so M is measured once, and copies and pickles keep it."""
+    """Base of the two factorization forms.  Both are built from and store the
+    compact factors ``nu``, ``c`` and ``U``, validated here when they come
+    from a caller, a document, a copy or a pickle; factor_* results carry the
+    factors their membership gate just checked (see ``_wrap``).  The frozen U
+    keeps its residual ``||U^T U - I||_F`` valid: it is measured once, on
+    first use or by the membership test, and copies and pickles keep it."""
 
     nu: float
     c: np.ndarray
@@ -176,41 +178,26 @@ class _Factorization(FrozenValue):
             raise ValueError(f"U must be {c.size}x{c.size} to match c, got shape {U.shape}")
         self._set(nu=nu, c=c, U=U)
 
-    def __reduce__(self):
-        kept = self.__dict__.get("_residuals", {})
-        return _restore, (type(self), self.nu, self.c, self.U, kept)
-
     @property
     def n(self) -> int:
         """Ambient dimension ``1 + len(U)``."""
         return 1 + len(self.U)
 
+    @cached_property
+    def _residual(self) -> float:
+        """U's ``orthogonality_residual``, measured on first use and kept."""
+        return orthogonality_residual(self.U)
+
     def _gate(self, tol: float, error=ValueError) -> None:
-        """The gate ``residual <= tol * m`` on each kept residual, in the order
-        the factors entered (a caller's canonical V, then U); U is measured on
-        first use."""
-        kept = self.__dict__.setdefault("_residuals", {})
-        if "U" not in kept:
-            kept["U"] = orthogonality_residual(self.U)
-        for name, residual in kept.items():
-            _require_orthogonal(residual, len(self.U), name, tol, error)
+        """The gate ``residual <= tol * m`` on U's kept residual."""
+        _require_orthogonal(self._residual, len(self.U), "U", tol, error)
 
 
-def _restore(kind: type, nu: float, c, U, residuals: dict) -> "_Factorization":
-    """A ``kind`` over the compact factors ``(nu, c, U)``, validated, that keeps
-    the residuals already measured on them: the frozen arrays keep those
-    numbers valid.  Builds copies and pickles."""
+def _wrap(kind: type, nu: float, c: np.ndarray, U: np.ndarray, residual: float):
+    """A ``kind`` over ``(nu, c, U)`` keeping U's measured residual, unvalidated:
+    builds factor_* results, whose membership gate has just checked them."""
     f = object.__new__(kind)
-    _Factorization.__init__(f, nu, c, U)
-    f.__dict__["_residuals"] = dict(residuals)
-    return f
-
-
-def _wrap(kind: type, nu: float, c: np.ndarray, U: np.ndarray, residuals: dict):
-    """``_restore`` without the validation, for factors that the membership
-    gate of the same call has just checked: builds factor_* results."""
-    f = object.__new__(kind)
-    f._set(nu=nu, c=frozen(c), U=frozen(U), _residuals=dict(residuals))
+    f._set(nu=nu, c=frozen(c), U=frozen(U), _residual=residual)
     return f
 
 
@@ -236,34 +223,19 @@ class CompactFactorization(_Factorization):
         return RankOneSqrt.from_vector(self.c).matrix()
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class CanonicalFactorization(_Factorization):
     """S = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U), a view of the
     compact form.
 
     The first three factors multiply out to ``[[a, c^T], [c, P]]`` with
-    ``c = alpha V e1``, so only ``V e1`` enters the product: ``nu``, ``c`` and
-    ``U`` are stored, and ``alpha = ||c||`` and V, the Householder reflector
-    with ``V e1 = c / ||c||``, are derived on access.  The constructor takes
-    the canonical factors: it measures V once, keeps that residual for the
-    gates (V before U), and reduces V to ``c = alpha V[:, 0]``, so a caller's
-    alpha and V read back as ``||c||`` and c's reflector.
+    ``c = alpha V e1``, so only ``V e1`` enters the product: the form is
+    built from and stores ``nu``, ``c`` and ``U``, and derives
+    ``alpha = ||c||`` and V, the Householder reflector with
+    ``V e1 = c / ||c||``, on access.  A canonical document's alpha and V are
+    reduced to c where they are read (parse_factorization), so they read back
+    as ``||c||`` and c's reflector.
     """
-
-    def __init__(self, nu: float, alpha: float, V: np.ndarray, U: np.ndarray) -> None:
-        nu = as_positive_float(nu, "nu")
-        alpha = as_nonnegative_float(alpha, "alpha")
-        V = as_square_matrix(V, "V")
-        U = as_square_matrix(U, "U")
-        if U.shape != V.shape:
-            raise ValueError(f"U must match V's shape {V.shape}, got {U.shape}")
-        residual = orthogonality_residual(V)
-        with np.errstate(over="ignore"):
-            c = alpha * V[:, 0]
-        if not np.isfinite(c).all():
-            raise ValueError(f"c = alpha V e1 must be finite, got alpha={alpha!r}")
-        super().__init__(nu, c, U)
-        self.__dict__["_residuals"] = {"V": residual}
 
     @property
     def alpha(self) -> float:
@@ -435,7 +407,7 @@ def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
         raise NotAutomorphismError("cannot factor: " + reasons, check)
     nu, c, U, ortho = parts[:4]
     del parts  # check's Gram matrix goes before _wrap copies U
-    return _wrap(CompactFactorization, nu, c, U, {"U": ortho})
+    return _wrap(CompactFactorization, nu, c, U, ortho)
 
 
 def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
@@ -449,7 +421,7 @@ def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
     ``compose_canonical(result) ~ S`` is contractual.
     """
     f = factor_compact(S, tol)
-    return _wrap(CanonicalFactorization, f.nu, f.c, f.U, f._residuals)
+    return _wrap(CanonicalFactorization, f.nu, f.c, f.U, f._residual)
 
 
 def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -469,16 +441,17 @@ def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np
     """Multiply a canonical factorization back into a dense matrix.
 
     The product is assembled from the stored ``(nu, c, U)`` exactly as
-    compose_compact does, in O(n^2), without forming V or T_alpha.  The
-    orthogonality gates (``<= tol * (n-1)``) are enforced here on the kept
-    residuals: a caller's or a loaded V's, then U's, which is measured now
-    if neither factor_canonical nor parse_factorization measured it.
+    compose_compact does, in O(n^2), without forming V or T_alpha.  U's
+    orthogonality gate (``<= tol * (n-1)``) is enforced here on its kept
+    residual, which is measured now if neither factor_canonical nor
+    parse_factorization measured it.  A full V enters only from a document,
+    and parse_factorization gates it there.
     """
     return _compose(f, CanonicalFactorization, tol)
 
 
 def _compose(f: _Factorization, kind: type, tol: float) -> np.ndarray:
-    """compose_*: gate the kept residuals of ``f``, a ``kind``, and assemble."""
+    """compose_*: gate the kept residual of ``f``, a ``kind``, and assemble."""
     if not isinstance(f, kind):
         raise TypeError(f"expected {kind.__name__}, got {type(f).__name__}")
     f._gate(as_nonnegative_float(tol, "tol"))

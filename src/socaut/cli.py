@@ -23,6 +23,7 @@ from .automorphism import (
     CanonicalFactorization,
     NotAutomorphismError,
     _assemble,
+    _norms,
     _verify,
     check_automorphism,
     compose_canonical,
@@ -39,7 +40,6 @@ from .fileio import (
     parse_factorization,
     parse_matrix,
 )
-from .kernels import _norm
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -69,8 +69,10 @@ def _report(pairs) -> str:
 
 
 def _relative_residual(A: np.ndarray, B: np.ndarray) -> float:
-    """``||A - B||_F / ||B||_F``; B is an accepted matrix, so its norm is positive."""
-    return _norm(A - B) / _norm(B)
+    """``||A - B||_F / ||B||_F``, without overflow where ``||B||_F^2`` would;
+    B is an accepted matrix, so its norm is positive."""
+    difference, norm = _norms(A - B, B)
+    return difference / norm
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -18,10 +18,12 @@ field with one ``np.array`` call; ``_rows`` writes it through one ``%.17g``
 row template.  Entries are walked one by one only on the error path, to name
 the offender.
 
-A canonical document's ``V`` is measured and gated at the document's ``tol``
-as it loads, and reduced to ``c = alpha V[:, 0]``: the loaded factorization
-stores only the compact factors, and writes back ``||c||`` and the reflector
-of c, which match the document's alpha and V to rounding, not to the byte.
+A canonical document's ``V`` is handled here and nowhere else: it is
+measured once, reduced to ``c = alpha V[:, 0]``, and gated at the
+document's ``tol`` before U.  The loaded factorization is built from and
+stores only the compact factors, and writes back ``||c||`` and the
+reflector of c, which match the document's alpha and V to rounding, not to
+the byte.
 
 Structural problems (bad syntax, duplicate, missing or mismatched fields,
 non-numbers, non-finite numbers, wrong shapes) raise FileFormatError.  Well-formed
@@ -41,6 +43,7 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL, as_float, as_nonnegative_float, as_square_matrix
 from .automorphism import CanonicalFactorization, CompactFactorization
+from .kernels import _require_orthogonal, orthogonality_residual
 
 __all__ = [
     "FileFormatError",
@@ -312,9 +315,11 @@ def parse_factorization(text: str):
     tolerance (DEFAULT_TOL when absent).  Structural problems raise
     FileFormatError, the first in document order; mathematical invariant
     violations (nu <= 0, alpha < 0, non-orthogonal factors beyond
-    ``tol * m``) raise InvalidFactorizationError.  These are a loaded
-    factor's only measurements: the factorization keeps each orthogonal
-    factor's residual, and compose_* gates that number at its own tol.
+    ``tol * m``, V before U) raise InvalidFactorizationError; a canonical
+    document whose ``c = alpha V[:, 0]`` overflows raises ValueError before
+    V is gated.  Each orthogonal factor is measured once, here: V is
+    reduced to c, and the factorization keeps U's residual, which compose_*
+    gates at its own tol.
     """
     obj = _loads(text.strip() or "{}")
     form = obj.get("form")
@@ -340,12 +345,18 @@ def parse_factorization(text: str):
             raise FileFormatError(_SIZE_MISMATCH[ndim].format(name=name, k=k, m=m))
     if values["nu"] <= 0.0:
         raise InvalidFactorizationError(f"nu must be > 0, got {format_float(values['nu'])}")
-    if values.get("alpha", 0.0) < 0.0:
-        raise InvalidFactorizationError(
-            f"alpha must be >= 0, got {format_float(values['alpha'])}"
-        )
+    V = values.pop("V", None)
+    if V is not None:
+        alpha = values.pop("alpha")
+        if alpha < 0.0:
+            raise InvalidFactorizationError(f"alpha must be >= 0, got {format_float(alpha)}")
+        with np.errstate(over="ignore"):
+            values["c"] = alpha * V[:, 0]
+        if not np.isfinite(values["c"]).all():
+            raise ValueError(f"c = alpha V e1 must be finite, got alpha={alpha!r}")
+        _require_orthogonal(orthogonality_residual(V), m, "V", tol, InvalidFactorizationError)
     f = kind(**values)
-    f._gate(tol, InvalidFactorizationError)  # measured here once; compose_* reuses them
+    f._gate(tol, InvalidFactorizationError)  # U measured here once; compose_* reuses it
     return f, tol
 
 

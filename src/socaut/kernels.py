@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,12 +40,14 @@ _HAAR_BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class RankOneSqrt(FrozenValue):
-    """Closed form of ``sqrt(I + c c^T)`` as ``I + beta c c^T``.
+    """Closed form of ``sqrt(I + c c^T)`` as ``I + beta c c^T``, built from c.
 
     Attributes
     ----------
     c : ndarray
-        The update vector, frozen on construction.
+        The update vector, validated once and frozen on construction.
+        Raises ValueError when ``1 + ||c||^2`` overflows; every composition
+        builds one.
     a : float
         ``sqrt(1 + ||c||^2)``, the largest eigenvalue of the square root.
     beta : float
@@ -54,30 +56,18 @@ class RankOneSqrt(FrozenValue):
     """
 
     c: np.ndarray
-    a: float
-    beta: float
+    a: float = field(init=False)
+    beta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        """Direct construction: ``c`` must be a finite vector and ``(a, beta)``
-        exactly the pair that from_vector derives from it."""
-        root = self.from_vector(self.c)
-        if (self.a, self.beta) != (root.a, root.beta):
-            raise ValueError(
-                f"(a, beta) must be ({root.a!r}, {root.beta!r}) for this c, "
-                f"got ({self.a!r}, {self.beta!r})"
-            )
-        self._set(c=root.c, a=root.a, beta=root.beta)
+        c = as_vector(self.c, "c", min_len=1)
+        a, beta = _finite_sqrt_coefficients(c)
+        self._set(c=frozen(c), a=a, beta=beta)
 
     @classmethod
     def from_vector(cls, c) -> "RankOneSqrt":
-        """Build the square-root representation for a given ``c``, validated
-        once.  Raises ValueError when ``1 + ||c||^2`` overflows; every
-        composition builds one."""
-        c = as_vector(c, "c", min_len=1)
-        a, beta = _finite_sqrt_coefficients(c)
-        root = object.__new__(cls)
-        root._set(c=frozen(c), a=a, beta=beta)
-        return root
+        """``RankOneSqrt(c)``."""
+        return cls(c)
 
     @property
     def gamma(self) -> float:

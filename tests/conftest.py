@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socaut import sample_automorphism, signature_matrix
+from socaut import (
+    CanonicalFactorization,
+    automorphism,
+    kernels,
+    sample_automorphism,
+    sample_haar_orthogonal,
+    signature_matrix,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,3 +68,32 @@ def random_automorphisms(count, n, seed0, alpha_max=10.0, nu_range=(0.1, 10.0)):
     """Yield `count` seeded automorphisms of size n."""
     for i in range(count):
         yield sample_automorphism(n, alpha_max=alpha_max, nu_range=nu_range, seed=seed0 + i)
+
+
+def canonical(nu, alpha, V, U) -> CanonicalFactorization:
+    """The canonical factorization ``nu * diag(1, V) T_alpha diag(1, V^T)
+    diag(1, U)``: only ``V e1`` enters it, as ``c = alpha V[:, 0]``."""
+    return CanonicalFactorization(nu, alpha * np.asarray(V, dtype=float)[:, 0], U)
+
+
+def stretched_haar(m: int, seed: int) -> np.ndarray:
+    """A Haar orthogonal matrix with its first column stretched by 1e-6."""
+    M = sample_haar_orthogonal(m, seed=seed)
+    M[:, 0] *= 1.0 + 1e-6
+    return M
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Every array whose Gram matrix ``M^T M - I`` is formed, in call order:
+    each orthogonality residual, and nothing else, forms one."""
+    arrays = []
+    gram = kernels._gram_defect
+
+    def counting(M):
+        arrays.append(M)
+        return gram(M)
+
+    monkeypatch.setattr(kernels, "_gram_defect", counting)
+    monkeypatch.setattr(automorphism, "_gram_defect", counting)
+    return arrays

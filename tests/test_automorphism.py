@@ -53,7 +53,7 @@ from socaut import (
 from socaut import automorphism, cli, kernels
 from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization
 from socaut.kernels import haar_orthogonal
-from conftest import THETAS_NEAR_E1, random_automorphisms, rel_fro
+from conftest import THETAS_NEAR_E1, canonical, random_automorphisms, rel_fro, stretched_haar
 
 EPS = float(np.finfo(float).eps)
 
@@ -512,9 +512,7 @@ class TestFactorCanonical:
     def test_two_dimensional_hand_case(self):
         # S built from (nu=2, alpha=3, V=[[-1]], U=[[1]]):
         # S = 2 * [[sqrt(10), -3], [-3, sqrt(10)]]
-        S = compose_canonical(
-            CanonicalFactorization(2.0, 3.0, np.array([[-1.0]]), np.array([[1.0]]))
-        )
+        S = compose_canonical(canonical(2.0, 3.0, np.array([[-1.0]]), np.array([[1.0]])))
         assert_allclose(
             S, [[2.0 * math.sqrt(10.0), -6.0], [-6.0, 2.0 * math.sqrt(10.0)]], rtol=1e-15
         )
@@ -561,7 +559,7 @@ class TestCompose:
         # alpha = ||c|| = 1e200 is finite, its square is not.
         I2 = np.eye(2)
         if form == "canonical":
-            f, compose = CanonicalFactorization(1.0, 1e200, I2, I2), compose_canonical
+            f, compose = canonical(1.0, 1e200, I2, I2), compose_canonical
         else:
             f, compose = CompactFactorization(1.0, np.array([0.0, 1e200]), I2), compose_compact
             for derived in ("a", "P"):
@@ -591,13 +589,13 @@ class TestCompose:
         assert_allclose(compose_compact(f), boost_matrix(2.0, 4), rtol=1e-15)
 
     def test_canonical_boost(self):
-        f = CanonicalFactorization(nu=1.0, alpha=1.5, V=np.eye(2), U=np.eye(2))
+        f = canonical(nu=1.0, alpha=1.5, V=np.eye(2), U=np.eye(2))
         assert_allclose(compose_canonical(f), boost_matrix(1.5, 3), atol=1e-15)
 
     def test_canonical_alpha_zero_is_block_diagonal(self):
         V = sample_haar_orthogonal(4, seed=31)
         U = sample_haar_orthogonal(4, seed=32)
-        S = compose_canonical(CanonicalFactorization(nu=1.0, alpha=0.0, V=V, U=U))
+        S = compose_canonical(canonical(nu=1.0, alpha=0.0, V=V, U=U))
         expected = np.zeros((5, 5))
         expected[0, 0] = 1.0
         expected[1:, 1:] = U
@@ -611,7 +609,7 @@ class TestCompose:
             alpha = float(rng.uniform(0.0, 10.0))
             V = sample_haar_orthogonal(4, seed=int(rng.integers(1 << 30)))
             U = sample_haar_orthogonal(4, seed=int(rng.integers(1 << 30)))
-            S = compose_canonical(CanonicalFactorization(nu, alpha, V, U))
+            S = compose_canonical(canonical(nu, alpha, V, U))
             res = check_automorphism(S)
             assert res.is_automorphism
             assert res.mu == pytest.approx(nu * nu, rel=1e-12)
@@ -624,7 +622,7 @@ class TestCompose:
     def test_canonical_c_is_the_compact_view(self):
         V = sample_haar_orthogonal(4, seed=8)
         U = sample_haar_orthogonal(4, seed=9)
-        f = CanonicalFactorization(nu=1.5, alpha=3.0, V=V, U=U)
+        f = canonical(nu=1.5, alpha=3.0, V=V, U=U)
         assert_array_equal(f.c, 3.0 * V[:, 0])
         compact = CompactFactorization(nu=f.nu, c=f.c, U=f.U)
         assert_array_equal(compose_canonical(f), compose_compact(compact))
@@ -647,8 +645,8 @@ class TestCompose:
                 U = sample_haar_orthogonal(m, seed=int(rng.integers(1 << 30)))
                 literal = nu * embed(V) @ boost_matrix(alpha, n) @ embed(V.T) @ embed(U)
                 bound = 64 * n * EPS * (1.0 + alpha * alpha) * np.linalg.norm(literal)
-                canonical = compose_canonical(CanonicalFactorization(nu, alpha, V, U))
-                assert np.linalg.norm(canonical - literal) <= bound, (m, alpha)
+                built = compose_canonical(canonical(nu, alpha, V, U))
+                assert np.linalg.norm(built - literal) <= bound, (m, alpha)
                 compact = compose_compact(
                     CompactFactorization(nu=nu, c=alpha * V[:, 0], U=U)
                 )
@@ -659,7 +657,7 @@ class TestCompose:
         for alpha in (0.0, 1.0, 10.0, 1e4):
             V = sample_haar_orthogonal(3, seed=int(rng.integers(1 << 30)))
             U = sample_haar_orthogonal(3, seed=int(rng.integers(1 << 30)))
-            S = compose_canonical(CanonicalFactorization(1.0, alpha, V, U))
+            S = compose_canonical(canonical(1.0, alpha, V, U))
             assert abs(abs(np.linalg.det(S)) - 1.0) <= 1e-9 * (1.0 + alpha * alpha)
 
     @pytest.mark.parametrize("nu", [0.0, math.nan, pytest.param(10**400, id="1e400"), None, "abc"])
@@ -673,42 +671,19 @@ class TestCompose:
         with pytest.raises(ValueError):
             CompactFactorization(nu=-2.0, c=np.zeros(2), U=np.eye(2))
         with pytest.raises(ValueError):
-            CanonicalFactorization(nu=1.0, alpha=-0.1, V=np.eye(2), U=np.eye(2))
+            CanonicalFactorization(nu=1.0, c=np.zeros(2), U=np.eye(3))
         with pytest.raises(ValueError):
             CompactFactorization(nu=1.0, c=np.zeros(2), U=np.eye(3))
         with pytest.raises(ValueError, match="orthogonal"):
             compose_compact(CompactFactorization(nu=1.0, c=np.zeros(2), U=np.diag([1.0, 2.0])))
         with pytest.raises(ValueError, match="orthogonal"):
             compose_canonical(
-                CanonicalFactorization(nu=1.0, alpha=1.0, V=np.diag([1.0, 2.0]), U=np.eye(2))
+                CanonicalFactorization(nu=1.0, c=np.ones(2), U=np.diag([1.0, 2.0]))
             )
         with pytest.raises(TypeError):
             compose_compact(np.eye(3))
         with pytest.raises(TypeError):
             compose_canonical(np.eye(3))
-
-
-@pytest.fixture
-def measured(monkeypatch):
-    """Every array whose Gram matrix ``M^T M - I`` is formed, in call order:
-    each orthogonality residual, and nothing else, forms one."""
-    arrays = []
-    gram = kernels._gram_defect
-
-    def counting(M):
-        arrays.append(M)
-        return gram(M)
-
-    monkeypatch.setattr(kernels, "_gram_defect", counting)
-    monkeypatch.setattr(automorphism, "_gram_defect", counting)
-    return arrays
-
-
-def stretched_haar(m: int, seed: int) -> np.ndarray:
-    """A Haar orthogonal matrix with its first column stretched by 1e-6."""
-    M = sample_haar_orthogonal(m, seed=seed)
-    M[:, 0] *= 1.0 + 1e-6
-    return M
 
 
 def frozen_arrays(f) -> list[np.ndarray]:
@@ -724,9 +699,9 @@ FORMS = [(factor_compact, compose_compact), (factor_canonical, compose_canonical
 
 
 class TestKeptResiduals:
-    """Each orthogonal factor is measured at most once: a factorization keeps
-    the residual the membership test, the file load or its first gate
-    measured, and its frozen arrays keep that number valid."""
+    """U is measured at most once: a factorization keeps the one residual the
+    membership test, the file load or its first gate measured, and its
+    frozen arrays keep that number valid."""
 
     @pytest.mark.parametrize("form", FORMS, ids=["compact", "canonical"])
     def test_factor_then_compose_measures_each_factor_once(self, form, measured, monkeypatch):
@@ -750,7 +725,7 @@ class TestKeptResiduals:
         for S in random_automorphisms(3, n, seed0=900 + n):
             for factor, _ in FORMS:
                 f = factor(S)
-                assert f._residuals["U"] == orthogonality_residual(f.U)
+                assert vars(f)["_residual"] == orthogonality_residual(f.U)
 
     @pytest.mark.parametrize("form", FORMS, ids=["compact", "canonical"])
     def test_parse_then_compose_measures_each_loaded_factor_once(self, form, measured):
@@ -767,47 +742,34 @@ class TestKeptResiduals:
         assert [M.tobytes() for M in measured] == [M.tobytes() for M in loaded]
         assert measured[-1] is f.U
 
-    @pytest.mark.parametrize(
-        "form,bad", [("compact", "U"), ("canonical", "V"), ("canonical", "U")]
-    )
+    @pytest.mark.parametrize("form,bad", [("compact", "U"), ("canonical", "U")])
     def test_caller_built_factor_keeps_every_verdict_and_message(self, form, bad, measured):
         # The same object composed at each tol: the kept residual must give the
-        # verdict and message of a fresh measurement, gated V then U.
+        # verdict and message of a fresh measurement.  (A canonical document's
+        # V is gated where it is read: tests/test_fileio.py.)
         m = 4
-        factors = {"V": sample_haar_orthogonal(m, seed=2), "U": sample_haar_orthogonal(m, seed=3)}
-        factors[bad] = stretched_haar(m, seed=4)
-        if form == "compact":
-            f = CompactFactorization(2.0, np.full(m, 0.5), factors["U"])
-            compose, order = compose_compact, ["U"]
-        else:
-            f = CanonicalFactorization(2.0, 0.75, **factors)
-            compose, order = compose_canonical, ["V", "U"]
-        fresh = {name: orthogonality_residual(M) for name, M in factors.items()}
-        r = fresh[bad]
+        U = stretched_haar(m, seed=4)
+        kind = CompactFactorization if form == "compact" else CanonicalFactorization
+        compose = compose_compact if form == "compact" else compose_canonical
+        f = kind(2.0, np.full(m, 0.5), U)
+        r = orthogonality_residual(U)
         assert r > 1e-7
         measured.clear()
         for tol in (0.0, np.nextafter(r / m, 0.0), np.nextafter(r / m, math.inf), DEFAULT_TOL):
-            expected = None
-            for name in order:
-                if (res := fresh[name]) > tol * m:
-                    expected = (
-                        f"{name} is not orthogonal within tolerance: residual {res:.3e} "
-                        f"> {tol * m:.3e}"
-                    )
-                    break
-            if expected is None:
+            if r <= tol * m:
                 compose(f, tol)
-            else:
-                with pytest.raises(ValueError) as exc:
-                    compose(f, tol)
-                assert str(exc.value) == expected
-        assert len(measured) == len({id(M) for M in measured}) <= len(order)
+                continue
+            with pytest.raises(ValueError) as exc:
+                compose(f, tol)
+            expected = f"{bad} is not orthogonal within tolerance: residual {r:.3e} > {tol * m:.3e}"
+            assert str(exc.value) == expected
+        assert len(measured) == 1
 
     def test_factors_cannot_be_made_writeable(self):
         S = sample_automorphism(6, seed=1)
         built = [
             CompactFactorization(1.0, np.ones(5), np.eye(5)),
-            CanonicalFactorization(1.0, 0.5, np.eye(5), np.eye(5)),
+            CanonicalFactorization(1.0, np.full(5, 0.5), np.eye(5)),
         ]
         for f in [factor(S) for factor, _ in FORMS] + built:
             for M in frozen_arrays(f):
@@ -818,7 +780,8 @@ class TestKeptResiduals:
         S = sample_automorphism(6, seed=1)
         f = factor_compact(S)
         assert CompactFactorization(2.0, f.c, f.U).U is f.U
-        assert CanonicalFactorization(2.0, 1.0, f.U, f.U).U is f.U
+        g = CanonicalFactorization(2.0, f.c, f.U)
+        assert g.c is f.c and g.U is f.U
         # factor_canonical shares factor_compact's c, U and U's residual.
         compact = []
 
@@ -829,7 +792,7 @@ class TestKeptResiduals:
         monkeypatch.setattr(automorphism, "factor_compact", recording)
         g = factor_canonical(S)
         assert (g.c, g.U) == (compact[0].c, compact[0].U) and g.c is compact[0].c
-        assert g._residuals == compact[0]._residuals
+        assert vars(g)["_residual"] == vars(compact[0])["_residual"]
 
     @pytest.mark.parametrize(
         "copier",
@@ -849,6 +812,30 @@ class TestKeptResiduals:
                 with pytest.raises(ValueError, match="not orthogonal"):
                     compose(h, 0.0)
 
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_the_single_residual(self, copier, measured):
+        S = sample_automorphism(6, seed=1)
+        U = stretched_haar(5, seed=3)
+        r = orthogonality_residual(U)
+        for (factor, compose), kind in zip(FORMS, (CompactFactorization, CanonicalFactorization)):
+            built = kind(2.0, np.full(5, 0.5), U)
+            g = copier(built)
+            assert type(g) is kind and "_residual" not in vars(g)  # nothing measured yet
+            for f in (factor(S), built):
+                compose(f, 1e-3)  # a built U is measured on its first gate
+                g = copier(f)
+                assert type(g) is kind
+                assert vars(g)["_residual"] == vars(f)["_residual"]
+                measured.clear()
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    compose(g, 0.0)
+                assert measured == []  # the copy gates the residual it kept
+        assert vars(built)["_residual"] == r
+
 
 class TestCanonicalView:
     """The canonical form stores the compact factors (nu, c, U) and derives
@@ -857,8 +844,8 @@ class TestCanonicalView:
     @pytest.mark.parametrize("n", [2, 3, 10, 100])
     def test_composes_as_the_compact_form_bit_for_bit(self, n):
         for S in random_automorphisms(3, n, seed0=1200 + n):
-            canonical = compose_canonical(factor_canonical(S))
-            assert canonical.tobytes() == compose_compact(factor_compact(S)).tobytes()
+            composed = compose_canonical(factor_canonical(S))
+            assert composed.tobytes() == compose_compact(factor_compact(S)).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 10, 100])
     def test_derived_alpha_and_v_are_those_of_the_compact_c(self, n):
@@ -868,17 +855,12 @@ class TestCanonicalView:
             assert f.alpha == float(np.linalg.norm(c))
             assert f.V.tobytes() == householder_to_direction(c).tobytes()
 
-    def test_a_caller_built_v_is_reduced_to_c(self):
-        V, U = stretched_haar(4, seed=5), sample_haar_orthogonal(4, seed=6)
-        f = CanonicalFactorization(1.5, 3.0, V, U)
-        assert f.c.tobytes() == (3.0 * V[:, 0]).tobytes()
-        assert f.alpha == float(np.linalg.norm(f.c))
-        assert f.V.tobytes() == householder_to_direction(f.c).tobytes()
-
-    def test_refuses_a_c_that_overflows(self):
-        # Only a V with an entry above 1 can take alpha V e1 past the double range.
-        with pytest.raises(ValueError, match=r"^c = alpha V e1 must be finite"):
-            CanonicalFactorization(1.0, 1e300, np.array([[1e10]]), np.eye(1))
+    def test_alpha_and_v_are_derived_from_the_c_it_is_built_from(self):
+        c, U = 3.0 * stretched_haar(4, seed=5)[:, 0], sample_haar_orthogonal(4, seed=6)
+        f = CanonicalFactorization(1.5, c, U)
+        assert f.c.tobytes() == c.tobytes()
+        assert f.alpha == float(np.linalg.norm(c))
+        assert f.V.tobytes() == householder_to_direction(c).tobytes()
 
     @pytest.mark.parametrize("build", ["factor", "built"])
     def test_derived_v_and_stored_c_cannot_be_made_writeable(self, build):
@@ -886,41 +868,10 @@ class TestCanonicalView:
         if build == "factor":
             f = factor_canonical(S)
         else:
-            f = CanonicalFactorization(1.0, 0.5, sample_haar_orthogonal(5, seed=2), np.eye(5))
+            f = canonical(1.0, 0.5, sample_haar_orthogonal(5, seed=2), np.eye(5))
         for M in (f.c, f.V, f.V):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 M.flags.writeable = True
-
-    @pytest.mark.parametrize(
-        "copier",
-        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
-        ids=["copy", "deepcopy", "pickle"],
-    )
-    def test_copies_keep_the_verdict_and_message_of_a_callers_v(self, copier, measured):
-        # V and U both fail their gate, U by more: V's message comes first
-        # until the tol lets V through.
-        m = 4
-        V, U = stretched_haar(m, seed=4), sample_haar_orthogonal(m, seed=3)
-        U[:, 0] *= 1.0 + 1e-5
-        fresh = {"V": orthogonality_residual(V), "U": orthogonality_residual(U)}
-        f = CanonicalFactorization(2.0, 0.75, V, U)
-        g = copier(f)
-        assert type(g) is CanonicalFactorization
-        measured.clear()
-        between = fresh["V"] / m * 2.0
-        assert fresh["V"] <= between * m < fresh["U"]
-        for tol, name in ((0.0, "V"), (DEFAULT_TOL, "V"), (between, "U")):
-            expected = (
-                f"{name} is not orthogonal within tolerance: residual {fresh[name]:.3e} "
-                f"> {tol * m:.3e}"
-            )
-            for h in (g, f):
-                with pytest.raises(ValueError) as exc:
-                    compose_canonical(h, tol)
-                assert str(exc.value) == expected
-        assert_array_equal(compose_canonical(g, 1e-3), compose_canonical(f, 1e-3))
-        # U once in each of f and g; V's residual came with the copy.
-        assert len(measured) == 2
 
 
 #: value type -> ways to build one from a writeable member S: directly, then
@@ -931,7 +882,7 @@ FROZEN_VALUES = {
         lambda S: SpinVector.from_array(S[:, 0]),
     ),
     "RankOneSqrt": (
-        lambda S: RankOneSqrt(S[1:, 0], *kernels._sqrt_coefficients(S[1:, 0])),
+        lambda S: RankOneSqrt(S[1:, 0]),
         lambda S: RankOneSqrt.from_vector(S[1:, 0]),
     ),
     "BlockView": (
@@ -944,7 +895,7 @@ FROZEN_VALUES = {
         lambda S: parse_factorization(dumps_factorization(factor_compact(S)))[0],
     ),
     "CanonicalFactorization": (
-        lambda S: CanonicalFactorization(1.0, 0.5, np.eye(4), S[1:, 1:]),
+        lambda S: CanonicalFactorization(1.0, S[1:, 0], S[1:, 1:]),
         factor_canonical,
         lambda S: parse_factorization(dumps_factorization(factor_canonical(S)))[0],
     ),

@@ -9,6 +9,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,26 @@ class TestFactorCompose:
         assert np.linalg.norm(2.0**-10 * S) < 1.0
         assert recorded[0] > 0.0
         assert recorded[1] == recorded[0]
+
+    @pytest.mark.parametrize("form", ["canonical", "compact"])
+    def test_reconstruction_residual_of_a_member_whose_squared_norm_overflows(
+        self, form, tmp_path
+    ):
+        # ||S||_F^2 overflows once ||S||_F is above about 1.3e154; the scaling
+        # by 2^508 is exact and leaves every entry below 2.6e153.
+        S = sample_automorphism(300, 3.0, seed=1)
+        recorded = []
+        for scale in (1.0, 2.0**508):
+            src = tmp_path / "m.json"
+            src.write_text(dumps_matrix(scale * S))
+            fact = tmp_path / "f.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+            recorded.append(json.loads(fact.read_text())["reconstruction_residual"])
+        assert np.linalg.norm(S) * 2.0**508 > np.sqrt(np.finfo(float).max)
+        assert recorded[1] > 0.0
+        assert abs(recorded[1] - recorded[0]) <= 4.0 * np.finfo(float).eps * recorded[0]
 
     def test_factor_rejects_non_automorphism(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
@@ -562,7 +583,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_77_commands(self, tmp_path):
+    def test_cli_corpus_records_80_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -571,7 +592,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 77
+        assert len(labels) == 80
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -594,7 +615,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 77
+        assert len({p.stem for p in results.iterdir()}) == 80
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_cli_corpus_against_another_tree_lists_each_differing_file(self, tmp_path):

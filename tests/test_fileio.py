@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from socaut import (
+    DEFAULT_TOL,
     CanonicalFactorization,
     CompactFactorization,
     boost_matrix,
+    compose_canonical,
+    householder_to_direction,
+    orthogonality_residual,
     sample_automorphism,
     sample_haar_orthogonal,
 )
@@ -24,6 +31,8 @@ from socaut.fileio import (
     parse_factorization,
     parse_matrix,
 )
+
+from conftest import canonical, stretched_haar
 
 
 #: An integer literal beyond the double range (float() raises OverflowError).
@@ -144,7 +153,7 @@ class TestFactorizationDocuments:
 
     def test_canonical_round_trip(self):
         V = sample_haar_orthogonal(3, seed=1)
-        f = CanonicalFactorization(nu=2.5, alpha=1.25, V=V, U=sample_haar_orthogonal(3, seed=2))
+        f = canonical(2.5, 1.25, V, sample_haar_orthogonal(3, seed=2))
         doc = dumps_factorization(f, tol=1e-9, reconstruction_residual=3e-16)
         g, tol = parse_factorization(doc)
         assert isinstance(g, CanonicalFactorization)
@@ -303,6 +312,83 @@ class TestFactorizationDocuments:
         assert M[0, 0] == M[1, 1] == float(big)
 
 
+def _canonical_document(alpha: float, V, U, tol: float | None = None) -> str:
+    """A canonical document over a caller's V and U, which need not be orthogonal."""
+    doc = {"form": "canonical", "nu": 2.0, "alpha": alpha, "V": np.asarray(V).tolist()}
+    doc["U"] = np.asarray(U).tolist()
+    return json.dumps(doc if tol is None else {**doc, "tol": tol})
+
+
+class TestCanonicalDocuments:
+    """A canonical document's V is handled where it is read, and only there:
+    measured once, reduced to ``c = alpha V[:, 0]`` and gated at the
+    document's tol before U."""
+
+    def test_a_loaded_v_is_reduced_to_c(self, measured):
+        V, U = stretched_haar(4, seed=5), sample_haar_orthogonal(4, seed=6)
+        text = _canonical_document(3.0, V, U, tol=1e-5)
+        V, U = (np.array(json.loads(text)[name]) for name in ("V", "U"))
+        measured.clear()
+        f, tol = parse_factorization(text)
+        assert (type(f), tol) == (CanonicalFactorization, 1e-5)
+        assert f.c.tobytes() == (3.0 * V[:, 0]).tobytes()
+        assert f.alpha == float(np.linalg.norm(f.c))
+        assert f.V.tobytes() == householder_to_direction(f.c).tobytes()
+        # V, then U, each measured once; the factorization keeps U's residual only.
+        assert [M.tobytes() for M in measured] == [V.tobytes(), U.tobytes()]
+        assert vars(f)["_residual"] == orthogonality_residual(U)
+
+    def test_v_is_gated_at_the_documents_tol_before_u(self, measured):
+        # V and U both fail their gate, U by more: V's message comes first
+        # until the tol lets V through.
+        m = 4
+        V, U = stretched_haar(m, seed=4), sample_haar_orthogonal(m, seed=3)
+        U[:, 0] *= 1.0 + 1e-5
+        fresh = {"V": orthogonality_residual(V), "U": orthogonality_residual(U)}
+        between = fresh["V"] / m * 2.0
+        assert fresh["V"] <= between * m < fresh["U"]
+        for tol, name in ((0.0, "V"), (DEFAULT_TOL, "V"), (between, "U")):
+            measured.clear()
+            with pytest.raises(InvalidFactorizationError) as exc:
+                parse_factorization(_canonical_document(0.75, V, U, tol))
+            assert str(exc.value) == (
+                f"{name} is not orthogonal within tolerance: residual {fresh[name]:.3e} "
+                f"> {tol * m:.3e}"
+            )
+            assert len(measured) == (1 if name == "V" else 2)
+        f, tol = parse_factorization(_canonical_document(0.75, V, U, 1e-3))
+        expected = compose_canonical(canonical(2.0, 0.75, V, U), tol)
+        assert_array_equal(compose_canonical(f, tol), expected)
+
+    @pytest.mark.parametrize("V", [[[1e10]], [[1e10, 0.0], [0.0, 1.0]]], ids=["1x1", "2x2"])
+    def test_an_overflowing_c_is_refused_before_v_is_gated(self, V, measured):
+        # Only a V with an entry above 1 takes alpha V e1 past the double range,
+        # and such a V is not orthogonal: the overflow decides, as a plain ValueError.
+        message = r"^c = alpha V e1 must be finite, got alpha=1e\+300$"
+        with pytest.raises(ValueError, match=message) as exc:
+            parse_factorization(_canonical_document(1e300, V, np.eye(len(V))))
+        assert type(exc.value) is ValueError
+        assert measured == []
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_of_a_loaded_factorization_keep_u_s_residual(self, copier, measured):
+        V, U = stretched_haar(4, seed=4), stretched_haar(4, seed=3)
+        f, tol = parse_factorization(_canonical_document(0.75, V, U, tol=1e-5))
+        g = copier(f)
+        assert type(g) is CanonicalFactorization
+        assert vars(g)["_residual"] == vars(f)["_residual"] == orthogonality_residual(U)
+        measured.clear()
+        assert_array_equal(compose_canonical(g, tol), compose_canonical(f, tol))
+        for h in (g, f):
+            with pytest.raises(ValueError, match="^U is not orthogonal"):
+                compose_canonical(h, DEFAULT_TOL)
+        assert measured == []
+
+
 def _oracle_rows(M) -> list[str]:
     """Rows of M formatted entry by entry with format(x, ".17g")."""
     return ["[" + ", ".join(format(float(x), ".17g") for x in row) + "]" for row in M]
@@ -357,10 +443,10 @@ class TestByteIdentity:
 
         # A canonical factorization writes the alpha and V it derives from its
         # c; a reflector's entries are at most 1, so alpha carries the range.
-        canonical = CanonicalFactorization(nu, alpha, sample_haar_orthogonal(m, seed=m), U)
+        built = canonical(nu, alpha, sample_haar_orthogonal(m, seed=m), U)
         compact = CompactFactorization(nu=nu, c=c, U=U)
-        assert dumps_factorization(canonical, tol, residual) == oracle(
-            "canonical", ("nu", nu), ("alpha", canonical.alpha), ("V", canonical.V)
+        assert dumps_factorization(built, tol, residual) == oracle(
+            "canonical", ("nu", nu), ("alpha", built.alpha), ("V", built.V)
         )
         assert dumps_factorization(compact, tol, residual) == oracle(
             "compact", ("nu", nu), ("c", c)

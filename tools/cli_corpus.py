@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 77 socaut commands and record what each one prints.
+"""Run a fixed corpus of 80 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR] [--against OTHER]
 
@@ -40,14 +40,18 @@ D / nu overflows (``tiny_column``); ``factor --form compact`` on an n = 6
 member scaled by 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample``
 draws;
 ten calls with bad arguments, the last a ``sample`` range whose entries
-overflow; ``compose`` on sixteen hand-written factorization documents
+overflow; ``compose`` on eighteen hand-written factorization documents
 (``FACTORIZATIONS``): seven malformed (one with a list as its ``form``), five
 that break an invariant (one a U whose U^T U overflows), one (alpha = 1e8)
 whose product the membership test refuses (mu cancels to 0), one whose
-``||c||^2`` overflows, and two with two faults each; and ``compose --tol
+``||c||^2`` overflows, and four with two faults each (one whose ``c = alpha
+V e1`` overflows with a V that is not orthogonal, one whose V and U are both
+sheared, where V must be named); ``compose --tol
 1e-3`` on a document that declares ``tol`` 1e-3 and whose U is orthogonal
 only to that tolerance (``LOOSE``), which a compose gating at the default
-tol would refuse.
+tol would refuse; and ``compose`` on its canonical twin, whose V is
+orthogonal only to the declared tol (``LOOSE_CANONICAL``), which passes
+only if V is gated at the document's tol.
 """
 
 from __future__ import annotations
@@ -95,10 +99,16 @@ FACTORIZATIONS = {
     "alpha_overflow": {**_CANONICAL, "alpha": 1e200},
     "nu_zero_c_u_length": {**_COMPACT, "nu": 0, "c": [0.75]},
     "alpha_not_number_u_ragged": {**_CANONICAL, "alpha": "x", "U": [[0, 1], [1]]},
+    "c_overflow_v_not_orthogonal": {**_CANONICAL, "alpha": 1e300, "V": [[1e10, 0], [0, 1]]},
+    "v_u_not_orthogonal": {**_CANONICAL, "V": _SHEAR, "U": _SHEAR},
 }
 #: A document that ``compose --tol 1e-3`` accepts only at its declared tol:
 #: U's residual is about 2e-4, within 1e-3 * 2 but not 1e-9 * 2.
 LOOSE = {**_COMPACT, "U": [[0, 1.0001], [1, 0]], "tol": 1e-3}
+#: LOOSE's canonical twin, with V the loose factor: V enters the product only
+#: as c, so ``compose`` at the default ``--tol`` accepts it if and only if
+#: the load gates V at the declared tol.
+LOOSE_CANONICAL = {**_CANONICAL, "V": [[0, 1.0001], [1, 0]], "tol": 1e-3}
 
 
 def input_paths(inputs: Path) -> dict[str, Path]:
@@ -111,6 +121,7 @@ def input_paths(inputs: Path) -> dict[str, Path]:
         "scaled",
         *(f"doc_{label}" for label in FACTORIZATIONS),
         "doc_loose",
+        "doc_loose_canonical",
     ]
     return {name: inputs / f"{name}.json" for name in names}
 
@@ -140,7 +151,8 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
     paths = input_paths(inputs)
     for name, S in matrices.items():
         paths[name].write_text(dumps_matrix(S))
-    for label, doc in {**FACTORIZATIONS, "loose": LOOSE}.items():
+    loose = {"loose": LOOSE, "loose_canonical": LOOSE_CANONICAL}
+    for label, doc in {**FACTORIZATIONS, **loose}.items():
         paths[f"doc_{label}"].write_text(json.dumps(doc, indent=2) + "\n")
     return paths
 
@@ -207,6 +219,7 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         for label in FACTORIZATIONS
     ]
     cmds.append(("compose_doc_loose", ["compose", str(paths["doc_loose"]), "--tol", "1e-3"]))
+    cmds.append(("compose_doc_loose_canonical", ["compose", str(paths["doc_loose_canonical"])]))
     return cmds
 
 
