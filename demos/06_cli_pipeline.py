@@ -51,9 +51,9 @@ with tempfile.TemporaryDirectory(prefix="socaut_demo_") as tmp:
     print("max |recomposed - original| =", np.abs(returned - original).max())
     print("re-serialization is stable:", dumps_matrix(returned) == recomposed.read_text())
 
-    # Verify runs the identity suite plus cone sampling.
-    print("\n$ socaut verify m.json --samples 1000")
-    main(["verify", str(matrix), "--samples", "1000"])
+    # Verify reports the identity residuals and the proved cone certificate.
+    print("\n$ socaut verify m.json")
+    main(["verify", str(matrix)])
 
     # Rejections are exit codes, not exceptions: 1 for mathematical rejection,
     # 2 for malformed input (the parse diagnostic itself goes to stderr).

@@ -6,8 +6,8 @@ explicit automorphism group: an invertible S preserves the cone exactly when
 member factors into closed-form pieces (a scale, a hyperbolic boost, and two
 orthogonal blocks).  This package provides the membership test, both
 factorizations and their compositions, seeded sampling, the spin-algebra
-layer behind the cone, a residual report for the five block identities
-that S / nu can still break, and a command-line front end (``socaut``).
+layer behind the cone, two block-identity residuals and a cone certificate
+for S / nu, and a command-line front end (``socaut``).
 
 The ``__all__`` lists of ``spin``, ``kernels`` and ``automorphism`` are the
 only list of public names: the package re-exports each of them and adds

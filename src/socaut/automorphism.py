@@ -36,7 +36,7 @@ gates it as it reduces V to c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -272,7 +272,8 @@ class PropertyReport:
     ``||ybar|| - y0 <= cone_slack_bound * (a + ||b||) * x0``, and boundary
     points have ``| ||ybar|| - y0 |`` within it (proof in property_report).
     The sampled statistics are absolute slacks over images of sampled cone
-    points; both read 0 when no points are sampled.
+    points, a library-only cross-check that no verdict reads; both read 0
+    when no points are sampled.
     """
 
     residual_A2: float
@@ -468,17 +469,21 @@ def _scaled_outer(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
 
 def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
     """``nu * [[a, c^T], [c, P]] @ diag(1, U)``, built blockwise in O(n^2) from
-    finite factors; raises ValueError when ``||c||^2`` overflows."""
+    finite factors; raises ValueError when ``||c||^2`` or the product overflows."""
     a, beta = _finite_sqrt_coefficients(c)
-    cU = c @ U
     n = 1 + c.size
     S = np.empty((n, n))
-    S[0, 0] = a
-    S[0, 1:] = cU
-    S[1:, 0] = c
-    S[1:, 1:] = U
-    S[1:, 1:] += _scaled_outer(c, cU, beta)
-    S *= nu
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            cU = c @ U
+            S[0, 0] = a
+            S[0, 1:] = cU
+            S[1:, 0] = c
+            S[1:, 1:] = U
+            S[1:, 1:] += _scaled_outer(c, cU, beta)
+            S *= nu
+    except FloatingPointError:
+        raise ValueError(f"the product overflows at nu={nu:.6g}, ||c||={_norm(c):.6g}") from None
     return S
 
 
@@ -596,7 +601,7 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
     "Positive operators on the n-dimensional ice cream cone", J. Math. Anal.
     Appl. 49, 1975).
 
-    Sampling is an opt-in cross-check: with ``n_samples > 0``, S_hat is
+    Sampling is a library-only cross-check: with ``n_samples > 0``, S_hat is
     formed and ``n_samples`` interior and ``n_samples`` boundary points
     (seeded) are mapped through it (the cone is scale-invariant, and this
     keeps the absolute slacks meaningful at any mu): ``cone_violation_max``
@@ -604,16 +609,28 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
     ``boundary_drift_max`` the largest ``| ||ybar|| - y0 |`` over boundary
     images.  Both are 0 when ``n_samples`` is 0, the default.
     """
-    return _verify(S, DEFAULT_TOL, n_samples, seed)[1]
-
-
-def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bool]:
-    """socaut verify: check, property_report off the parts it recovered, the
-    gates (all <= tol)."""
     S = as_square_matrix(S, "S", min_n=2)
-    tol = as_nonnegative_float(tol, "tol")
     n_samples = as_index(n_samples, "n_samples", minimum=0)
     seed = as_index(seed, "seed", minimum=0)
+    check, report, _ = _verify(S, DEFAULT_TOL)
+    if n_samples == 0:
+        return report
+    S_hat = S / math.sqrt(check.mu)
+    rng = np.random.default_rng(seed)
+    cone_violation = 0.0
+    for boundary in (False, True):  # interior first: the seeded draw order is fixed
+        Y = _sample_cone_points(rng, len(S), n_samples, boundary) @ S_hat.T
+        slack = _row_norms(Y[:, 1:]) - Y[:, 0]
+        cone_violation = max(cone_violation, float(slack.max(initial=0.0)))
+        if boundary:
+            boundary_drift = float(np.abs(slack).max(initial=0.0))
+    return replace(report, cone_violation_max=cone_violation, boundary_drift_max=boundary_drift)
+
+
+def _verify(S: np.ndarray, tol: float) -> tuple[AutCheckResult, PropertyReport, bool]:
+    """socaut verify on a validated S and tol: check, property_report off the
+    parts it recovered, and the verdict: check accepts and A2, A3 and
+    cone_slack_bound are all <= tol."""
     check, parts, _ = _check(S, tol)
     mu = check.mu
     if mu <= 0.0:
@@ -640,27 +657,14 @@ def _verify(S, tol, n_samples, seed) -> tuple[AutCheckResult, PropertyReport, bo
         norm_E = math.hypot(a1 * a1 - float(c @ c) - 1.0, A2, A2, A3)  # E is symmetric
         head = a1 * a1 - float(b @ b)
     slack_bound = 2.0 * norm_E / head if head > 0.0 else math.inf
-
-    cone_violation = boundary_drift = 0.0
-    if n_samples > 0:
-        S_hat = S / nu
-        rng = np.random.default_rng(seed)
-        for boundary in (False, True):  # interior first: the seeded draw order is fixed
-            Y = _sample_cone_points(rng, len(S), n_samples, boundary) @ S_hat.T
-            slack = _row_norms(Y[:, 1:]) - Y[:, 0]
-            cone_violation = max(cone_violation, float(slack.max(initial=0.0)))
-            if boundary:
-                boundary_drift = float(np.abs(slack).max(initial=0.0))
-
     report = PropertyReport(
         residual_A2=A2,
         residual_A3=A3,
-        cone_violation_max=cone_violation,
-        boundary_drift_max=boundary_drift,
+        cone_violation_max=0.0,
+        boundary_drift_max=0.0,
         cone_slack_bound=slack_bound,
     )
-    gated = (A2, A3, slack_bound, cone_violation, boundary_drift)
-    return check, report, check.is_automorphism and all(v <= tol for v in gated)
+    return check, report, check.is_automorphism and all(x <= tol for x in (A2, A3, slack_bound))
 
 
 def _norms(*blocks: np.ndarray) -> list[float]:

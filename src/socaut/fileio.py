@@ -178,9 +178,9 @@ def dumps_matrix(M, compact: bool = False) -> str:
 
     ``compact=True`` emits a single line (used for streaming one matrix per
     line); the default is an indented, row-per-line layout.  Both parse back
-    identically.
+    identically.  M must be at least 2 x 2, as parse_matrix requires.
     """
-    M = as_square_matrix(M, "matrix")
+    M = as_square_matrix(M, "matrix", min_n=2)
     n = M.shape[0]
     if compact:
         return '{"n": %d, "data": [%s]}' % (n, _rows(M, None))

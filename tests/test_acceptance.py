@@ -256,8 +256,8 @@ def test_cli_exit_codes_and_file_round_trip(tmp_path, capsys):
         (["sample", "4", "2", "--quiet"], 0),
         (["sample", "1", "2", "--quiet"], 2),
         (["sample", "4", "2", "--nu-min", "-1", "--quiet"], 2),
-        (["verify", str(good), "--samples", "100", "--quiet"], 0),
-        (["verify", str(drifted), "--samples", "100", "--quiet"], 1),
+        (["verify", str(good), "--quiet"], 0),
+        (["verify", str(drifted), "--quiet"], 1),
     ]
     for argv, expected in table:
         assert main(argv) == expected, f"{argv} expected exit {expected}"

@@ -424,7 +424,7 @@ class TestCongruence:
     def test_verify_returns_the_check_and_the_report(self, nu):
         S = sample_automorphism(6, alpha_max=3.0, nu_range=(nu, nu), seed=9)
         tol = 1e-9
-        got = automorphism._verify(S, tol, 0, 0)[:2]
+        got = automorphism._verify(S, tol)[:2]
         assert got == (check_automorphism(S, tol), property_report(S))
 
 
@@ -566,6 +566,16 @@ class TestCompose:
                 with pytest.raises(ValueError, match="squared norm"):
                     getattr(f, derived)
         with pytest.raises(ValueError, match="squared norm"):
+            compose(f)
+
+    @pytest.mark.parametrize("form", ["canonical", "compact"])
+    def test_refuses_a_product_that_overflows_naming_nu_and_c(self, form):
+        # nu, c and U are finite, and so is ||c||^2; nu * a = 1e310 is not.
+        # Warnings are errors in this suite, so the refusal warns about nothing.
+        kind = CompactFactorization if form == "compact" else CanonicalFactorization
+        compose = compose_compact if form == "compact" else compose_canonical
+        f = kind(1e300, np.array([1e10, 0.0]), np.eye(2))
+        with pytest.raises(ValueError, match=r"overflows at nu=1e\+300, \|\|c\|\|=1e\+10$"):
             compose(f)
 
     @pytest.mark.parametrize("n", [3, 300])
@@ -1210,7 +1220,7 @@ class TestPropertyReport:
         rep = property_report(S)
         assert rep.residual_A3 == pytest.approx(big * big, rel=1e-12)
         assert rep.residual_A2 == pytest.approx(math.sqrt(2.0) * big, rel=1e-12)
-        assert not automorphism._verify(S, DEFAULT_TOL, 0, 0)[2]
+        assert not automorphism._verify(S, DEFAULT_TOL)[2]
 
     def test_samples_zero_allowed(self):
         rep = property_report(np.eye(3), n_samples=0)

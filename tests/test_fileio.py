@@ -129,6 +129,12 @@ class TestMatrixDocuments:
         with pytest.raises(ValueError):
             dumps_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    def test_dumps_refuses_what_parse_refuses_a_1x1_matrix(self):
+        with pytest.raises(FileFormatError, match="matrix size n must be >= 2, got 1"):
+            parse_matrix('{"n": 1, "data": [[1]]}')
+        with pytest.raises(ValueError, match="matrix must be at least 2x2, got 1x1"):
+            dumps_matrix(np.eye(1))
+
 
 class TestFactorizationDocuments:
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 80 socaut commands and record what each one prints.
+"""Run a fixed corpus of 71 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR] [--against OTHER]
 
@@ -26,28 +26,29 @@ from them differs too.  ``--inputs DIR`` reads the input documents from DIR
 second run of ``--against`` reads the first run's inputs this way, so only
 the ``sample_*`` commands depend on each tree's sampler.
 
-The corpus: ``check``, ``factor`` (both forms), ``verify`` and
-``verify --samples 2000 --seed 0|3`` on five matrices (an n = 300 member,
-its 1e-7-perturbed copy, a 50 x 50 Gaussian, an n = 300 member with
-nu = 1.03, and the n = 6 boost with its corner raised by 1e-3); ``compose``
-of the four factor documents of the two members; ``check``, ``factor`` and
-``verify`` with ``--tol 1e-12`` on the two members; ``check`` and ``factor``
-on two matrices that a two-sided congruence test accepts and whose recovered
-U is not orthogonal (``DISAGREEMENTS``: the alpha = 40 boost, n = 3, with
-entry (2, 2) raised by 1e-3 at ``--tol 1e-4``, and the alpha = 1e4 boost,
-n = 6); ``check`` and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose
-D / nu overflows (``tiny_column``); ``factor --form compact`` on an n = 6
-member scaled by 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample``
-draws;
-ten calls with bad arguments, the last a ``sample`` range whose entries
-overflow; ``compose`` on eighteen hand-written factorization documents
-(``FACTORIZATIONS``): seven malformed (one with a list as its ``form``), five
-that break an invariant (one a U whose U^T U overflows), one (alpha = 1e8)
-whose product the membership test refuses (mu cancels to 0), one whose
-``||c||^2`` overflows, and four with two faults each (one whose ``c = alpha
-V e1`` overflows with a V that is not orthogonal, one whose V and U are both
-sheared, where V must be named); ``compose --tol
-1e-3`` on a document that declares ``tol`` 1e-3 and whose U is orthogonal
+The corpus: ``check``, ``factor`` (both forms) and ``verify`` on five
+matrices (an n = 300 member, its 1e-7-perturbed copy, a 50 x 50 Gaussian,
+an n = 300 member with nu = 1.03, and the n = 6 boost with its corner
+raised by 1e-3); ``compose`` of the four factor documents of the two
+members; ``check``, ``factor`` and ``verify`` with ``--tol 1e-12`` on the
+two members; ``check`` and ``factor`` on two matrices that a two-sided
+congruence test accepts and whose recovered U is not orthogonal
+(``DISAGREEMENTS``: the alpha = 40 boost, n = 3, with entry (2, 2) raised
+by 1e-3 at ``--tol 1e-4``, and the alpha = 1e4 boost, n = 6); ``check``
+and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose D / nu overflows
+(``tiny_column``); ``factor --form compact`` on an n = 6 member scaled by
+2^-10, so that ||S||_F < 1 (``scaled``); three ``sample`` draws; ten calls
+with bad arguments (two pass ``verify`` the sampling options it does not
+have), the last a ``sample`` range whose entries overflow; ``compose`` on
+nineteen hand-written factorization documents (``FACTORIZATIONS``): seven
+malformed (one with a list as its ``form``), five that break an invariant
+(one a U whose U^T U overflows), one (alpha = 1e8) whose product the
+membership test refuses (mu cancels to 0), one whose ``||c||^2``
+overflows, one whose product overflows while ``||c||^2`` does not
+(nu = 1e300, ||c|| = 1e10), and four with two faults each (one whose
+``c = alpha V e1`` overflows with a V that is not orthogonal, one whose V
+and U are both sheared, where V must be named); ``compose --tol 1e-3`` on
+a document that declares ``tol`` 1e-3 and whose U is orthogonal
 only to that tolerance (``LOOSE``), which a compose gating at the default
 tol would refuse; and ``compose`` on its canonical twin, whose V is
 orthogonal only to the declared tol (``LOOSE_CANONICAL``), which passes
@@ -97,6 +98,7 @@ FACTORIZATIONS = {
     "u_gram_overflow": {"form": "compact", "nu": 1, "c": [1], "U": [[1e200]]},
     "alpha_wide": {**_CANONICAL, "alpha": 1e8},
     "alpha_overflow": {**_CANONICAL, "alpha": 1e200},
+    "product_overflow": {**_COMPACT, "nu": 1e300, "c": [1e10, 0], "U": [[1, 0], [0, 1]]},
     "nu_zero_c_u_length": {**_COMPACT, "nu": 0, "c": [0.75]},
     "alpha_not_number_u_ragged": {**_CANONICAL, "alpha": "x", "U": [[0, 1], [1]]},
     "c_overflow_v_not_orthogonal": {**_CANONICAL, "alpha": 1e300, "V": [[1e10, 0], [0, 1]]},
@@ -168,8 +170,6 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
             (f"factor_canonical_{name}", ["factor", m]),
             (f"factor_compact_{name}", ["factor", m, "--form", "compact"]),
             (f"verify_{name}", ["verify", m]),
-            (f"verify_seed0_{name}", ["verify", m, "--samples", "2000", "--seed", "0"]),
-            (f"verify_seed3_{name}", ["verify", m, "--samples", "2000", "--seed", "3"]),
         ]
     for name in MEMBERS:
         for form in ("canonical", "compact"):
