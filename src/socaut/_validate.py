@@ -8,10 +8,10 @@ from dataclasses import fields
 
 import numpy as np
 
-#: Default tolerance for every gate in the package.  Each gate states its own
-#: scaling where it is applied: ``spin.cone_classify``,
-#: ``kernels._require_orthogonal``, ``automorphism._check``/``_verify`` and
-#: ``fileio.parse_factorization`` (a document's V).
+#: Default tolerance for every gate in the package.  The membership test
+#: (``automorphism._check``) and each orthogonal factor's gate
+#: (``kernels._require_orthogonal``) compare a scaled residual with it;
+#: ``spin.cone_classify`` and ``automorphism._verify`` state their own scaling.
 DEFAULT_TOL = 1e-9
 
 

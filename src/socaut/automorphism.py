@@ -57,6 +57,7 @@ from .kernels import (
     _finite_sqrt_coefficients,
     _norm,
     _gram_defect,
+    _not_orthogonal,
     _require_orthogonal,
     _sqrt_coefficients,
     haar_orthogonal,
@@ -137,16 +138,16 @@ class AutCheckResult:
     Attributes
     ----------
     is_automorphism : bool
-        True when ``mu > tol``, ``residual_congruence <= tol``, and
-        ``cone_forward`` all hold.
+        True when ``cone_forward``, ``mu > tol`` and
+        ``residual_congruence <= tol`` all hold: the one rule of the test.
     mu : float
         Congruence scale ``S[0,0]^2 - ||S[1:,0]||^2``, read off the first
         column; for a member it is the (0,0) entry of ``S^T J S``.
     residual_congruence : float
         ``max(||U^T U - I||_F / m, ||d|| / a)``, with the U, first-row
         defect d and a that check_automorphism recovers; 0 exactly on
-        members, inf when ``mu`` is not positive and finite or the recovery
-        overflows (``||c||^2``, ``D / nu``, ``U^T U``).
+        members, inf (refused at every tol) when no finite factors exist:
+        ``mu`` is not positive and finite or the recovery overflows.
     cone_forward : bool
         True when ``(S e)_0 > 0``, i.e. the cone axis is not reversed.
     """
@@ -189,7 +190,7 @@ class _Factorization(FrozenValue):
         return orthogonality_residual(self.U)
 
     def _gate(self, tol: float, error=ValueError) -> None:
-        """The gate ``residual <= tol * m`` on U's kept residual."""
+        """The gate ``residual / m <= tol`` on U's kept residual."""
         _require_orthogonal(self._residual, len(self.U), "U", tol, error)
 
 
@@ -304,11 +305,11 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     ``a = sqrt(1 + ||c||^2)`` and ``U = P^{-1} D``, and
     ``S / nu - [[a, c^T], [c, P]] diag(1, U) = e1 d^T`` with the first-row
     defect ``d = b - D^T c / a``.  So S is a member iff U is orthogonal and
-    d = 0.  Accepts iff ``mu > tol``, ``||U^T U - I||_F <= tol * m``,
-    ``||d|| <= tol * a`` (together: ``residual_congruence <= tol``) and
-    ``(S e)_0 = S[0,0] > 0``.  factor_compact returns the same recovered
-    factors, so it succeeds exactly when this accepts.  Rejection is a
-    normal result, not an exception.
+    d = 0.  Accepts iff ``(S e)_0 = S[0,0] > 0``, ``mu > tol`` and
+    ``residual_congruence = max(||U^T U - I||_F / m, ||d|| / a) <= tol``.
+    factor_compact returns the same recovered factors, so it succeeds
+    exactly when this accepts.  Rejection is a normal result, not an
+    exception.
     """
     S = as_square_matrix(S, "S", min_n=2)
     return _check(S, as_nonnegative_float(tol, "tol"))[0]
@@ -318,8 +319,10 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
     """check_automorphism on validated input.  Returns the result, the
     recovered parts ``(nu, c, U, ortho, a, G, v, d)`` whenever they are
     finite (else None), and a message naming the gates that rejected ('' on
-    accept).  ``G = U^T U - I`` and ``ortho = ||G||_F``; ``v = U^T c``, read
-    as ``D^T c / a``, and ``d = b - v`` is the first-row defect."""
+    accept): every membership refusal is worded here.  ``G = U^T U - I`` and
+    ``ortho = ||G||_F``; ``v = U^T c``, read as ``D^T c / a``, and
+    ``d = b - v`` is the first-row defect.  A failed residual gate is named
+    by its larger scaled term, U's or d's."""
     head = float(S[0, 0])
     cone_forward = head > 0.0
     m = len(S) - 1
@@ -345,10 +348,8 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
     if math.isfinite(ortho + defect):
         res = max(ortho / m, defect / a)
         parts = (nu, c, U, ortho, a, G, v, d)
-    # Only finite factors are accepted: tol * m can overflow, and inf <= inf.
-    accept = parts is not None and mu > tol and ortho <= tol * m and defect <= tol * a
     check = AutCheckResult(
-        is_automorphism=accept and cone_forward,
+        is_automorphism=cone_forward and mu > tol and res <= tol,
         mu=mu,
         residual_congruence=res,
         cone_forward=cone_forward,
@@ -360,16 +361,14 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
         reasons.append(f"congruence scale mu={mu:.6g} <= tol {tol:.3g}")
     if not cone_forward:
         reasons.append("cone-reversing: (S e)_0 <= 0")
-    if parts is None:  # nothing finite recovered: mu <= 0 said so above, unless mu is inf
-        if mu > tol:
+    if parts is None:  # mu <= 0 is the mu gate's reason alone
+        if not mu <= 0.0:
             reasons.append(f"no finite factors at mu={mu:.6g}")
-    elif not ortho / m <= max(tol, defect / a):
-        reasons.append(
-            "recovered U is not orthogonal within tolerance: "
-            f"residual {ortho:.3e} > {tol * m:.3e}"
-        )
-    elif not defect <= tol * a:
-        reasons.append(f"first-row defect ||d|| {defect:.3e} > {tol * a:.3e}")
+    elif not res <= tol:
+        if ortho / m > defect / a:
+            reasons.append("recovered " + _not_orthogonal("U", ortho, m, tol))
+        else:
+            reasons.append(f"first-row defect ||d|| {defect:.3e} > {tol * a:.3e}")
     return check, parts, "; ".join(reasons)
 
 
@@ -431,9 +430,9 @@ def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.nda
     Assembled blockwise in O(n^2): with ``a = sqrt(1+||c||^2)`` and
     ``P = I + beta c c^T``, the product ``nu * [[a, c^T],[c, P]] diag(1,U)``
     has first row ``nu * [a, (c^T U)]``, first column ``nu * [a; c]``, and
-    lower block ``nu * (U + beta c (c^T U))``.  U's orthogonality gate
-    (``<= tol * (n-1)``) is enforced here, on the residual that factor_compact
-    or parse_factorization measured, or else on one measured now.
+    lower block ``nu * (U + beta c (c^T U))``.  U's gate ``residual / (n-1)
+    <= tol`` is enforced here, on the residual that factor_compact or
+    parse_factorization measured, or else on one measured now.
     """
     return _compose(f, CompactFactorization, tol)
 
@@ -442,11 +441,11 @@ def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np
     """Multiply a canonical factorization back into a dense matrix.
 
     The product is assembled from the stored ``(nu, c, U)`` exactly as
-    compose_compact does, in O(n^2), without forming V or T_alpha.  U's
-    orthogonality gate (``<= tol * (n-1)``) is enforced here on its kept
-    residual, which is measured now if neither factor_canonical nor
-    parse_factorization measured it.  A full V enters only from a document,
-    and parse_factorization gates it there.
+    compose_compact does, in O(n^2), without forming V or T_alpha.  U's gate
+    ``residual / (n-1) <= tol`` is enforced here on its kept residual, which
+    is measured now if neither factor_canonical nor parse_factorization
+    measured it.  A full V enters only from a document, and
+    parse_factorization gates it there.
     """
     return _compose(f, CanonicalFactorization, tol)
 
@@ -578,10 +577,11 @@ def property_report(S, n_samples: int = 0, seed: int = 0) -> PropertyReport:
         E[0, 0] = a'^2 - ||c||^2 - 1,   E[1:, 0] = a' b - a v,
         E[1:, 1:] = -G + v d^T + d b^T.
 
-    Gross non-automorphisms (``mu`` not positive or not finite, no finite
-    factors, as when S_hat overflows, cone-reversing) raise
-    NotAutomorphismError; tolerance-level failures still produce a report —
-    that is the diagnostic purpose of this function.
+    Inputs with no finite factors (``mu`` not positive or not finite, or
+    S_hat overflows) and cone-reversing inputs raise NotAutomorphismError,
+    ``cannot certify:`` followed by the membership test's reasons;
+    tolerance-level failures still produce a report — that is the
+    diagnostic purpose of this function.
 
     ``cone_slack_bound`` is ``2 ||E||_F / (a'^2 - ||b||^2)``, with the head
     read off row 0.  Why it bounds the slack of every cone point x
@@ -631,20 +631,9 @@ def _verify(S: np.ndarray, tol: float) -> tuple[AutCheckResult, PropertyReport, 
     """socaut verify on a validated S and tol: check, property_report off the
     parts it recovered, and the verdict: check accepts and A2, A3 and
     cone_slack_bound are all <= tol."""
-    check, parts, _ = _check(S, tol)
-    mu = check.mu
-    if mu <= 0.0:
-        raise NotAutomorphismError(
-            f"congruence scale mu={mu:.6g} is not positive; cannot normalize", check
-        )
-    if not mu < math.inf:  # inf, or nan when both squares overflow
-        raise NotAutomorphismError(
-            f"congruence scale mu={mu:.6g} is not finite; cannot normalize", check
-        )
-    if parts is None:
-        raise NotAutomorphismError(f"no finite factors at mu={mu:.6g}; cannot normalize", check)
-    if not check.cone_forward:
-        raise NotAutomorphismError("cone-reversing input: (S e)_0 <= 0", check)
+    check, parts, reasons = _check(S, tol)
+    if parts is None or not check.cone_forward:
+        raise NotAutomorphismError("cannot certify: " + reasons, check)
     nu, c = parts[:2]
     a, G, v, d = parts[4:]
     del parts  # U: only its Gram matrix G is needed
@@ -693,7 +682,7 @@ def algebra_automorphism(D, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     These are exactly the maps preserving the Jordan product (and the unit
     e) — a subgroup of the cone automorphisms with mu = 1.  Raises
-    ValueError when D fails its orthogonality gate ``tol * m``.
+    ValueError when D fails its orthogonality gate ``residual / m <= tol``.
     """
     D = as_square_matrix(D, "D", min_n=1)
     tol = as_nonnegative_float(tol, "tol")

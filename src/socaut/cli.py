@@ -23,6 +23,7 @@ from .automorphism import (
     CanonicalFactorization,
     NotAutomorphismError,
     _assemble,
+    _check,
     _norms,
     _verify,
     check_automorphism,
@@ -37,19 +38,13 @@ from .fileio import (
     dumps_factorization,
     dumps_matrix,
     format_float,
-    parse_factorization,
-    parse_matrix,
+    load_factorization,
+    load_matrix,
 )
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_MALFORMED = 2
-
-
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
 
 
 def _emit(text: str, output: str | None, quiet: bool) -> None:
@@ -76,14 +71,14 @@ def _relative_residual(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    S = parse_matrix(_read_input(args.input))
+    S = load_matrix(args.input)
     result = check_automorphism(S, args.tol)
     _emit(_report(vars(result).items()), args.output, args.quiet)
     return EXIT_OK if result.is_automorphism else EXIT_REJECTED
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    S = parse_matrix(_read_input(args.input))
+    S = load_matrix(args.input)
     factor = factor_canonical if args.form == "canonical" else factor_compact
     f = factor(S, args.tol)  # gates U; the canonical form builds no V
     residual = _relative_residual(_assemble(f.nu, f.c, f.U), S)
@@ -93,17 +88,12 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    f, tol = parse_factorization(_read_input(args.input))  # gates the orthogonal factors
+    f, tol = load_factorization(args.input)  # gates the orthogonal factors
     compose = compose_canonical if isinstance(f, CanonicalFactorization) else compose_compact
-    S = compose(f, tol)  # gates the residuals parse kept, at the same tol
-    result = check_automorphism(S, args.tol)
+    S = compose(f, tol)  # gates the residuals the load kept, at the same tol
+    result, _, reasons = _check(S, as_nonnegative_float(args.tol, "tol"))
     if not result.is_automorphism:
-        raise NotAutomorphismError(
-            "composed matrix fails the membership test "
-            f"(mu={format_float(result.mu)}, "
-            f"residual={format_float(result.residual_congruence)})",
-            result,
-        )
+        raise NotAutomorphismError("composed matrix fails the membership test: " + reasons, result)
     _emit(dumps_matrix(S), args.output, args.quiet)
     return EXIT_OK
 
@@ -129,7 +119,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    S = parse_matrix(_read_input(args.input))
+    S = load_matrix(args.input)
     result, report, ok = _verify(S, as_nonnegative_float(args.tol, "tol"))
     pairs = [
         ("mu", result.mu),

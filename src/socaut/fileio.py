@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +252,14 @@ def _parse_matrix_grid(text: str) -> np.ndarray:
     return values.reshape(k, k)
 
 
+def _read(path) -> str:
+    """The text at ``path``, or standard input when ``path`` is ``"-"``."""
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
+
+
 def load_matrix(path) -> np.ndarray:
-    """Read and parse a matrix document from ``path``."""
-    return parse_matrix(Path(path).read_text())
+    """Read and parse a matrix document from ``path``, or ``"-"`` for standard input."""
+    return parse_matrix(_read(path))
 
 
 # -- factorization documents -------------------------------------------------
@@ -314,8 +320,8 @@ def parse_factorization(text: str):
     Returns ``(factorization, tol)`` where ``tol`` is the file-declared
     tolerance (DEFAULT_TOL when absent).  Structural problems raise
     FileFormatError, the first in document order; mathematical invariant
-    violations (nu <= 0, alpha < 0, non-orthogonal factors beyond
-    ``tol * m``, V before U) raise InvalidFactorizationError; a canonical
+    violations (nu <= 0, alpha < 0, a factor whose residual over m exceeds
+    ``tol``, V before U) raise InvalidFactorizationError; a canonical
     document whose ``c = alpha V[:, 0]`` overflows raises ValueError before
     V is gated.  Each orthogonal factor is measured once, here: V is
     reduced to c, and the factorization keeps U's residual, which compose_*
@@ -361,5 +367,5 @@ def parse_factorization(text: str):
 
 
 def load_factorization(path):
-    """Read and parse a factorization document from ``path``."""
-    return parse_factorization(Path(path).read_text())
+    """Read and parse a factorization document from ``path``, or ``"-"`` for stdin."""
+    return parse_factorization(_read(path))

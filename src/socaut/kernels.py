@@ -3,7 +3,7 @@
 Everything here is closed-form or a thin, documented wrapper over numpy:
 rank-one-update square roots ``sqrt(I + c c^T)``, Householder reflectors
 aligned with a direction, an orthogonality residual and the one gate built
-on it (``residual <= tol * m``), Haar-distributed orthogonal samples, and
+on it (``residual / m <= tol``), Haar-distributed orthogonal samples, and
 the hyperbolic boost block.  The Haar sampler draws Householder vectors
 directly (Stewart's method), so it runs no QR.
 """
@@ -185,13 +185,15 @@ def _require_orthogonal(
     residual: float, m: int, name: str, tol: float, error: Callable[[str], Exception] = ValueError
 ) -> None:
     """The gate of an m x m orthogonal factor: raise ``error(message)`` unless
-    its measured ``orthogonality_residual`` is ``<= tol * m``."""
-    bound = tol * m
-    if residual > bound:
-        raise error(
-            f"{name} is not orthogonal within tolerance: residual {residual:.3e} "
-            f"> {bound:.3e}"
-        )
+    its measured ``orthogonality_residual`` scaled by m is ``<= tol``; an
+    infinite residual fails at every tol."""
+    if not residual / m <= tol:
+        raise error(_not_orthogonal(name, residual, m, tol))
+
+
+def _not_orthogonal(name: str, residual: float, m: int, tol: float) -> str:
+    """The refusal of an m x m factor whose residual fails the gate."""
+    return f"{name} is not orthogonal within tolerance: residual {residual:.3e} > {tol * m:.3e}"
 
 
 def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:

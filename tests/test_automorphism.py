@@ -493,6 +493,42 @@ class TestOneVerdict:
         bound = 4.0 * n * EPS * (1.0 + alpha**2) * nu + 4.0 * noise
         assert np.abs(compose_compact(f) - S).max() <= bound
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["member", "gaussian"]),
+        n=st.integers(2, 12),
+        alpha=st.floats(0.0, 1e6),
+        log_nu=st.floats(-3.0, 3.0),
+        exponent=st.integers(-600, 600),
+        tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1e308]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_rule_decides_and_what_it_accepts_composes(
+        self, kind, n, alpha, log_nu, exponent, tol, seed
+    ):
+        # Members span the wide alpha and nu ranges, Gaussians scales 2^+-600,
+        # tol the gate's whole range up to where tol * m overflows.
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            S = 2.0**exponent * rng.standard_normal((n, n))
+        else:
+            direction = rng.standard_normal(n - 1)
+            c = alpha * direction / np.linalg.norm(direction)
+            U = haar_orthogonal(rng, n - 1)
+            S = compose_compact(CompactFactorization(10.0**log_nu, c, U))
+        check = check_automorphism(S, tol)
+        rule = check.cone_forward and check.mu > tol and check.residual_congruence <= tol
+        assert check.is_automorphism == rule
+        try:
+            f = factor_compact(S, tol)
+        except NotAutomorphismError as exc:
+            assert not check.is_automorphism
+            assert repr(exc.check) == repr(check)  # mu may be nan
+            return
+        assert check.is_automorphism
+        compose_compact(f, tol)
+        compose_canonical(factor_canonical(S, tol), tol)
+
 
 class TestFactorCanonical:
     def test_identity(self):
@@ -577,6 +613,17 @@ class TestCompose:
         f = kind(1e300, np.array([1e10, 0.0]), np.eye(2))
         with pytest.raises(ValueError, match=r"overflows at nu=1e\+300, \|\|c\|\|=1e\+10$"):
             compose(f)
+
+    @pytest.mark.parametrize("form", ["canonical", "compact"])
+    def test_refuses_a_u_whose_gram_overflows_even_when_the_gate_does(self, form):
+        # U^T U overflows, so the residual is inf; at tol = 1e308 so is tol * m,
+        # and the gate must still refuse.
+        kind = CompactFactorization if form == "compact" else CanonicalFactorization
+        compose = compose_compact if form == "compact" else compose_canonical
+        f = kind(1.0, [0.0, 0.0], np.diag([1e200, 1.0]))
+        message = "^U is not orthogonal within tolerance: residual inf > inf$"
+        with pytest.raises(ValueError, match=message):
+            compose(f, tol=1e308)
 
     @pytest.mark.parametrize("n", [3, 300])
     def test_assembly_is_the_closed_form_bit_for_bit(self, n):
@@ -1196,20 +1243,36 @@ class TestPropertyReport:
         assert rep.cone_slack_bound <= 16 * EPS * 5.0
 
     def test_gross_rejections_raise(self):
-        with pytest.raises(NotAutomorphismError):
-            property_report(np.diag([-1.0, 1.0, 1.0]))
-        with pytest.raises(NotAutomorphismError, match="mu=-0.99 is not positive; cannot normalize"):
+        # The refusal is the membership test's own reasons.
+        refusals = [
+            (np.diag([-1.0, 1.0, 1.0]), "cone-reversing: (S e)_0 <= 0"),
             # first column (0.1, 1): mu = 0.01 - 1 < 0
-            property_report(np.array([[0.1, 1.0], [1.0, 0.1]]))
-        for S in (1e200 * np.eye(3), INFINITE_MU):  # a positive mu that overflows
-            with pytest.raises(NotAutomorphismError, match="mu=inf is not finite; cannot normalize"):
+            (np.array([[0.1, 1.0], [1.0, 0.1]]), "congruence scale mu=-0.99 <= tol 1e-09"),
+            # a positive mu that overflows
+            (1e200 * np.eye(3), "no finite factors at mu=inf"),
+            (INFINITE_MU, "no finite factors at mu=inf"),
+        ]
+        for S, reasons in refusals:
+            with pytest.raises(NotAutomorphismError) as excinfo:
                 property_report(S)
+            assert str(excinfo.value) == "cannot certify: " + reasons
+            assert excinfo.value.check == check_automorphism(S)
 
-    @pytest.mark.parametrize("S", OVERFLOWING)
-    def test_overflowing_normalization_raises(self, S):
-        message = r"no finite factors at mu=1e-(300|08); cannot normalize"
-        with pytest.raises(NotAutomorphismError, match=message):
+    @pytest.mark.parametrize(
+        "S,reasons",
+        [
+            pytest.param(
+                *OVERFLOWING[0].values,
+                "congruence scale mu=1e-300 <= tol 1e-09; no finite factors at mu=1e-300",
+                id="mu1e-300",
+            ),
+            pytest.param(*OVERFLOWING[1].values, "no finite factors at mu=1e-08", id="mu1e-8"),
+        ],
+    )
+    def test_overflowing_normalization_raises(self, S, reasons):
+        with pytest.raises(NotAutomorphismError) as excinfo:
             property_report(S)
+        assert str(excinfo.value) == "cannot certify: " + reasons
 
     @pytest.mark.parametrize("big", [1e100, 1.3e154])
     def test_squares_past_the_double_range_report_without_a_warning(self, big):
@@ -1394,6 +1457,11 @@ class TestApplyAndAlgebra:
     def test_algebra_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
             algebra_automorphism(np.diag([1.0, 2.0]))
+
+    def test_algebra_refuses_a_d_whose_gram_overflows_at_every_tol(self):
+        for tol in (DEFAULT_TOL, 1e308):  # at 1e308, tol * m overflows too
+            with pytest.raises(ValueError, match="^D is not orthogonal .* residual inf > "):
+                algebra_automorphism(np.diag([1e200, 1.0]), tol=tol)
 
     def test_algebra_preserves_product(self):
         rng = np.random.default_rng(15)

@@ -247,6 +247,31 @@ class TestFactorCompose:
         assert main(["compose", str(p)]) == 1
         assert "orthogonal" in capsys.readouterr().err
 
+    def test_compose_u_whose_gram_overflows_exits_1_at_the_largest_tol(self, tmp_path, capsys):
+        # U^T U overflows, so U's residual is inf; tol * m overflows too at
+        # tol = 1e308, and the load's gate must still refuse.
+        doc = '{"form": "compact", "nu": 1, "c": [0, 0], "U": [[1e200, 0], [0, 1]], "tol": 1e308}'
+        p = tmp_path / "f.json"
+        p.write_text(doc)
+        assert main(["compose", str(p), "--tol", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: U is not orthogonal within tolerance: residual inf > inf\n"
+
+    def test_compose_refuses_a_composed_non_member_naming_the_gate(self, tmp_path, capsys):
+        # U is orthogonal to the document's tol 1e-3, not to the default --tol
+        # that the composed matrix is checked at: the recovered U decides.
+        doc = {"form": "compact", "nu": 2.0, "c": [0.75, 0.0], "U": [[0, 1.0001], [1, 0]]}
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({**doc, "tol": 1e-3}))
+        assert main(["compose", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: composed matrix fails the membership test: recovered U is not "
+            "orthogonal within tolerance: residual 2.000e-04 > 2.000e-09\n"
+        )
+
     def test_compose_malformed_exits_2(self, tmp_path, capsys):
         p = tmp_path / "f.json"
         p.write_text('{"form": "compact", "nu": 1}')
@@ -371,18 +396,17 @@ class TestVerify:
         assert main(["verify", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err
-        assert "cone-reversing input" in captured.err
+        assert captured.err == "error: cannot certify: cone-reversing: (S e)_0 <= 0\n"
         p.write_text("0.1 1\n1 0.1\n")  # first column (0.1, 1): mu = 0.01 - 1 < 0
         assert main(["verify", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: congruence scale mu=-0.99 is not positive" in captured.err
+        assert captured.err == "error: cannot certify: congruence scale mu=-0.99 <= tol 1e-09\n"
         p.write_text(dumps_matrix(1e200 * np.eye(3)))  # mu = inf: positive, not finite
         assert main(["verify", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: congruence scale mu=inf is not finite; cannot normalize" in captured.err
+        assert captured.err == "error: cannot certify: no finite factors at mu=inf\n"
 
     def test_overflowing_normalization_exits_1_before_report(self, tmp_path, capsys):
         p = tmp_path / "tiny.txt"
@@ -390,7 +414,10 @@ class TestVerify:
         assert main(["verify", str(p)]) == 1  # warnings are errors in this suite
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: no finite factors at mu=1e-300; cannot normalize" in captured.err
+        assert captured.err == (
+            "error: cannot certify: congruence scale mu=1e-300 <= tol 1e-09; "
+            "no finite factors at mu=1e-300\n"
+        )
 
     def test_bad_tol_exits_2(self, boost_file, capsys):
         assert main(["verify", str(boost_file), "--tol", "-1"]) == 2
@@ -591,7 +618,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_71_commands(self, tmp_path):
+    def test_cli_corpus_records_72_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -600,7 +627,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 71
+        assert len(labels) == 72
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -623,7 +650,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 71
+        assert len({p.stem for p in results.iterdir()}) == 72
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_cli_corpus_against_another_tree_lists_each_differing_file(self, tmp_path):

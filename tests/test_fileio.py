@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 import math
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from socaut.fileio import (
     dumps_factorization,
     dumps_matrix,
     format_float,
+    load_factorization,
+    load_matrix,
     parse_factorization,
     parse_matrix,
 )
@@ -134,6 +139,35 @@ class TestMatrixDocuments:
             parse_matrix('{"n": 1, "data": [[1]]}')
         with pytest.raises(ValueError, match="matrix must be at least 2x2, got 1x1"):
             dumps_matrix(np.eye(1))
+
+
+class TestLoad:
+    """load_matrix and load_factorization read a path, or standard input for "-"."""
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_load_matrix(self, source, tmp_path, monkeypatch):
+        S = sample_automorphism(4, seed=2)
+        text = dumps_matrix(S)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = tmp_path / "S.json"
+            path.write_text(text)
+        assert load_matrix(path).tobytes() == parse_matrix(text).tobytes() == S.tobytes()
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_load_factorization(self, source, tmp_path, monkeypatch):
+        text = dumps_factorization(CompactFactorization(2.0, [0.75, 0.0], np.eye(2)), tol=1e-6)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = str(tmp_path / "f.json")
+            Path(path).write_text(text)
+        f, tol = load_factorization(path)
+        assert tol == 1e-6
+        assert dumps_factorization(f, tol=tol) == text
 
 
 class TestFactorizationDocuments:
@@ -293,6 +327,18 @@ class TestFactorizationDocuments:
                 '{"form": "compact", "nu": 1, "c": [1], "U": [[1e200]]}',
                 r"^U is not orthogonal within tolerance: residual inf > 1\.000e-09$",
                 id="U-gram-overflows",
+            ),
+            pytest.param(
+                '{"form": "compact", "nu": 1, "c": [0, 0], "U": [[1e200, 0], [0, 1]], '
+                '"tol": 1e308}',
+                r"^U is not orthogonal within tolerance: residual inf > inf$",
+                id="U-gram-overflows-at-the-largest-tol",
+            ),
+            pytest.param(
+                '{"form": "canonical", "nu": 1, "alpha": 0, "V": [[1e200, 0], [0, 1]], '
+                '"U": [[1, 0], [0, 1]], "tol": 1e308}',
+                r"^V is not orthogonal within tolerance: residual inf > inf$",
+                id="V-gram-overflows-at-the-largest-tol",
             ),
             (
                 '{"form": "canonical", "nu": 1, "alpha": 1, "V": [[0.5]], "U": [[1]]}',

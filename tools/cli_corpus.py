@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 71 socaut commands and record what each one prints.
+"""Run a fixed corpus of 72 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR] [--against OTHER]
 
@@ -50,7 +50,9 @@ overflows, one whose product overflows while ``||c||^2`` does not
 and U are both sheared, where V must be named); ``compose --tol 1e-3`` on
 a document that declares ``tol`` 1e-3 and whose U is orthogonal
 only to that tolerance (``LOOSE``), which a compose gating at the default
-tol would refuse; and ``compose`` on its canonical twin, whose V is
+tol would refuse, and ``compose`` on it at the default ``--tol``, whose
+re-check of the composed matrix refuses it on the recovered U; and
+``compose`` on its canonical twin, whose V is
 orthogonal only to the declared tol (``LOOSE_CANONICAL``), which passes
 only if V is gated at the document's tol.
 """
@@ -219,6 +221,7 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         for label in FACTORIZATIONS
     ]
     cmds.append(("compose_doc_loose", ["compose", str(paths["doc_loose"]), "--tol", "1e-3"]))
+    cmds.append(("compose_doc_loose_default_tol", ["compose", str(paths["doc_loose"])]))
     cmds.append(("compose_doc_loose_canonical", ["compose", str(paths["doc_loose_canonical"])]))
     return cmds
 
