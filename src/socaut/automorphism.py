@@ -357,12 +357,14 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
     if check.is_automorphism:
         return check, parts, ""
     reasons = []
-    if not mu > tol:
+    if math.isnan(mu):  # inf - inf: S is finite, so both squares overflow
+        reasons.append("congruence scale mu=nan: S[0,0]^2 and ||S[1:,0]||^2 both overflow")
+    elif not mu > tol:
         reasons.append(f"congruence scale mu={mu:.6g} <= tol {tol:.3g}")
     if not cone_forward:
         reasons.append("cone-reversing: (S e)_0 <= 0")
-    if parts is None:  # mu <= 0 is the mu gate's reason alone
-        if not mu <= 0.0:
+    if parts is None:  # mu <= 0 or nan is the mu gate's reason alone
+        if mu > 0.0:
             reasons.append(f"no finite factors at mu={mu:.6g}")
     elif not res <= tol:
         if ortho / m > defect / a:
@@ -478,8 +480,9 @@ def _assemble(nu: float, c: np.ndarray, U: np.ndarray) -> np.ndarray:
             S[0, 0] = a
             S[0, 1:] = cU
             S[1:, 0] = c
-            S[1:, 1:] = U
-            S[1:, 1:] += _scaled_outer(c, cU, beta)
+            D = np.multiply.outer(c, cU, out=S[1:, 1:])
+            D *= beta
+            D += U  # U + beta c (c^T U), bit for bit: addition commutes
             S *= nu
     except FloatingPointError:
         raise ValueError(f"the product overflows at nu={nu:.6g}, ||c||={_norm(c):.6g}") from None

@@ -32,10 +32,14 @@ __all__ = [
 #: the identity is returned instead.
 PARALLEL_TOL = 1e-14
 
-#: Reflectors per compact-WY block in ``haar_orthogonal``.  Blocks of 96 or
-#: 128 are a few ms faster at m = 999 but raise the mean ||Q^T Q - I||_F at
-#: m = 100 by about a fifth.
-_HAAR_BLOCK = 64
+#: Reflectors per compact-WY block in ``haar_orthogonal``.  At m = 999 on a
+#: 2-vCPU host (OpenBLAS), blocks of 64, 96, 128 and 192 draw in medians of
+#: about 48, 44, 40 and 40 ms; the mean ||Q^T Q - I||_F at m = 300 is 1.33,
+#: 1.45, 1.53 and 1.68 times LAPACK QR's.  128 is the narrowest at the plateau.
+_HAAR_BLOCK = 128
+
+#: Widest diagonal block that ``_invert_upper`` hands to ``np.linalg.inv``.
+_INVERSE_LEAF = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,16 +218,19 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     classical compact groups", Notices AMS 54, 2007).  ``H_{m-1}`` acts on
     one coordinate, where it is -1, so D absorbs it exactly.  The reflectors
     are applied right to left in compact-WY blocks ``I - V T V^T`` of
-    ``_HAAR_BLOCK`` (64) reflectors (R. Schreiber and C. Van Loan, SIAM J.
+    ``_HAAR_BLOCK`` (128) reflectors (R. Schreiber and C. Van Loan, SIAM J.
     Sci. Stat. Comput. 10, 1989), each touching only the trailing r x r
-    block of Q.  A block inverts its b x b ``T^-1 = triu(V^T V, 1) +
-    diag(||v_k||^2 / 2)`` once, so its update ``Q -= V (T (V^T Q))`` is
-    three matrix products and no solve; the r x r product goes into one
-    scratch buffer allocated per call.
+    block of Q.  A block forms T from ``T^-1 = triu(V^T V, 1) + diag(||v_k||^2
+    / 2)`` by products alone (``_invert_upper``), so its update ``Q += V (-T
+    W)``, ``W = V^T Q``, runs no solve.  Until a block is applied, Q's rows
+    and columns ``k0..k1-1`` still hold ``diag(-s)`` and zeros.  So W is
+    ``V1^T diag(-s)`` beside the one product ``V2^T Q22`` (V1 and V2: V's top
+    b and bottom r - b rows; ``Q22 = Q[k1:, k1:]``), and the update writes
+    those strips of Q outright and adds only to Q22.  Two scratch buffers,
+    allocated per call, hold W (then ``V2 (-T W)``) and ``-T W``.
     """
     m = as_index(m, "m", minimum=1)
-    rows = np.arange(m)
-    lower = rows[:, np.newaxis] >= rows
+    lower = np.tri(m, dtype=bool)
     X = np.zeros((m, m))  # column k: reflector k's x, then v, in rows k..m-1
     X[lower] = rng.standard_normal(m * (m + 1) // 2)
     x0 = X.diagonal().copy()
@@ -236,18 +243,46 @@ def haar_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     half[half == 0.0] = 1.0  # x = 0: v = 0, and T^-1 keeps a unit diagonal
     Q = np.zeros((m, m))
     Q.reshape(-1)[:: m + 1] = -s
-    product = np.empty(m * m)  # V (T (V^T Q)) of each block, in its first r * r entries
+    work = np.empty(m * m)  # each block's W, then its V2 Y2
+    Y_work = np.empty(min(m, _HAAR_BLOCK) * m)
     for k0 in reversed(range(0, m, _HAAR_BLOCK)):
         k1 = min(k0 + _HAAR_BLOCK, m)
         b, r = k1 - k0, m - k0
-        V = X[k0:, k0:k1]
-        T_inv = V.T @ V
-        T_inv[lower[:b, :b]] = 0.0
-        T_inv.reshape(-1)[:: b + 1] = half[k0:k1]
-        T = np.linalg.inv(T_inv)  # b x b, upper triangular
-        Qt = Q[k0:, k0:]
-        Qt -= np.matmul(V, T @ (V.T @ Qt), out=product[: r * r].reshape(r, r))
+        V = X[k0:, k0:k1]  # [V1; V2], V1 = V[:b] lower triangular
+        T = V.T @ V  # T^-1 once its lower triangle is set, then -T in place
+        T[lower[:b, :b]] = 0.0
+        T.reshape(-1)[:: b + 1] = half[k0:k1]
+        np.negative(_invert_upper(T), out=T)
+        # W = V^T Q[k0:, k0:] = [V1^T diag(-s), V2^T Q22]: the strips are still diag(-s) and zeros.
+        W = work[: b * r].reshape(b, r)
+        np.multiply(V[:b].T, -s[k0:k1], out=W[:, :b])
+        if k1 < m:  # the first block applied has no Q22
+            np.matmul(V[b:].T, Q[k1:, k1:], out=W[:, b:])
+        Y = np.matmul(T, W, out=Y_work[: b * r].reshape(b, r))  # -T W
+        # Q[k0:, k0:] += V Y: the strips are written outright, Q22 is added to.
+        np.matmul(V, Y[:, :b], out=Q[k0:, k0:k1])
+        Q.reshape(-1)[k0 * (m + 1) : k1 * (m + 1) : m + 1] -= s[k0:k1]
+        if k1 < m:
+            np.matmul(V[:b], Y[:, b:], out=Q[k0:k1, k1:])
+            Q[k1:, k1:] += np.matmul(V[b:], Y[:, b:], out=work[: (r - b) ** 2].reshape(r - b, r - b))
     return Q
+
+
+def _invert_upper(R: np.ndarray) -> np.ndarray:
+    """Invert an upper triangular R with a nonzero diagonal in place and
+    return it, by the 2 x 2 block recursion ``[[A, B], [0, C]]^-1 =
+    [[A^-1, -A^-1 B C^-1], [0, C^-1]]`` (E. Elmroth and F. Gustavson, IBM J.
+    Res. Dev. 44, 2000): products only, and ``np.linalg.inv`` on diagonal
+    blocks of at most ``_INVERSE_LEAF`` rows."""
+    b = len(R)
+    if b <= _INVERSE_LEAF:
+        R[...] = np.linalg.inv(R)
+        return R
+    h = b // 2
+    A_inv = _invert_upper(R[:h, :h])
+    C_inv = _invert_upper(R[h:, h:])
+    R[:h, h:] = -A_inv @ R[:h, h:] @ C_inv
+    return R
 
 
 def sample_haar_orthogonal(m: int, seed: int = 0) -> np.ndarray:

@@ -67,6 +67,9 @@ OVERFLOWING = [
 #: mu = inf, as the head's square overflows: no factors are recovered, and at
 #: tol = 1e308 the gate tol * m overflows too.
 INFINITE_MU = np.array([[2e154, 0.0, 0.0], [1e154, 1e308, 1e308], [0.0, 1e308, 1e308]])
+#: S[0,0]^2 and ||S[1:,0]||^2 both overflow, so mu = inf - inf = nan.
+NAN_MU = np.array([[1e200, 0.0], [1e200, 1.0]])
+NAN_MU_REASON = "congruence scale mu=nan: S[0,0]^2 and ||S[1:,0]||^2 both overflow"
 
 
 @pytest.fixture
@@ -196,6 +199,18 @@ class TestCheckAutomorphism:
         assert not res.is_automorphism
         with pytest.raises(NotAutomorphismError, match="cannot factor: no finite factors at mu=inf"):
             factor_compact(INFINITE_MU, tol=tol)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e308])
+    def test_nan_mu_is_refused_naming_both_overflowing_squares(self, tol):
+        res = check_automorphism(NAN_MU, tol=tol)
+        assert math.isnan(res.mu) and res.residual_congruence == math.inf
+        assert not res.is_automorphism
+        with pytest.raises(NotAutomorphismError) as excinfo:
+            factor_compact(NAN_MU, tol=tol)
+        assert str(excinfo.value) == "cannot factor: " + NAN_MU_REASON
+        with pytest.raises(NotAutomorphismError) as excinfo:
+            automorphism._verify(NAN_MU, tol)
+        assert str(excinfo.value) == "cannot certify: " + NAN_MU_REASON
 
     @pytest.mark.parametrize(
         "tol", [-1e-9, math.inf, math.nan, pytest.param(10**400, id="1e400"), None, "abc"]
@@ -614,6 +629,14 @@ class TestCompose:
         with pytest.raises(ValueError, match=r"overflows at nu=1e\+300, \|\|c\|\|=1e\+10$"):
             compose(f)
 
+    def test_assembly_holds_no_matrix_beside_s(self):
+        # An n x n temporary (the outer product) would add a whole unit.
+        n = 300
+        rng = np.random.default_rng(0)
+        c, U = rng.standard_normal(n - 1), haar_orthogonal(rng, n - 1)
+        peak = traced_peak(lambda f: automorphism._assemble(*f), (1.5, c, U))
+        assert peak < 1.5 * n * n * 8
+
     @pytest.mark.parametrize("form", ["canonical", "compact"])
     def test_refuses_a_u_whose_gram_overflows_even_when_the_gate_does(self, form):
         # U^T U overflows, so the residual is inf; at tol = 1e308 so is tol * m,
@@ -625,16 +648,26 @@ class TestCompose:
         with pytest.raises(ValueError, match=message):
             compose(f, tol=1e308)
 
-    @pytest.mark.parametrize("n", [3, 300])
+    @pytest.mark.parametrize("n", [2, 3, 17, 130, 300])
     def test_assembly_is_the_closed_form_bit_for_bit(self, n):
-        S = sample_automorphism(n, nu_range=(0.5, 2.0), seed=6)
-        f = factor_compact(S)
-        root = RankOneSqrt.from_vector(f.c)
-        cU = f.c @ f.U
-        expected = np.empty((n, n))
-        expected[0, 0], expected[0, 1:], expected[1:, 0] = root.a, cU, f.c
-        expected[1:, 1:] = f.U + root.beta * np.outer(f.c, cU)
-        assert compose_compact(f).tobytes() == (f.nu * expected).tobytes()
+        # _assemble writes beta c (c^T U) into S and adds U; IEEE addition
+        # commutes, so S is nu (U + beta c (c^T U)) in every bit.  Checked on
+        # a member's factors and on (nu, c, U) drawn over wide scales.
+        f = factor_compact(sample_automorphism(n, nu_range=(0.5, 2.0), seed=6))
+        rng = np.random.default_rng(n)
+        draws, m = [(f.nu, f.c, f.U)], n - 1
+        for _ in range(20):
+            U = haar_orthogonal(rng, m) if rng.random() < 0.5 else rng.standard_normal((m, m))
+            c = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(m)
+            draws.append((10.0 ** rng.uniform(-3.0, 3.0), c, U))
+        for i, (nu, c, U) in enumerate(draws):
+            root = RankOneSqrt.from_vector(c)
+            cU = c @ U
+            expected = np.empty((n, n))
+            expected[0, 0], expected[0, 1:], expected[1:, 0] = root.a, cU, c
+            expected[1:, 1:] = U + root.beta * np.outer(c, cU)
+            S = compose_compact(f) if i == 0 else automorphism._assemble(nu, c, U)
+            assert S.tobytes() == (nu * expected).tobytes()
 
     def test_compact_identity(self):
         f = CompactFactorization(nu=1.0, c=np.zeros(3), U=np.eye(3))

@@ -407,6 +407,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cannot certify: no finite factors at mu=inf\n"
+        p.write_text(dumps_matrix(np.array([[1e200, 0.0], [1e200, 1.0]])))  # mu = inf - inf
+        assert main(["verify", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot certify: congruence scale mu=nan: "
+            "S[0,0]^2 and ||S[1:,0]||^2 both overflow\n"
+        )
 
     def test_overflowing_normalization_exits_1_before_report(self, tmp_path, capsys):
         p = tmp_path / "tiny.txt"

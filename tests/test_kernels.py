@@ -377,10 +377,10 @@ class TestHaarSampling:
         values = statistic(Q, np.trace(Q, axis1=1, axis2=2))
         assert abs(float(np.mean(values)) - mean) <= 4.0 * sd / math.sqrt(draws)
 
-    @pytest.mark.parametrize("m,seeds", [(3, 300), (20, 100), (100, 20)])
+    @pytest.mark.parametrize("m,seeds", [(3, 300), (20, 100), (100, 20), (BLOCK_EDGES[-1], 10)])
     def test_accuracy_within_twice_the_qr_recipe(self, m, seeds):
-        # Mean ||Q^T Q - I||_F over the same seeds: 1.19, 1.38 and 1.45 times
-        # the QR recipe's at m = 3, 20 and 100.
+        # Mean ||Q^T Q - I||_F over the same seeds: 1.19, 1.37, 1.76 and 1.60
+        # times the QR recipe's at m = 3, 20, 100 and 2B + 1 = 257 (B = 128).
         ours = np.mean([orthogonality_residual(sample_haar_orthogonal(m, s)) for s in range(seeds)])
         qr = np.mean([orthogonality_residual(qr_haar(s, m)) for s in range(seeds)])
         assert ours <= 2.0 * qr
@@ -390,6 +390,34 @@ class TestHaarSampling:
         normals = np.random.default_rng(m).standard_normal(m * (m + 1) // 2)
         Q = kernels.haar_orthogonal(np.random.default_rng(m), m)
         assert np.max(np.abs(Q - stewart_reference(normals, m))) <= 1e-14
+
+    def test_t_is_built_without_inverting_a_block_wider_than_the_leaf(self, monkeypatch):
+        widths = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            widths.append(a.shape[-1])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        kernels.haar_orthogonal(np.random.default_rng(0), 300)
+        assert widths and max(widths) == kernels._INVERSE_LEAF == 16
+
+    @pytest.mark.parametrize("b", [1, 2, 16, 17, 100, 128])
+    def test_t_builder_inverts_drawn_blocks(self, b):
+        # T^-1 of b Householder vectors drawn as the sampler draws them, from
+        # 300-row Gaussian columns.  Over 50 seeds per b, ||T T^-1 - I||_F was
+        # at most 0.5 b eps (at b = 1), and under 0.08 b eps from b = 16 on.
+        eps = np.finfo(float).eps
+        for seed in range(10):
+            X = np.tril(np.random.default_rng(seed).standard_normal((300, b)))
+            x0 = X.diagonal().copy()
+            norms = np.linalg.norm(X, axis=0)
+            X[range(b), range(b)] += np.copysign(norms, x0)
+            T_inv = np.triu(X.T @ X, 1) + np.diag(norms * (norms + np.abs(x0)))
+            T = kernels._invert_upper(T_inv.copy())
+            assert np.all(np.tril(T, -1) == 0.0)
+            assert np.linalg.norm(T @ T_inv - np.eye(b)) <= 2.0 * b * eps
 
     @pytest.mark.parametrize("m", [1, 3, 70])
     def test_zero_normals_give_identity_reflectors(self, m):
