@@ -4,10 +4,11 @@ The second-order (Lorentz) cone ``{x in R^n : ||xbar|| <= x0}`` has a fully
 explicit automorphism group: an invertible S preserves the cone exactly when
 ``S^T J S = mu J = S J S^T`` with ``mu > 0`` and ``(S e)_0 > 0``, and every
 member factors into closed-form pieces (a scale, a hyperbolic boost, and two
-orthogonal blocks).  This package provides the membership test, both
-factorizations and their compositions, seeded sampling, the spin-algebra
-layer behind the cone, two block-identity residuals and a cone certificate
-for S / nu, and a command-line front end (``socaut``).
+orthogonal blocks).  This package provides the membership test, the
+factorization (one type, written as a compact or a canonical document) and
+its composition, seeded sampling, the spin-algebra layer behind the cone,
+two block-identity residuals and a cone certificate for S / nu, and a
+command-line front end (``socaut``).
 
 The ``__all__`` lists of ``spin``, ``kernels`` and ``automorphism`` are the
 only list of public names: the package re-exports each of them and adds

@@ -12,23 +12,23 @@ and keeps the cone axis forward, ``(S e)_0 > 0``.  Every such S factors as
 
 with nu > 0, c in R^(n-1), a = sqrt(1 + ||c||^2), P = sqrt(I + c c^T),
 alpha = ||c||, c = alpha V e1, V and U orthogonal, and T_alpha the
-hyperbolic boost.  This module implements the membership test, both
-factorizations, their inverses (composition), a seeded sampler, and a
+hyperbolic boost.  This module implements the membership test, the
+factorization, its inverse (composition), a seeded sampler, and a
 residual report of the congruence defect, with a sample-free bound on how
 far any cone point can be pushed out.
 
-Membership is decided once, in ``_check``, by recovering the compact
-factors (see check_automorphism); factor_compact returns the factors that
-test recovered, so the two cannot disagree.  Only ``V e1 = c / alpha``
-enters the canonical product, so the canonical form is a view of the
-compact one: both are built from and store ``(nu, c, U)``, and the canonical
-form derives alpha and V on access.  Both compositions run one O(n^2)
-blockwise assembly of the compact form.  ``_verify`` holds verify's gates
-and reads the congruence defect of S / nu off the parts ``_check``
-recovered, in O(n^2): U's Gram defect and the first-row defect.  U's
-residual ``||U^T U - I||_F`` is measured at most once and kept by its
+The two forms are one value, ``Factorization(nu, c, U)``: only
+``V e1 = c / alpha`` enters the canonical product, so both are the same
+``(nu, c, U)`` and differ only in what is derived from it (a and P, or
+alpha and V) and in the document form fileio writes.  Membership is decided
+once, in ``_check``, by recovering these factors (see check_automorphism);
+factor returns the factors that test recovered, so the two cannot disagree.
+compose runs one O(n^2) blockwise assembly of the compact form.  ``_verify``
+holds verify's gates and reads the congruence defect of S / nu off the parts
+``_check`` recovered, in O(n^2): U's Gram defect and the first-row defect.
+U's residual ``||U^T U - I||_F`` is measured at most once and kept by its
 factorization: ``_check`` measures the U it recovers, and a caller-built or
-loaded U is measured where it is first gated (file load or compose_*).  A
+loaded U is measured where it is first gated (file load or compose).  A
 full V enters only from a canonical document, where fileio measures and
 gates it as it reduces V to c.
 """
@@ -70,16 +70,13 @@ __all__ = [
     "NotAutomorphismError",
     "BlockView",
     "AutCheckResult",
-    "CompactFactorization",
-    "CanonicalFactorization",
+    "Factorization",
     "PropertyReport",
     "split_blocks",
     "check_automorphism",
     "normalize",
-    "factor_compact",
-    "factor_canonical",
-    "compose_compact",
-    "compose_canonical",
+    "factor",
+    "compose",
     "sample_automorphism",
     "property_report",
     "apply",
@@ -159,13 +156,22 @@ class AutCheckResult:
 
 
 @dataclass(frozen=True, eq=False)
-class _Factorization(FrozenValue):
-    """Base of the two factorization forms.  Both are built from and store the
-    compact factors ``nu``, ``c`` and ``U``, validated here when they come
-    from a caller, a document, a copy or a pickle; factor_* results carry the
-    factors their membership gate just checked (see ``_wrap``).  The frozen U
-    keeps its residual ``||U^T U - I||_F`` valid: it is measured once, on
-    first use or by the membership test, and copies and pickles keep it."""
+class Factorization(FrozenValue):
+    """The factors of a cone automorphism, in both of its forms:
+
+        S = nu * [[a, c^T], [c, P]] @ diag(1, U)                    (compact)
+          = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U)   (canonical)
+
+    Only nu, c and U are stored; a, P, alpha = ||c|| and V, the reflector
+    with ``V e1 = c / ||c||``, are derived on access, since only ``V e1``
+    enters the canonical product.  "Compact" and "canonical" name document
+    forms (``fileio.dumps_factorization(f, form=...)``), not types.  Shape
+    and positivity are validated here, except in factor, whose membership
+    gate has just checked its factors; U's orthogonality is gated where U
+    enters: factor, parse_factorization, compose.  The frozen U keeps its
+    residual ``||U^T U - I||_F`` valid: it is measured once, on first use
+    or by the membership test, and copies and pickles keep it.
+    """
 
     nu: float
     c: np.ndarray
@@ -184,35 +190,6 @@ class _Factorization(FrozenValue):
         """Ambient dimension ``1 + len(U)``."""
         return 1 + len(self.U)
 
-    @cached_property
-    def _residual(self) -> float:
-        """U's ``orthogonality_residual``, measured on first use and kept."""
-        return orthogonality_residual(self.U)
-
-    def _gate(self, tol: float, error=ValueError) -> None:
-        """The gate ``residual / m <= tol`` on U's kept residual."""
-        _require_orthogonal(self._residual, len(self.U), "U", tol, error)
-
-
-def _wrap(kind: type, nu: float, c: np.ndarray, U: np.ndarray, residual: float):
-    """A ``kind`` over ``(nu, c, U)`` keeping U's measured residual, unvalidated:
-    builds factor_* results, whose membership gate has just checked them."""
-    f = object.__new__(kind)
-    f._set(nu=nu, c=frozen(c), U=frozen(U), _residual=residual)
-    return f
-
-
-@dataclass(frozen=True, eq=False)
-class CompactFactorization(_Factorization):
-    """S = nu * [[a, c^T], [c, P]] @ diag(1, U) with P = sqrt(I + c c^T).
-
-    Only ``nu``, ``c``, and ``U`` are stored; ``a`` and ``P`` are derived.
-    Shape and positivity are validated on construction; U's orthogonality is
-    gated where U enters: the membership test behind factor_compact,
-    parse_factorization, compose_compact.  U is measured once: compose_compact
-    reuses the residual that the membership test or the file load measured.
-    """
-
     @property
     def a(self) -> float:
         """``sqrt(1 + ||c||^2)``."""
@@ -222,21 +199,6 @@ class CompactFactorization(_Factorization):
     def P(self) -> np.ndarray:
         """``sqrt(I + c c^T)`` materialized."""
         return RankOneSqrt.from_vector(self.c).matrix()
-
-
-@dataclass(frozen=True, eq=False)
-class CanonicalFactorization(_Factorization):
-    """S = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U), a view of the
-    compact form.
-
-    The first three factors multiply out to ``[[a, c^T], [c, P]]`` with
-    ``c = alpha V e1``, so only ``V e1`` enters the product: the form is
-    built from and stores ``nu``, ``c`` and ``U``, and derives
-    ``alpha = ||c||`` and V, the Householder reflector with
-    ``V e1 = c / ||c||``, on access.  A canonical document's alpha and V are
-    reduced to c where they are read (parse_factorization), so they read back
-    as ``||c||`` and c's reflector.
-    """
 
     @property
     def alpha(self) -> float:
@@ -248,6 +210,15 @@ class CanonicalFactorization(_Factorization):
         """The reflector with ``V e1 = c / ||c||`` (the identity when c = 0),
         built on each access and frozen."""
         return frozen(householder_to_direction(self.c))
+
+    @cached_property
+    def _residual(self) -> float:
+        """U's ``orthogonality_residual``, measured on first use and kept."""
+        return orthogonality_residual(self.U)
+
+    def _gate(self, tol: float, error=ValueError) -> None:
+        """The gate ``residual / m <= tol`` on U's kept residual."""
+        _require_orthogonal(self._residual, len(self.U), "U", tol, error)
 
 
 @dataclass(frozen=True)
@@ -307,9 +278,8 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     defect ``d = b - D^T c / a``.  So S is a member iff U is orthogonal and
     d = 0.  Accepts iff ``(S e)_0 = S[0,0] > 0``, ``mu > tol`` and
     ``residual_congruence = max(||U^T U - I||_F / m, ||d|| / a) <= tol``.
-    factor_compact returns the same recovered factors, so it succeeds
-    exactly when this accepts.  Rejection is a normal result, not an
-    exception.
+    factor returns the same recovered factors, so it succeeds exactly when
+    this accepts.  Rejection is a normal result, not an exception.
     """
     S = as_square_matrix(S, "S", min_n=2)
     return _check(S, as_nonnegative_float(tol, "tol"))[0]
@@ -393,71 +363,67 @@ def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
     return nu, S / nu
 
 
-def factor_compact(S, tol: float = DEFAULT_TOL) -> CompactFactorization:
+def factor(S, tol: float = DEFAULT_TOL) -> Factorization:
     """Factor an accepted S as ``nu * [[a, c^T], [c, P]] @ diag(1, U)``.
 
     The factors are the ones check_automorphism recovers and gates: ``nu``
     from the first column, ``c`` its tail over ``nu``, and ``U = P^{-1} D``
     through the closed-form rank-one inverse of ``P = sqrt(I + c c^T)``, an
-    O(n^2) update of the D block.  Raises NotAutomorphismError, carrying the
-    check, exactly when check_automorphism rejects S; the message names the
-    gate that decided.
+    O(n^2) update of the D block.  The result keeps U's measured residual
+    and derives the canonical ``alpha = ||c||`` and V, the Householder
+    reflector aligning ``e1`` with ``c`` (identity when ``c = 0``), on
+    access, so that ``c = alpha V e1`` with ``alpha >= 0``.  (V, U) are not
+    unique; only the reconstruction ``compose(result) ~ S`` is contractual.
+    Raises NotAutomorphismError, carrying the check, exactly when
+    check_automorphism rejects S; the message names the gate that decided.
     """
     S = as_square_matrix(S, "S", min_n=2)
     check, parts, reasons = _check(S, as_nonnegative_float(tol, "tol"))
     if not check.is_automorphism:
         raise NotAutomorphismError("cannot factor: " + reasons, check)
     nu, c, U, ortho = parts[:4]
-    del parts  # check's Gram matrix goes before _wrap copies U
-    return _wrap(CompactFactorization, nu, c, U, ortho)
+    del parts  # check's Gram matrix goes before U is frozen (copied)
+    # Built without __post_init__: the membership gate has just checked these.
+    f = object.__new__(Factorization)
+    f._set(nu=nu, c=frozen(c), U=frozen(U), _residual=ortho)
+    return f
 
 
-def factor_canonical(S, tol: float = DEFAULT_TOL) -> CanonicalFactorization:
-    """Factor an accepted S as ``nu * diag(1,V) T_alpha diag(1,V^T) diag(1,U)``.
+def compose(f: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Multiply a factorization back into a dense matrix.
 
-    A view of factor_compact's result: it shares that factorization's frozen
-    ``c``, its ``U`` and U's measured residual, and builds no V.  On access,
-    ``alpha = ||c||`` and ``V`` is the Householder reflector aligning ``e1``
-    with ``c`` (identity when ``c = 0``), so that ``c = alpha V e1`` with
-    ``alpha >= 0``.  (V, U) are not unique; only the reconstruction
-    ``compose_canonical(result) ~ S`` is contractual.
+    Assembled blockwise in O(n^2), without forming V or T_alpha: with
+    ``a = sqrt(1+||c||^2)`` and ``P = I + beta c c^T``, the product
+    ``nu * [[a, c^T],[c, P]] diag(1,U)`` has first row ``nu * [a, (c^T U)]``,
+    first column ``nu * [a; c]``, and lower block ``nu * (U + beta c (c^T U))``.
+    U's gate ``residual / (n-1) <= tol`` is enforced here, on the residual
+    that factor or parse_factorization measured, or else on one measured now.
     """
-    f = factor_compact(S, tol)
-    return _wrap(CanonicalFactorization, f.nu, f.c, f.U, f._residual)
-
-
-def compose_compact(f: CompactFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Multiply a compact factorization back into a dense matrix.
-
-    Assembled blockwise in O(n^2): with ``a = sqrt(1+||c||^2)`` and
-    ``P = I + beta c c^T``, the product ``nu * [[a, c^T],[c, P]] diag(1,U)``
-    has first row ``nu * [a, (c^T U)]``, first column ``nu * [a; c]``, and
-    lower block ``nu * (U + beta c (c^T U))``.  U's gate ``residual / (n-1)
-    <= tol`` is enforced here, on the residual that factor_compact or
-    parse_factorization measured, or else on one measured now.
-    """
-    return _compose(f, CompactFactorization, tol)
-
-
-def compose_canonical(f: CanonicalFactorization, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Multiply a canonical factorization back into a dense matrix.
-
-    The product is assembled from the stored ``(nu, c, U)`` exactly as
-    compose_compact does, in O(n^2), without forming V or T_alpha.  U's gate
-    ``residual / (n-1) <= tol`` is enforced here on its kept residual, which
-    is measured now if neither factor_canonical nor parse_factorization
-    measured it.  A full V enters only from a document, and
-    parse_factorization gates it there.
-    """
-    return _compose(f, CanonicalFactorization, tol)
-
-
-def _compose(f: _Factorization, kind: type, tol: float) -> np.ndarray:
-    """compose_*: gate the kept residual of ``f``, a ``kind``, and assemble."""
-    if not isinstance(f, kind):
-        raise TypeError(f"expected {kind.__name__}, got {type(f).__name__}")
+    if not isinstance(f, Factorization):
+        raise TypeError(f"expected Factorization, got {type(f).__name__}")
     f._gate(as_nonnegative_float(tol, "tol"))
     return _assemble(f.nu, f.c, f.U)
+
+
+# perfbench still calls these six names; ROADMAP item 4 ports it to factor, compose and
+# Factorization and deletes them.  Four distinct functions: a tracer counts each call once.
+CompactFactorization = CanonicalFactorization = Factorization
+
+
+def factor_compact(S, tol: float = DEFAULT_TOL) -> Factorization:
+    return factor(S, tol)
+
+
+def factor_canonical(S, tol: float = DEFAULT_TOL) -> Factorization:
+    return factor(S, tol)
+
+
+def compose_compact(f: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    return compose(f, tol)
+
+
+def compose_canonical(f: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
+    return compose(f, tol)
 
 
 def _scaled_outer(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:
@@ -501,7 +467,7 @@ def sample_automorphism(
     uniform over ``nu_range``, ``alpha`` uniform over ``[0, alpha_max]``, an
     (n-1)-vector g of standard normals, then the ``m(m+1)/2`` normals
     (m = n - 1) of the Householder vectors that ``haar_orthogonal`` turns
-    into a Haar orthogonal U.  The result is the compact composition of
+    into a Haar orthogonal U.  The result is the composition of
     ``(nu, c = alpha g/||g||, U)``, assembled without a gate (U is
     orthogonal).
 

@@ -20,17 +20,14 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL, as_nonnegative_float
 from .automorphism import (
-    CanonicalFactorization,
     NotAutomorphismError,
     _assemble,
     _check,
     _norms,
     _verify,
     check_automorphism,
-    compose_canonical,
-    compose_compact,
-    factor_canonical,
-    factor_compact,
+    compose,
+    factor,
     sample_automorphism,
 )
 from .fileio import (
@@ -79,17 +76,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     S = load_matrix(args.input)
-    factor = factor_canonical if args.form == "canonical" else factor_compact
-    f = factor(S, args.tol)  # gates U; the canonical form builds no V
+    f = factor(S, args.tol)  # gates U; builds no V
     residual = _relative_residual(_assemble(f.nu, f.c, f.U), S)
-    doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual)
+    doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual, form=args.form)
     _emit(doc, args.output, args.quiet)
     return EXIT_OK
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     f, tol = load_factorization(args.input)  # gates the orthogonal factors
-    compose = compose_canonical if isinstance(f, CanonicalFactorization) else compose_compact
     S = compose(f, tol)  # gates the residuals the load kept, at the same tol
     result, _, reasons = _check(S, as_nonnegative_float(args.tol, "tol"))
     if not result.is_automorphism:

@@ -10,7 +10,8 @@ Factorization document: JSON text with ``form`` ("canonical" or "compact"),
 ``nu``, the form's own fields (``alpha``/``V`` or ``c``), ``U``, and two
 optional bookkeeping fields: ``tol`` (the tolerance the factors were
 validated at; also applied when loading) and ``reconstruction_residual``.
-The writer and the parser read each form's fields from one table, ``_FORMS``.
+Both forms write one ``Factorization(nu, c, U)``; the writer takes the form
+as an argument, and it and the parser read the fields from ``_FORMS``.
 
 Every array field (``data``, ``V``, ``U``, ``c``) goes through one codec:
 ``_parse_array`` checks shape and entry types row by row, then converts the
@@ -20,8 +21,8 @@ the offender.
 
 A canonical document's ``V`` is handled here and nowhere else: it is
 measured once, reduced to ``c = alpha V[:, 0]``, and gated at the
-document's ``tol`` before U.  The loaded factorization is built from and
-stores only the compact factors, and writes back ``||c||`` and the
+document's ``tol`` before U.  The loaded factorization stores only
+``(nu, c, U)``, and in the canonical form writes back ``||c||`` and the
 reflector of c, which match the document's alpha and V to rounding, not to
 the byte.
 
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from ._validate import DEFAULT_TOL, as_float, as_nonnegative_float, as_square_matrix
-from .automorphism import CanonicalFactorization, CompactFactorization
+from .automorphism import Factorization
 from .kernels import _require_orthogonal, orthogonality_residual
 
 __all__ = [
@@ -265,10 +266,10 @@ def load_matrix(path) -> np.ndarray:
 # -- factorization documents -------------------------------------------------
 
 
-#: form -> (factorization type, {field: ndim} in document order).
+#: form -> {field: ndim} in document order.
 _FORMS = {
-    "canonical": (CanonicalFactorization, {"nu": 0, "alpha": 0, "V": 2, "U": 2}),
-    "compact": (CompactFactorization, {"nu": 0, "c": 1, "U": 2}),
+    "canonical": {"nu": 0, "alpha": 0, "V": 2, "U": 2},
+    "compact": {"nu": 0, "c": 1, "U": 2},
 }
 #: ndim -> the message for a field whose size does not match U's.
 _SIZE_MISMATCH = {
@@ -287,11 +288,14 @@ def _field(name: str, value) -> str:
 
 
 def dumps_factorization(
-    f,
+    f: Factorization,
     tol: float | None = None,
     reconstruction_residual: float | None = None,
+    *,
+    form: str,
 ) -> str:
-    """Serialize a CompactFactorization or CanonicalFactorization.
+    """Serialize a Factorization as a ``form`` document, "canonical" or
+    "compact"; the form has no default, and an unknown one is a ValueError.
 
     ``tol`` records the tolerance the orthogonal factors were validated at
     (and governs re-validation on load); ``reconstruction_residual`` records
@@ -299,8 +303,9 @@ def dumps_factorization(
     a negative or non-finite ``tol`` and a non-finite residual raise
     ValueError, as parse_factorization would refuse them.
     """
-    form = next((form for form, (kind, _) in _FORMS.items() if isinstance(f, kind)), None)
-    if form is None:
+    if form not in _FORMS:
+        raise ValueError(f'form must be "canonical" or "compact", got {form!r}')
+    if not isinstance(f, Factorization):
         raise TypeError(f"cannot serialize {type(f).__name__} as a factorization")
     extras = [] if tol is None else [("tol", as_nonnegative_float(tol, "tol"))]
     if reconstruction_residual is not None:
@@ -309,13 +314,13 @@ def dumps_factorization(
                 f"reconstruction_residual must be finite, got {reconstruction_residual!r}"
             )
         extras.append(("reconstruction_residual", residual))
-    fields = [(name, getattr(f, name)) for name in _FORMS[form][1]]
+    fields = [(name, getattr(f, name)) for name in _FORMS[form]]
     lines = [f'  "form": "{form}"'] + [_field(*pair) for pair in fields + extras]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def parse_factorization(text: str):
-    """Parse a factorization document.
+    """Parse a factorization document of either form into a Factorization.
 
     Returns ``(factorization, tol)`` where ``tol`` is the file-declared
     tolerance (DEFAULT_TOL when absent).  Structural problems raise
@@ -324,7 +329,7 @@ def parse_factorization(text: str):
     ``tol``, V before U) raise InvalidFactorizationError; a canonical
     document whose ``c = alpha V[:, 0]`` overflows raises ValueError before
     V is gated.  Each orthogonal factor is measured once, here: V is
-    reduced to c, and the factorization keeps U's residual, which compose_*
+    reduced to c, and the factorization keeps U's residual, which compose
     gates at its own tol.
     """
     obj = _loads(text.strip() or "{}")
@@ -333,7 +338,7 @@ def parse_factorization(text: str):
         raise FileFormatError(
             f"field 'form' must be \"canonical\" or \"compact\", got {form!r}"
         )
-    kind, fields = _FORMS[form]
+    fields = _FORMS[form]
     _check_keys(obj, {"form", *fields}, {"tol", "reconstruction_residual"}, f"{form} document")
     values = {
         name: _parse_array(obj[name], name, ndim == 2)
@@ -361,8 +366,8 @@ def parse_factorization(text: str):
         if not np.isfinite(values["c"]).all():
             raise ValueError(f"c = alpha V e1 must be finite, got alpha={alpha!r}")
         _require_orthogonal(orthogonality_residual(V), m, "V", tol, InvalidFactorizationError)
-    f = kind(**values)
-    f._gate(tol, InvalidFactorizationError)  # U measured here once; compose_* reuses it
+    f = Factorization(**values)
+    f._gate(tol, InvalidFactorizationError)  # U measured here once; compose reuses it
     return f, tol
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from socaut import (
-    CanonicalFactorization,
+    Factorization,
     automorphism,
     kernels,
     sample_automorphism,
@@ -70,10 +70,10 @@ def random_automorphisms(count, n, seed0, alpha_max=10.0, nu_range=(0.1, 10.0)):
         yield sample_automorphism(n, alpha_max=alpha_max, nu_range=nu_range, seed=seed0 + i)
 
 
-def canonical(nu, alpha, V, U) -> CanonicalFactorization:
-    """The canonical factorization ``nu * diag(1, V) T_alpha diag(1, V^T)
-    diag(1, U)``: only ``V e1`` enters it, as ``c = alpha V[:, 0]``."""
-    return CanonicalFactorization(nu, alpha * np.asarray(V, dtype=float)[:, 0], U)
+def canonical(nu, alpha, V, U) -> Factorization:
+    """The factorization ``nu * diag(1, V) T_alpha diag(1, V^T) diag(1, U)``
+    in its canonical form: only ``V e1`` enters it, as ``c = alpha V[:, 0]``."""
+    return Factorization(nu, alpha * np.asarray(V, dtype=float)[:, 0], U)
 
 
 def stretched_haar(m: int, seed: int) -> np.ndarray:

@@ -29,10 +29,8 @@ from socaut import (
     algebra_automorphism,
     boost_matrix,
     check_automorphism,
-    compose_canonical,
-    compose_compact,
-    factor_canonical,
-    factor_compact,
+    compose,
+    factor,
     property_report,
     sample_automorphism,
     sample_haar_orthogonal,
@@ -66,26 +64,17 @@ def sample_cone_rows(rng: np.random.Generator, n: int, count: int) -> np.ndarray
     return np.hstack([x0, xbar])
 
 
-def test_round_trip_fidelity_both_forms():
+def test_round_trip_fidelity():
     started = time.perf_counter()
-    worst = {"canonical": 0.0, "compact": 0.0}
+    worst = 0.0
     for n in (2, 3, 5, 10, 50):
         for i in range(1000):
             S = sample_automorphism(
                 n, alpha_max=10.0, nu_range=(0.1, 10.0), seed=1_000_000 * n + i
             )
-            scale = np.linalg.norm(S)
-            canonical = compose_canonical(factor_canonical(S))
-            compact = compose_compact(factor_compact(S))
-            worst["canonical"] = max(
-                worst["canonical"], np.linalg.norm(canonical - S) / scale
-            )
-            worst["compact"] = max(
-                worst["compact"], np.linalg.norm(compact - S) / scale
-            )
+            worst = max(worst, np.linalg.norm(compose(factor(S)) - S) / np.linalg.norm(S))
     elapsed = time.perf_counter() - started
-    assert worst["canonical"] <= 1e-8
-    assert worst["compact"] <= 1e-8
+    assert worst <= 1e-8
     assert elapsed < 30.0
 
 
@@ -215,16 +204,16 @@ def test_algebra_automorphisms_preserve_jordan_product():
             assert np.max(np.abs(mapped - direct)) <= 1e-10
 
 
-def test_factor_canonical_scales_to_n_1000():
-    factor_canonical(sample_automorphism(100, seed=7))  # warm the kernels
+def test_factor_scales_to_n_1000():
+    factor(sample_automorphism(100, seed=7))  # warm the kernels
     S = sample_automorphism(1000, alpha_max=10.0, nu_range=(0.5, 2.0), seed=97)
     best = float("inf")
     for _ in range(2):
         started = time.perf_counter()
-        f = factor_canonical(S)
+        f = factor(S)
         best = min(best, time.perf_counter() - started)
     assert best < 1.0
-    assert rel_fro(compose_canonical(f), S) <= 1e-8
+    assert rel_fro(compose(f), S) <= 1e-8
 
 
 def test_cli_exit_codes_and_file_round_trip(tmp_path, capsys):

@@ -19,17 +19,15 @@ from socaut import (
     automorphism,
     boost_matrix,
     check_automorphism,
-    compose_canonical,
-    compose_compact,
-    factor_canonical,
-    factor_compact,
+    compose,
+    factor,
     kernels,
     property_report,
     sample_automorphism,
 )
 from socaut.cli import main
 from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization, parse_matrix
-from socaut.automorphism import CompactFactorization, PropertyReport
+from socaut.automorphism import Factorization, PropertyReport
 
 from conftest import ROOT, rel_fro, run_socaut
 
@@ -164,7 +162,7 @@ class TestFactorCompose:
 
     @pytest.mark.parametrize("form", ["canonical", "compact"])
     def test_cli_matches_the_gated_library_compose(self, form, tmp_path):
-        # socaut compose is the public compose_* at the document's tol, bit for bit,
+        # socaut compose is the public compose at the document's tol, bit for bit,
         # and factor records the residual of the factors it found relative to
         # ||S||_F: a loaded canonical document's c = alpha V e1 may round apart.
         member = sample_automorphism(6, alpha_max=50.0, nu_range=(0.5, 2.0), seed=31)
@@ -175,8 +173,6 @@ class TestFactorCompose:
             fact = tmp_path / "f.json"
             assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
             f, tol = parse_factorization(fact.read_text())
-            compose = compose_canonical if form == "canonical" else compose_compact
-            factor = factor_canonical if form == "canonical" else factor_compact
             recorded = json.loads(fact.read_text())["reconstruction_residual"]
             assert recorded == rel_fro(compose(factor(S)), S)
             out = tmp_path / "out.json"
@@ -494,7 +490,7 @@ class TestVerify:
         Q, R = np.linalg.qr(rng.standard_normal((49, 49)))
         signs = np.sign(np.diagonal(R))
         signs[signs == 0.0] = 1.0
-        S = compose_compact(CompactFactorization(1.0, c, Q * signs))
+        S = compose(Factorization(1.0, c, Q * signs))
         rep = property_report(S)
         assert check_automorphism(S).is_automorphism
         assert rep.max_identity_residual() <= 1e-9 < rep.cone_slack_bound

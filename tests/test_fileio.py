@@ -16,10 +16,10 @@ from numpy.testing import assert_array_equal
 
 from socaut import (
     DEFAULT_TOL,
-    CanonicalFactorization,
-    CompactFactorization,
+    Factorization,
     boost_matrix,
-    compose_canonical,
+    compose,
+    factor,
     householder_to_direction,
     orthogonality_residual,
     sample_automorphism,
@@ -37,9 +37,10 @@ from socaut.fileio import (
     parse_matrix,
 )
 
-from conftest import canonical, stretched_haar
+from conftest import canonical, random_automorphisms, stretched_haar
 
 
+EPS = float(np.finfo(float).eps)
 #: An integer literal beyond the double range (float() raises OverflowError).
 HUGE = "1" + "0" * 400
 #: An integer literal beyond int()'s 4300-digit string conversion limit.
@@ -158,7 +159,8 @@ class TestLoad:
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_load_factorization(self, source, tmp_path, monkeypatch):
-        text = dumps_factorization(CompactFactorization(2.0, [0.75, 0.0], np.eye(2)), tol=1e-6)
+        f = Factorization(2.0, [0.75, 0.0], np.eye(2))
+        text = dumps_factorization(f, tol=1e-6, form="compact")
         if source == "stdin":
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             path = "-"
@@ -167,7 +169,7 @@ class TestLoad:
             Path(path).write_text(text)
         f, tol = load_factorization(path)
         assert tol == 1e-6
-        assert dumps_factorization(f, tol=tol) == text
+        assert dumps_factorization(f, tol=tol, form="compact") == text
 
 
 class TestFactorizationDocuments:
@@ -182,21 +184,20 @@ class TestFactorizationDocuments:
         ],
     )
     def test_writer_refuses_what_the_reader_refuses(self, name, value, match):
-        f = CompactFactorization(nu=1.0, c=np.array([0.5]), U=np.eye(1))
+        f = Factorization(nu=1.0, c=np.array([0.5]), U=np.eye(1))
         with pytest.raises(ValueError, match=match):
-            dumps_factorization(f, **{name: value})
+            dumps_factorization(f, **{name: value}, form="compact")
         # The document an unchecked writer would emit:
         extra = ',\n  "%s": %s\n}' % (name, format_float(value))
-        doc = dumps_factorization(f).replace("\n}", extra)
+        doc = dumps_factorization(f, form="compact").replace("\n}", extra)
         with pytest.raises(FileFormatError):
             parse_factorization(doc)
 
     def test_canonical_round_trip(self):
         V = sample_haar_orthogonal(3, seed=1)
         f = canonical(2.5, 1.25, V, sample_haar_orthogonal(3, seed=2))
-        doc = dumps_factorization(f, tol=1e-9, reconstruction_residual=3e-16)
+        doc = dumps_factorization(f, tol=1e-9, reconstruction_residual=3e-16, form="canonical")
         g, tol = parse_factorization(doc)
-        assert isinstance(g, CanonicalFactorization)
         assert g.nu == f.nu
         assert_array_equal(g.U, f.U)
         assert tol == 1e-9
@@ -209,12 +210,9 @@ class TestFactorizationDocuments:
         assert np.linalg.norm(g.c - f.c) <= 4e-16 * 1.25
 
     def test_compact_round_trip(self):
-        f = CompactFactorization(
-            nu=0.75, c=np.array([1.0, -2.0]), U=sample_haar_orthogonal(2, seed=3)
-        )
-        doc = dumps_factorization(f)
+        f = Factorization(nu=0.75, c=np.array([1.0, -2.0]), U=sample_haar_orthogonal(2, seed=3))
+        doc = dumps_factorization(f, form="compact")
         g, tol = parse_factorization(doc)
-        assert isinstance(g, CompactFactorization)
         assert g.nu == f.nu
         assert_array_equal(g.c, f.c)
         assert_array_equal(g.U, f.U)
@@ -351,8 +349,31 @@ class TestFactorizationDocuments:
             parse_factorization(text)
 
     def test_dumps_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            dumps_factorization(np.eye(2))
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            dumps_factorization(np.eye(2), form="compact")
+
+    def test_dumps_requires_a_form(self):
+        with pytest.raises(TypeError, match="form"):
+            dumps_factorization(Factorization(1.0, [0.5], np.eye(1)))
+
+    @pytest.mark.parametrize("form", ["polar", "Compact", None])
+    def test_dumps_refuses_an_unknown_form(self, form):
+        with pytest.raises(ValueError, match="^form must be "):
+            dumps_factorization(Factorization(1.0, [0.5], np.eye(1)), form=form)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 10, 100])
+    def test_one_factorization_written_in_both_forms_reloads(self, n):
+        # The compact document stores c and U exactly; the canonical one stores
+        # alpha and V, whose product c = alpha V e1 holds c to V's rounding.
+        for S in random_automorphisms(3, n, seed0=1200 + n):
+            f = factor(S)
+            expected = compose(f)
+            g, _ = parse_factorization(dumps_factorization(f, form="compact"))
+            assert compose(g).tobytes() == expected.tobytes()
+            h, _ = parse_factorization(dumps_factorization(f, form="canonical"))
+            assert h.nu == f.nu and h.U.tobytes() == f.U.tobytes()
+            assert np.linalg.norm(h.c - f.c) <= 4.0 * EPS * f.alpha
+            assert np.abs(compose(h) - expected).max() <= 8.0 * EPS * f.nu * f.a**2
 
     @pytest.mark.parametrize("big", [9007199254740993, 2**63 + 1])
     def test_integers_beyond_2_53_round_like_float(self, big):
@@ -382,7 +403,7 @@ class TestCanonicalDocuments:
         V, U = (np.array(json.loads(text)[name]) for name in ("V", "U"))
         measured.clear()
         f, tol = parse_factorization(text)
-        assert (type(f), tol) == (CanonicalFactorization, 1e-5)
+        assert tol == 1e-5
         assert f.c.tobytes() == (3.0 * V[:, 0]).tobytes()
         assert f.alpha == float(np.linalg.norm(f.c))
         assert f.V.tobytes() == householder_to_direction(f.c).tobytes()
@@ -409,8 +430,8 @@ class TestCanonicalDocuments:
             )
             assert len(measured) == (1 if name == "V" else 2)
         f, tol = parse_factorization(_canonical_document(0.75, V, U, 1e-3))
-        expected = compose_canonical(canonical(2.0, 0.75, V, U), tol)
-        assert_array_equal(compose_canonical(f, tol), expected)
+        expected = compose(canonical(2.0, 0.75, V, U), tol)
+        assert_array_equal(compose(f, tol), expected)
 
     @pytest.mark.parametrize("V", [[[1e10]], [[1e10, 0.0], [0.0, 1.0]]], ids=["1x1", "2x2"])
     def test_an_overflowing_c_is_refused_before_v_is_gated(self, V, measured):
@@ -431,13 +452,13 @@ class TestCanonicalDocuments:
         V, U = stretched_haar(4, seed=4), stretched_haar(4, seed=3)
         f, tol = parse_factorization(_canonical_document(0.75, V, U, tol=1e-5))
         g = copier(f)
-        assert type(g) is CanonicalFactorization
+        assert type(g) is Factorization
         assert vars(g)["_residual"] == vars(f)["_residual"] == orthogonality_residual(U)
         measured.clear()
-        assert_array_equal(compose_canonical(g, tol), compose_canonical(f, tol))
+        assert_array_equal(compose(g, tol), compose(f, tol))
         for h in (g, f):
             with pytest.raises(ValueError, match="^U is not orthogonal"):
-                compose_canonical(h, DEFAULT_TOL)
+                compose(h, DEFAULT_TOL)
         assert measured == []
 
 
@@ -493,13 +514,13 @@ class TestByteIdentity:
             lines += [field("U", U), field("tol", tol), field("reconstruction_residual", residual)]
             return "{\n" + ",\n".join(lines) + "\n}\n"
 
-        # A canonical factorization writes the alpha and V it derives from its
-        # c; a reflector's entries are at most 1, so alpha carries the range.
+        # The canonical form writes the alpha and V a factorization derives from
+        # its c; a reflector's entries are at most 1, so alpha carries the range.
         built = canonical(nu, alpha, sample_haar_orthogonal(m, seed=m), U)
-        compact = CompactFactorization(nu=nu, c=c, U=U)
-        assert dumps_factorization(built, tol, residual) == oracle(
+        compact = Factorization(nu=nu, c=c, U=U)
+        assert dumps_factorization(built, tol, residual, form="canonical") == oracle(
             "canonical", ("nu", nu), ("alpha", built.alpha), ("V", built.V)
         )
-        assert dumps_factorization(compact, tol, residual) == oracle(
+        assert dumps_factorization(compact, tol, residual, form="compact") == oracle(
             "compact", ("nu", nu), ("c", c)
         )

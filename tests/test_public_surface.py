@@ -28,17 +28,14 @@ PUBLIC = {
     # automorphism
     "AutCheckResult",
     "BlockView",
-    "CanonicalFactorization",
-    "CompactFactorization",
+    "Factorization",
     "NotAutomorphismError",
     "PropertyReport",
     "algebra_automorphism",
     "apply",
     "check_automorphism",
-    "compose_canonical",
-    "compose_compact",
-    "factor_canonical",
-    "factor_compact",
+    "compose",
+    "factor",
     "normalize",
     "property_report",
     "sample_automorphism",
@@ -48,7 +45,7 @@ PUBLIC = {
 
 def test_all_is_the_pinned_surface_without_duplicates():
     assert set(socaut.__all__) == PUBLIC
-    assert len(socaut.__all__) == len(PUBLIC) == 32
+    assert len(socaut.__all__) == len(PUBLIC) == 29
 
 
 def test_every_name_resolves_to_its_defining_module_object():
