@@ -23,19 +23,28 @@ The two forms are one value, ``Factorization(nu, c, U)``: only
 alpha and V) and in the document form fileio writes.  Membership is decided
 once, in ``_check``, by recovering these factors (see check_automorphism);
 factor returns the factors that test recovered, so the two cannot disagree.
-compose runs one O(n^2) blockwise assembly of the compact form.  ``_verify``
-holds verify's gates and reads the congruence defect of S / nu off the parts
-``_check`` recovered, in O(n^2): U's Gram defect and the first-row defect.
-U's residual ``||U^T U - I||_F`` is measured at most once and kept by its
-factorization: ``_check`` measures the U it recovers, and a caller-built or
-loaded U is measured where it is first gated (file load or compose).  A
-full V enters only from a canonical document, where fileio measures and
-gates it as it reduces V to c.
+check_automorphism and factor share a one-entry memo of the last decision
+(``_decide``): the check, its refusal text and, on accept, the frozen
+factors, keyed by a copy of S's bytes and tol.  So check then factor, or
+factor twice, on one S recover its factors once; the entry goes when the
+caller's S is collected.  compose runs one O(n^2) blockwise assembly of the
+compact form.  ``_verify`` holds verify's gates and reads the congruence
+defect of S / nu off the parts ``_check`` recovered, in O(n^2): U's Gram
+defect and the first-row defect; it keeps its own recovery, since it needs
+the Gram matrix that the memo does not keep.  U's residual
+``||U^T U - I||_F`` is measured at most once and kept by its factorization:
+``_check`` measures the U it recovers, and a caller-built or loaded U is
+measured where it is first gated (file load or compose).  A full V enters
+only from a canonical document, where fileio measures and gates it as it
+reduces V to c.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -60,6 +69,7 @@ from .kernels import (
     _not_orthogonal,
     _require_orthogonal,
     _sqrt_coefficients,
+    _square_block,
     haar_orthogonal,
     householder_to_direction,
     orthogonality_residual,
@@ -166,11 +176,11 @@ class Factorization(FrozenValue):
     with ``V e1 = c / ||c||``, are derived on access, since only ``V e1``
     enters the canonical product.  "Compact" and "canonical" name document
     forms (``fileio.dumps_factorization(f, form=...)``), not types.  Shape
-    and positivity are validated here, except in factor, whose membership
-    gate has just checked its factors; U's orthogonality is gated where U
-    enters: factor, parse_factorization, compose.  The frozen U keeps its
-    residual ``||U^T U - I||_F`` valid: it is measured once, on first use
-    or by the membership test, and copies and pickles keep it.
+    and positivity are validated here, except for the factors the membership
+    test has just recovered and checked (``_decide``); U's orthogonality is
+    gated where U enters: factor, parse_factorization, compose.  The frozen
+    U keeps its residual ``||U^T U - I||_F`` valid: it is measured once, on
+    first use or by the membership test, and copies and pickles keep it.
     """
 
     nu: float
@@ -280,9 +290,120 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     ``residual_congruence = max(||U^T U - I||_F / m, ||d|| / a) <= tol``.
     factor returns the same recovered factors, so it succeeds exactly when
     this accepts.  Rejection is a normal result, not an exception.
+
+    The decision is kept while S lives (``_decide``): factor, or this test
+    again, on a C-contiguous float64 S with the same bytes and tol reuses
+    it and forms no second Gram matrix; any other call decides afresh.
     """
+    return _decide(S, tol)[0]
+
+
+#: The last decision of check_automorphism or factor, replaced as one tuple:
+#: ``(ref, key, tol, check, reasons, f)``, with ``ref`` a weak reference to
+#: the caller's S, ``key`` a read-only copy of its bytes and ``f`` the frozen
+#: Factorization on accept (else None).  None when empty.  Threads need no
+#: lock: a reader takes the whole tuple and compares its full key, so a race
+#: can only drop an entry, which costs a recovery, never a wrong answer.
+_memo: tuple | None = None
+
+#: Entries compared per step of the byte comparison (a 64 KiB temporary).
+_COMPARE_BLOCK = 1 << 16
+
+#: Keys of at least this many bytes (n >= 363) get their own memory map,
+#: faulted in as it is made where the system can (Linux: one call, not one
+#: fault per page).
+_MAPPED_KEY_BYTES = 1 << 20
+_MAP_OPTIONS = (
+    {}
+    if os.name == "nt"
+    else {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)}
+)
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Empty the memo when the S its entry was made for is collected."""
+    global _memo
+    entry = _memo
+    if entry is not None and entry[0] is ref:
+        _memo = None
+
+
+def _key(S: np.ndarray) -> np.ndarray:
+    """A read-only copy of S for the memo.  From a megabyte up it is held in
+    an anonymous memory map, which goes back to the system with the entry.
+    On the malloc heap such a block, living from one check to the next,
+    pins holes: in a loop of check, factor and compose at n = 1000 it
+    raised the process's peak RSS from 132 MB to as much as 170 MB.  Below
+    a megabyte the map's system calls would cost more than the copy."""
+    if S.nbytes < _MAPPED_KEY_BYTES:
+        return frozen(S)
+    key = np.frombuffer(mmap.mmap(-1, S.nbytes, **_MAP_OPTIONS), dtype=np.float64)
+    key = key.reshape(S.shape)
+    np.copyto(key, S)
+    key.flags.writeable = False
+    return key
+
+
+def _same_bytes(S: np.ndarray, key: np.ndarray) -> bool:
+    """Whether two C-contiguous float arrays of one shape hold the same bytes,
+    compared in full through uint64 views, block by block, so that no
+    temporary of S's size is made.  -0.0 and +0.0 differ."""
+    s, k = S.view(np.uint64).reshape(-1), key.view(np.uint64).reshape(-1)
+    return all(
+        np.array_equal(s[i : i + _COMPARE_BLOCK], k[i : i + _COMPARE_BLOCK])
+        for i in range(0, s.size, _COMPARE_BLOCK)
+    )
+
+
+def _hit(S: np.ndarray, tol) -> tuple | None:
+    """The memo's ``(check, reasons, f)`` when its entry was made for S's
+    shape, bytes and tol, else None.  ``as_float(tol)`` equals a stored tol
+    only when tol is valid; the sign of a zero tol shows in refusal text."""
+    entry = _memo
+    if entry is None or S.shape != entry[1].shape:
+        return None
+    t, kept = as_float(tol), entry[2]
+    if t == kept and math.copysign(1.0, t) == math.copysign(1.0, kept):
+        if _same_bytes(S, entry[1]):
+            return entry[3:]
+    return None
+
+
+def _decide(S, tol) -> tuple[AutCheckResult, str, "Factorization | None"]:
+    """check_automorphism and factor through the memo: the check, the
+    refusal text ('' on accept) and the frozen factors (None on refusal).
+
+    Only a C-contiguous float64 ndarray S is looked up or stored.  A hit
+    (``_hit``) returns the entry's values, so its bits are those of the call
+    that made it; S is not validated again, since its bytes were.  Anything
+    else runs ``_check``.  A miss on such an S first empties the memo, then
+    stores a new entry: the key copy is taken after the Gram matrix is
+    freed, so the call holds no more at its peak than ``_check``.  An entry
+    lives while the caller's S does, and holds two n x n arrays: the key
+    and the factors' U."""
+    global _memo
+    keyed = type(S) is np.ndarray and S.dtype == np.float64 and S.flags.c_contiguous
+    if keyed and (hit := _hit(S, tol)) is not None:
+        return hit
     S = as_square_matrix(S, "S", min_n=2)
-    return _check(S, as_nonnegative_float(tol, "tol"))[0]
+    tol = as_nonnegative_float(tol, "tol")
+    if keyed:
+        _memo = None  # the old entry's arrays go before this call's
+    check, parts, reasons = _check(S, tol)
+    f = None
+    if check.is_automorphism:
+        nu, c, U, ortho = parts[:4]
+        del parts  # check's Gram matrix goes before the key copy
+        # Built without __post_init__: the membership gate has just checked
+        # these, and _check has frozen U.
+        f = object.__new__(Factorization)
+        f._set(nu=nu, c=frozen(c), U=U, _residual=ortho)
+        del U
+    else:
+        del parts  # a refusal's recovered parts go before the key copy too
+    if keyed:
+        _memo = (weakref.ref(S, _forget), _key(S), tol, check, reasons, f)
+    return check, reasons, f
 
 
 def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str]:
@@ -292,7 +413,11 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
     accept): every membership refusal is worded here.  ``G = U^T U - I`` and
     ``ortho = ||G||_F``; ``v = U^T c``, read as ``D^T c / a``, and
     ``d = b - v`` is the first-row defect.  A failed residual gate is named
-    by its larger scaled term, U's or d's."""
+    by its larger scaled term, U's or d's.  U comes back frozen: it is
+    formed in a ``_square_block`` and copied out before G's block is made,
+    so the test holds at most two n x n arrays besides S, and its two
+    blocks leave one hole of S's size, which the caller's next n x n array
+    fits."""
     head = float(S[0, 0])
     cone_forward = head > 0.0
     m = len(S) - 1
@@ -306,13 +431,15 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
             c = S[1:, 0] / nu
             a, beta = _sqrt_coefficients(c)
         if a < math.inf:
-            U = S[1:, 1:] / nu  # the D block
+            U = np.divide(S[1:, 1:], nu, out=_square_block(m))  # the D block
             cD = c @ U
             v = cD / a
             d = S[0, 1:] / nu - v
             defect = _norm(d)
             # U = P^{-1} D = (I + gamma c c^T) D, gamma = -beta / a.
             U += _scaled_outer(c, cD, -beta / a)
+            # Frozen (copied) before G is formed: U's block is free by then.
+            U = frozen(U)
             G = _gram_defect(U)
             ortho = _norm(G)
     if math.isfinite(ortho + defect):
@@ -376,16 +503,14 @@ def factor(S, tol: float = DEFAULT_TOL) -> Factorization:
     unique; only the reconstruction ``compose(result) ~ S`` is contractual.
     Raises NotAutomorphismError, carrying the check, exactly when
     check_automorphism rejects S; the message names the gate that decided.
+
+    After check_automorphism or factor on the same S and tol (``_decide``),
+    this returns the kept Factorization, or raises the kept refusal with
+    its check, without a second recovery.
     """
-    S = as_square_matrix(S, "S", min_n=2)
-    check, parts, reasons = _check(S, as_nonnegative_float(tol, "tol"))
-    if not check.is_automorphism:
+    check, reasons, f = _decide(S, tol)
+    if f is None:
         raise NotAutomorphismError("cannot factor: " + reasons, check)
-    nu, c, U, ortho = parts[:4]
-    del parts  # check's Gram matrix goes before U is frozen (copied)
-    # Built without __post_init__: the membership gate has just checked these.
-    f = object.__new__(Factorization)
-    f._set(nu=nu, c=frozen(c), U=frozen(U), _residual=ortho)
     return f
 
 

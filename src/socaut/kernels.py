@@ -179,10 +179,22 @@ def orthogonality_residual(M) -> float:
 
 def _gram_defect(M: np.ndarray) -> np.ndarray:
     """``M^T M - I`` of a square float array, unvalidated: the Gram matrix
-    behind every orthogonality residual."""
-    G = M.T @ M
+    behind every orthogonality residual, formed in a ``_square_block``."""
+    G = np.matmul(M.T, M, out=_square_block(len(M)))
     G.reshape(-1)[:: len(G) + 1] -= 1.0  # the diagonal, as a view
     return G
+
+
+def _square_block(m: int) -> np.ndarray:
+    """An uninitialised m x m array at the head of a block of (m + 1)^2
+    floats.  A membership test on an n x n S (m = n - 1) forms U and its
+    Gram matrix in such blocks and frees them between the n x n arrays
+    that follow (S's compositions, the next sample), which fit the holes
+    they leave.  m^2 blocks, 8 (2m + 1) bytes short, fit none of them: the
+    allocator grows the heap instead, by a block for each such hole, and
+    how many it holds depends on the history of the process, so the peak
+    memory of a loop of such calls varied from run to run."""
+    return np.empty((m + 1) ** 2)[: m * m].reshape(m, m)
 
 
 def _require_orthogonal(

@@ -59,6 +59,13 @@ def congruence_defect(S, mu=None) -> float:
 THETAS_NEAR_E1 = tuple(10.0**-k for k in range(3, 11))
 
 
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Each test starts with an empty check/factor memo, so that a call's
+    checks, Gram matrices and memory are its own."""
+    automorphism._memo = None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260821)

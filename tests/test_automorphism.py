@@ -5,12 +5,16 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 import math
 import pickle
+import sys
 import tempfile
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +48,6 @@ from socaut import (
     sample_haar_orthogonal,
     signature_matrix,
     split_blocks,
-    sqrt_rank_one,
     unit,
 )
 from socaut import automorphism, cli, kernels
@@ -328,6 +331,7 @@ class TestFactor:
         res = check_automorphism(S)
         assert not res.is_automorphism
         assert res.residual_congruence > DEFAULT_TOL
+        automorphism._memo = None  # factor decides on its own, not from check's memo
         with pytest.raises(NotAutomorphismError, match="recovered U is not orthogonal"):
             factor(S)
 
@@ -378,8 +382,10 @@ def cli_verify(S) -> int:
 
 
 def traced_peak(call, S) -> int:
-    """Bytes ``call(S)`` holds at its peak beyond what was live before it."""
+    """Bytes ``call(S)`` holds at its peak beyond what was live before it,
+    on an empty check/factor memo."""
     call(S)  # warm-up: first-call caches are not the call's arrays
+    automorphism._memo = None  # the warm-up's entry would make the call a hit
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -404,15 +410,44 @@ class TestCongruence:
 
     def test_no_call_holds_more_than_the_check(self):
         # An n x n product (a Gram matrix, S / nu) would add a whole unit to
-        # the peak; the report also drops U before it updates G, and factor
-        # drops G before it freezes U.
+        # the peak; the check frees U's working block, once U is frozen,
+        # before it forms G, and the report drops U before it updates G.
         n = 300
         S = sample_automorphism(n, nu_range=(0.5, 2.0), seed=4)
         unit = 8 * n * n
         check = traced_peak(check_automorphism, S)
-        assert check <= 2.5 * unit  # U, then U and its Gram matrix
+        assert check <= 2.5 * unit  # U and its frozen copy, then that and its Gram matrix
         for call in (factor, property_report):
             assert traced_peak(call, S) <= check + 0.25 * unit, call.__name__
+
+    def test_the_check_forms_u_and_g_in_blocks_of_the_size_of_s_one_at_a_time(
+        self, monkeypatch
+    ):
+        # Both blocks are freed between n x n arrays (compositions, the next
+        # sample): blocks of n^2 floats leave holes those fit, and U's goes
+        # before G's is made, so that the check leaves one such hole.
+        n = 40
+        S = sample_automorphism(n, nu_range=(0.5, 2.0), seed=4)
+        made = []
+        square_block, gram = kernels._square_block, automorphism._gram_defect
+
+        def recording(m):
+            block = square_block(m)
+            made.append((block.base.size, weakref.ref(block.base)))
+            return block
+
+        def checking(M):
+            assert made[0][1]() is None  # U's working block
+            assert not M.flags.writeable  # U, frozen
+            return gram(M)
+
+        monkeypatch.setattr(kernels, "_square_block", recording)
+        monkeypatch.setattr(automorphism, "_square_block", recording)
+        monkeypatch.setattr(automorphism, "_gram_defect", checking)
+        parts = automorphism._check(S, 1e-9)[1]
+        assert [size for size, _ in made] == [n * n, n * n]
+        assert made[1][1]() is parts[5].base  # G
+        assert isinstance(parts[2].base, bytes)  # U, frozen
 
     @pytest.mark.parametrize("nu", [2.5, 1.02])
     def test_report_normalizes_by_the_checked_mu(self, nu):
@@ -463,6 +498,229 @@ class TestFactorPath:
             assert f.U.tobytes() == U.tobytes()
 
 
+def factor_bits(f: Factorization) -> tuple:
+    """Every stored bit of a factorization, its kept residual included."""
+    return f.nu, f.c.tobytes(), f.U.tobytes(), vars(f)["_residual"]
+
+
+def cold(call, S, tol=DEFAULT_TOL):
+    """``call(S, tol)`` on an empty memo, as ``(value, None)`` or
+    ``(None, raised)``; the memo is left empty."""
+    automorphism._memo = None
+    try:
+        return call(S, tol), None
+    except NotAutomorphismError as exc:
+        return None, exc
+    finally:
+        automorphism._memo = None
+
+
+def factor_outcome(S, tol=DEFAULT_TOL) -> tuple:
+    """factor's bits, or the refusal's message and attached check."""
+    try:
+        return factor_bits(factor(S, tol))
+    except NotAutomorphismError as exc:
+        return str(exc), exc.check
+
+
+def run_threads(mats, body, barrier=None) -> None:
+    """Run ``body(S, expected)`` in one thread per matrix, with ``expected``
+    the ``(check, factor_outcome)`` of a cold call, and fail on any failure."""
+    expected = [(cold(check_automorphism, S)[0], factor_outcome(S)) for S in mats]
+    automorphism._memo = None
+    errors = []
+
+    def guarded(S, want):
+        try:
+            body(S, want)
+        except Exception as exc:  # recorded for the main thread, which fails on it
+            if barrier is not None:
+                barrier.abort()
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=pair) for pair in zip(mats, expected)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not [e for e in errors if not isinstance(e, threading.BrokenBarrierError)]
+    assert not errors
+
+
+class TestMemo:
+    """check_automorphism and factor keep their last decision: factor on the
+    S just checked, at the same tol, reuses its check and frozen factors.
+    A hit needs a C-contiguous float64 S with the stored bytes and the
+    stored tol; anything else decides afresh, with the bits of a cold call."""
+
+    def member(self, n=6, seed=5):
+        return sample_automorphism(n, alpha_max=3.0, nu_range=(0.5, 2.0), seed=seed)
+
+    # n = 400 and up: the memo's copy of S is held in a memory map (_key).
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_a_hit_returns_the_bits_of_a_cold_factor_with_u_frozen(self, n, checks, measured):
+        S = self.member(n)
+        check = check_automorphism(S)
+        f = factor(S)
+        assert len(checks) == len(measured) == 1
+        assert factor(S) is f and check_automorphism(S) is check
+        g, _ = cold(factor, S.copy())
+        assert factor_bits(f) == factor_bits(g)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            f.U.flags.writeable = True
+
+    @pytest.mark.parametrize("n", [6, 400])
+    def test_a_matrix_changed_in_place_is_decided_afresh(self, n, checks):
+        S = self.member(n)
+        changed = S.copy()
+        changed[0, 2] += 1e-6
+        _, fresh = cold(factor, changed)
+        del checks[:]
+        assert check_automorphism(S).is_automorphism
+        S[0, 2] += 1e-6
+        with pytest.raises(NotAutomorphismError) as exc:
+            factor(S)
+        assert str(exc.value) == str(fresh) and exc.value.check == fresh.check
+        assert str(exc.value).startswith("cannot factor: first-row defect")
+        assert len(checks) == 2
+
+    @pytest.mark.parametrize("first,second", [(1e-9, 1e-3), (0.0, -0.0), (-0.0, 0.0)])
+    def test_another_tol_misses(self, first, second, checks):
+        S = self.member()
+        S[2, 3] += 1e-6  # refused at 0 and 1e-9, accepted at 1e-3
+        got, raised = cold(factor, S, second)
+        check_automorphism(S, first)
+        del checks[:]
+        try:
+            f = factor(S, second)
+        except NotAutomorphismError as exc:
+            assert raised is not None and str(exc) == str(raised)  # "-0" or "0" in the text
+        else:
+            assert got is not None and factor_bits(f) == factor_bits(got)
+        assert checks == [S]
+
+    def test_signed_zeros_miss_each_other(self, checks):
+        S = self.member(5)
+        S[1, 2] = 0.0
+        S[0, 0] += 1.0  # a non-member: its refusal text and verdict are compared
+        T = S.copy()
+        T[1, 2] = -0.0
+        for A, B in ((S, T), (T, S)):
+            automorphism._memo = None
+            check_automorphism(A)
+            del checks[:]
+            check_automorphism(B)
+            assert checks == [B]
+
+    def test_a_fortran_ordered_copy_gets_the_bits_of_a_cold_call(self, checks):
+        S = self.member(40)
+        F = np.asfortranarray(S)
+        g, _ = cold(factor, F)
+        check_automorphism(S)
+        f = factor(F)
+        assert factor_bits(f) == factor_bits(g)
+        assert checks[-2:] == [S, F]
+        assert automorphism._memo[1].tobytes() == S.tobytes()  # F is not stored
+
+    def test_a_refusal_is_kept_with_its_check_and_message(self, checks):
+        S = self.member()
+        S[3, 1] += 1e-5
+        _, fresh = cold(factor, S.copy())
+        del checks[:]
+        check = check_automorphism(S)
+        with pytest.raises(NotAutomorphismError) as exc:
+            factor(S)
+        assert exc.value.check is check
+        assert str(exc.value) == str(fresh) and check == fresh.check
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_the_memo_keeps_nothing_once_s_is_collected(self, n):
+        S = self.member(n)
+        f = factor(S)
+        assert automorphism._memo[5] is f
+        del S
+        gc.collect()
+        assert automorphism._memo is None
+        assert f.U.shape == (n - 1, n - 1)  # the caller's factors stay
+
+    def test_two_threads_get_their_own_verdicts(self):
+        # A member and a non-member, checked and factored in turn: between a
+        # thread's check and its factor the other thread replaces the entry.
+        member = self.member(30, seed=7)
+        other = self.member(30, seed=8)
+        other[0, 1] += 1e-4
+        turns = threading.Barrier(2, timeout=30)
+
+        def alternate(S, expected):
+            for _ in range(40):
+                got = check_automorphism(S)
+                turns.wait()
+                assert (got, factor_outcome(S)) == expected
+                turns.wait()
+
+        run_threads([member, other], alternate, turns)
+
+    def test_threads_under_fast_switching_keep_their_verdicts(self):
+        # More threads than cores, switching every microsecond, half of them
+        # on non-members: each reads only its own matrix's decisions.
+        mats = [self.member(12, seed=seed) for seed in range(20, 26)]
+        for S in mats[::2]:
+            S[0, 1] += 1e-4
+
+        def repeat(S, expected):
+            for _ in range(200):
+                assert (check_automorphism(S), factor_outcome(S)) == expected
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(mats, repeat)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_warm_hit_holds_no_matrix(self):
+        n = 300
+        S = sample_automorphism(n, nu_range=(0.5, 2.0), seed=4)
+        check_automorphism(S)
+        factor(S)  # first-call caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            factor(S)
+            check_automorphism(S)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 8 * n * n
+
+    def test_a_miss_frees_the_entry_it_replaces_first(self):
+        # The old entry (its key and U, two units) goes before the new check
+        # forms U and its Gram matrix, so the process holds no more than before.
+        n = 300
+        S, T = (sample_automorphism(n, nu_range=(0.5, 2.0), seed=s) for s in (4, 5))
+        check_automorphism(T)  # first-call caches
+        tracemalloc.start()  # before S's entry is made, so that its release is seen
+        try:
+            check_automorphism(S)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            check_automorphism(T)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 8 * n * n
+
+    def test_a_chain_on_one_s_checks_once_and_forms_one_gram(self, checks, measured):
+        S = self.member(30)
+        check_automorphism(S)
+        for _ in range(2):
+            compose(factor(S))
+        assert checks == [S]
+        assert len(measured) == 1
+
+
 class TestOneVerdict:
     """check and factor share one decision: factor succeeds iff check accepts."""
 
@@ -493,6 +751,7 @@ class TestOneVerdict:
             S += N
             noise = float(np.linalg.norm(N))
         check = check_automorphism(S)
+        automorphism._memo = None  # factor decides on its own, not from check's memo
         try:
             f = factor(S)
         except NotAutomorphismError as exc:
@@ -530,6 +789,7 @@ class TestOneVerdict:
         check = check_automorphism(S, tol)
         rule = check.cone_forward and check.mu > tol and check.residual_congruence <= tol
         assert check.is_automorphism == rule
+        automorphism._memo = None  # factor decides on its own, not from check's memo
         try:
             f = factor(S, tol)
         except NotAutomorphismError as exc:
@@ -921,6 +1181,7 @@ def test_a_former_function_gives_the_bits_of_the_one_it_forwards_to(name):
     f = factor(S)
     fn = getattr(automorphism, name)
     if name.startswith("factor_"):
+        automorphism._memo = None  # a second recovery, not factor's kept result
         g = fn(S, 1e-9)
         assert type(g) is Factorization
         assert (g.nu, g.c.tobytes(), g.U.tobytes()) == (f.nu, f.c.tobytes(), f.U.tobytes())

@@ -26,7 +26,7 @@ from socaut import (
     sample_automorphism,
 )
 from socaut.cli import main
-from socaut.fileio import dumps_factorization, dumps_matrix, parse_factorization, parse_matrix
+from socaut.fileio import dumps_matrix, parse_factorization, parse_matrix
 from socaut.automorphism import Factorization, PropertyReport
 
 from conftest import ROOT, rel_fro, run_socaut
