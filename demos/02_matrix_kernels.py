@@ -11,9 +11,9 @@ orthogonal matrices.
 import numpy as np
 
 from socaut import (
+    RankOneSqrt,
     boost_matrix,
     householder_to_direction,
-    inv_sqrt_rank_one,
     sample_haar_orthogonal,
     signature_matrix,
     sqrt_rank_one,
@@ -35,8 +35,10 @@ beta_naive = (a - 1.0) / (tiny @ tiny)
 beta_stable = 1.0 / (a + 1.0)
 print(f"beta for ||c|| ~ 1e-8: naive = {beta_naive:.17g}, stable = {beta_stable:.17g}")
 
-# The inverse square root is the same rank-one shape and cancels exactly.
-Q = inv_sqrt_rank_one(c)
+# The inverse square root is the same rank-one shape: P^{-1} = I + gamma c c^T,
+# with gamma = -beta / a.
+gamma = RankOneSqrt(c).gamma
+Q = np.eye(4) + gamma * np.outer(c, c)
 print("||P @ Q - I|| =", np.linalg.norm(P @ Q - np.eye(4)))
 
 # --- Householder alignment --------------------------------------------------

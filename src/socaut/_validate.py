@@ -9,9 +9,10 @@ from dataclasses import fields
 import numpy as np
 
 #: Default tolerance for every gate in the package.  The membership test
-#: (``automorphism._check``) and each orthogonal factor's gate
-#: (``kernels._require_orthogonal``) compare a scaled residual with it;
-#: ``spin.cone_classify`` and ``automorphism._verify`` state their own scaling.
+#: (``automorphism._check``), each orthogonal factor's gate
+#: (``kernels._require_orthogonal``) and ``spin.cone_classify`` (the slack
+#: over ``||x||``) compare a scaled residual with it; ``automorphism._verify``
+#: states its own scaling.
 DEFAULT_TOL = 1e-9
 
 

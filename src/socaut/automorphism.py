@@ -22,16 +22,13 @@ The two forms are one value, ``Factorization(nu, c, U)``: only
 ``(nu, c, U)`` and differ only in what is derived from it (a and P, or
 alpha and V) and in the document form fileio writes.  Membership is decided
 once, in ``_check``, by recovering these factors (see check_automorphism);
-factor returns the factors that test recovered, so the two cannot disagree.
-check_automorphism and factor share a one-entry memo of the last decision
-(``_decide``): the check, its refusal text and, on accept, the frozen
-factors, keyed by a copy of S's bytes and tol.  So check then factor, or
-factor twice, on one S recover its factors once; the entry goes when the
-caller's S is collected.  compose runs one O(n^2) blockwise assembly of the
-compact form.  ``_verify`` holds verify's gates and reads the congruence
-defect of S / nu off the parts ``_check`` recovered, in O(n^2): U's Gram
-defect and the first-row defect; it keeps its own recovery, since it needs
-the Gram matrix that the memo does not keep.  U's residual
+factor returns the factors that test recovered, so the two cannot disagree,
+and the two share a one-entry memo of the last decision (``_decide``).
+compose runs one O(n^2) blockwise assembly of the compact form.
+``_verify`` holds verify's gates and reads the congruence defect of S / nu
+off the parts ``_check`` recovered, in O(n^2): U's Gram defect and the
+first-row defect; it keeps its own recovery, since it needs the Gram matrix
+that the memo does not keep.  U's residual
 ``||U^T U - I||_F`` is measured at most once and kept by its factorization:
 ``_check`` measures the U it recovers, and a caller-built or loaded U is
 measured where it is first gated (file load or compose).  A full V enters
@@ -78,13 +75,10 @@ from .spin import SpinVector
 
 __all__ = [
     "NotAutomorphismError",
-    "BlockView",
     "AutCheckResult",
     "Factorization",
     "PropertyReport",
-    "split_blocks",
     "check_automorphism",
-    "normalize",
     "factor",
     "compose",
     "sample_automorphism",
@@ -103,39 +97,6 @@ class NotAutomorphismError(ValueError):
     def __init__(self, message: str, check: "AutCheckResult | None" = None):
         super().__init__(message)
         self.check = check
-
-
-@dataclass(frozen=True, eq=False)
-class BlockView(FrozenValue):
-    """The block split S = [[a, b^T], [c, D]] of an n x n matrix, n >= 2."""
-
-    a: float
-    b: np.ndarray
-    c: np.ndarray
-    D: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = as_float(self.a)
-        if not math.isfinite(a):
-            raise ValueError(f"a must be a finite number, got {self.a!r}")
-        b, c = as_vector(self.b, "b", min_len=1), as_vector(self.c, "c", min_len=1)
-        D = as_square_matrix(self.D, "D")
-        if not b.size == c.size == len(D):
-            raise ValueError(
-                "blocks must fit one square matrix: b has "
-                f"{b.size} entries, c has {c.size}, D is {D.shape[0]}x{D.shape[1]}"
-            )
-        self._set(a=a, b=frozen(b), c=frozen(c), D=frozen(D))
-
-    def reassemble(self) -> np.ndarray:
-        """Rebuild the source matrix exactly from the four blocks."""
-        m = self.b.size
-        S = np.empty((m + 1, m + 1))
-        S[0, 0] = self.a
-        S[0, 1:] = self.b
-        S[1:, 0] = self.c
-        S[1:, 1:] = self.D
-        return S
 
 
 @dataclass(frozen=True)
@@ -269,15 +230,6 @@ class PropertyReport:
         return max(self.residual_A2, self.residual_A3)
 
 
-def split_blocks(S) -> BlockView:
-    """Split S into ``a = S[0,0]``, ``b = S[0,1:]``, ``c = S[1:,0]``, ``D``.
-
-    Lossless: ``split_blocks(S).reassemble()`` equals S bit for bit.
-    """
-    S = as_square_matrix(S, "S", min_n=2)
-    return BlockView(a=float(S[0, 0]), b=S[0, 1:], c=S[1:, 0], D=S[1:, 1:])
-
-
 def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     """Membership test for the cone automorphism group.
 
@@ -289,21 +241,13 @@ def check_automorphism(S, tol: float = DEFAULT_TOL) -> AutCheckResult:
     d = 0.  Accepts iff ``(S e)_0 = S[0,0] > 0``, ``mu > tol`` and
     ``residual_congruence = max(||U^T U - I||_F / m, ||d|| / a) <= tol``.
     factor returns the same recovered factors, so it succeeds exactly when
-    this accepts.  Rejection is a normal result, not an exception.
-
-    The decision is kept while S lives (``_decide``): factor, or this test
-    again, on a C-contiguous float64 S with the same bytes and tol reuses
-    it and forms no second Gram matrix; any other call decides afresh.
+    this accepts.  Rejection is a normal result, not an exception.  A second
+    call, or factor, on the same S and tol reuses this decision (``_decide``).
     """
     return _decide(S, tol)[0]
 
 
-#: The last decision of check_automorphism or factor, replaced as one tuple:
-#: ``(ref, key, tol, check, reasons, f)``, with ``ref`` a weak reference to
-#: the caller's S, ``key`` a read-only copy of its bytes and ``f`` the frozen
-#: Factorization on accept (else None).  None when empty.  Threads need no
-#: lock: a reader takes the whole tuple and compares its full key, so a race
-#: can only drop an entry, which costs a recovery, never a wrong answer.
+#: ``(ref, key, tol, check, reasons, f)``, or None: see ``_decide``.
 _memo: tuple | None = None
 
 #: Entries compared per step of the byte comparison (a 64 KiB temporary).
@@ -329,12 +273,8 @@ def _forget(ref: weakref.ref) -> None:
 
 
 def _key(S: np.ndarray) -> np.ndarray:
-    """A read-only copy of S for the memo.  From a megabyte up it is held in
-    an anonymous memory map, which goes back to the system with the entry.
-    On the malloc heap such a block, living from one check to the next,
-    pins holes: in a loop of check, factor and compose at n = 1000 it
-    raised the process's peak RSS from 132 MB to as much as 170 MB.  Below
-    a megabyte the map's system calls would cost more than the copy."""
+    """A read-only copy of S for the memo, in its own memory map from
+    ``_MAPPED_KEY_BYTES`` up (see ``_decide``)."""
     if S.nbytes < _MAPPED_KEY_BYTES:
         return frozen(S)
     key = np.frombuffer(mmap.mmap(-1, S.nbytes, **_MAP_OPTIONS), dtype=np.float64)
@@ -373,14 +313,37 @@ def _decide(S, tol) -> tuple[AutCheckResult, str, "Factorization | None"]:
     """check_automorphism and factor through the memo: the check, the
     refusal text ('' on accept) and the frozen factors (None on refusal).
 
-    Only a C-contiguous float64 ndarray S is looked up or stored.  A hit
-    (``_hit``) returns the entry's values, so its bits are those of the call
-    that made it; S is not validated again, since its bytes were.  Anything
-    else runs ``_check``.  A miss on such an S first empties the memo, then
-    stores a new entry: the key copy is taken after the Gram matrix is
-    freed, so the call holds no more at its peak than ``_check``.  An entry
-    lives while the caller's S does, and holds two n x n arrays: the key
-    and the factors' U."""
+    The memo ``_memo`` holds one entry, ``(ref, key, tol, check, reasons,
+    f)``: a weak reference to the caller's S, a read-only copy of its
+    bytes, the tol, the three results, with ``f`` the frozen Factorization
+    on accept (else None).  Only a C-contiguous float64 ndarray S is looked
+    up or stored.  A hit (``_hit``) needs S's shape, its bytes compared in
+    full (-0.0 and +0.0 differ) and tol to equal the entry's; it returns
+    the entry's values, so its bits are those of the call that made it, and
+    S is not validated again, since its bytes were.  Anything else runs
+    ``_check``.  A miss on such an S first empties the memo, then stores a
+    new entry: the key copy is taken after the Gram matrix is freed, so the
+    call holds no more at its peak than ``_check``.  An entry lives while
+    the caller's S does (``_forget``) or until another S replaces it, and
+    holds two n x n arrays: the key and the factors' U.  Threads need no
+    lock: a reader takes the whole tuple and compares its full key, so a
+    race can only drop an entry, which costs a recovery, never a wrong
+    answer.
+
+    The layout keeps the heap from fragmenting in a loop of sample, check,
+    factor and compose.  From ``_MAPPED_KEY_BYTES`` (n >= 363) the key is
+    held in an anonymous memory map (``_key``), which goes back to the
+    system with the entry; on the heap such a block, living from one check
+    to the next, pins holes, and at n = 1000 it raised the loop's peak RSS
+    from 132 MB to as much as 170 MB.  Below a megabyte the map's system
+    calls cost more than the copy.  ``_check`` forms U and its Gram matrix
+    each at the head of a block of n^2 floats (``kernels._square_block``)
+    and freezes (copies) U before it forms the Gram matrix, so it holds at
+    most two n x n arrays besides S, and its two blocks leave one hole of
+    S's size, which the caller's next n x n array fits.  (n-1)^2 blocks, 8
+    (2n - 1) bytes short, fit none of them: the allocator grows the heap by
+    a block for each such hole, and the peak memory of the loop varied by
+    up to three n x n blocks from run to run."""
     global _memo
     keyed = type(S) is np.ndarray and S.dtype == np.float64 and S.flags.c_contiguous
     if keyed and (hit := _hit(S, tol)) is not None:
@@ -413,11 +376,8 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
     accept): every membership refusal is worded here.  ``G = U^T U - I`` and
     ``ortho = ||G||_F``; ``v = U^T c``, read as ``D^T c / a``, and
     ``d = b - v`` is the first-row defect.  A failed residual gate is named
-    by its larger scaled term, U's or d's.  U comes back frozen: it is
-    formed in a ``_square_block`` and copied out before G's block is made,
-    so the test holds at most two n x n arrays besides S, and its two
-    blocks leave one hole of S's size, which the caller's next n x n array
-    fits."""
+    by its larger scaled term, U's or d's.  U comes back frozen; its layout
+    is set out in ``_decide``."""
     head = float(S[0, 0])
     cone_forward = head > 0.0
     m = len(S) - 1
@@ -471,25 +431,6 @@ def _check(S: np.ndarray, tol: float) -> tuple[AutCheckResult, tuple | None, str
     return check, parts, "; ".join(reasons)
 
 
-def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
-    """Strip the homogeneous scale: return ``(nu, S/nu)`` with ``nu = sqrt(mu)``.
-
-    The result satisfies ``S_hat^T J S_hat = J`` up to the defects (U's
-    orthogonality, the first row d) that the accepting ``check`` allowed.
-    Raises NotAutomorphismError when ``check`` is a rejection.
-    """
-    S = as_square_matrix(S, "S", min_n=2)
-    if not check.is_automorphism:
-        raise NotAutomorphismError(
-            "normalize requires an accepted matrix "
-            f"(mu={check.mu:.6g}, residual={check.residual_congruence:.3e}, "
-            f"cone_forward={check.cone_forward})",
-            check,
-        )
-    nu = math.sqrt(check.mu)
-    return nu, S / nu
-
-
 def factor(S, tol: float = DEFAULT_TOL) -> Factorization:
     """Factor an accepted S as ``nu * [[a, c^T], [c, P]] @ diag(1, U)``.
 
@@ -503,10 +444,8 @@ def factor(S, tol: float = DEFAULT_TOL) -> Factorization:
     unique; only the reconstruction ``compose(result) ~ S`` is contractual.
     Raises NotAutomorphismError, carrying the check, exactly when
     check_automorphism rejects S; the message names the gate that decided.
-
-    After check_automorphism or factor on the same S and tol (``_decide``),
-    this returns the kept Factorization, or raises the kept refusal with
-    its check, without a second recovery.
+    After check_automorphism or factor on the same S and tol, this reuses
+    that decision (``_decide``).
     """
     check, reasons, f = _decide(S, tol)
     if f is None:
@@ -530,8 +469,9 @@ def compose(f: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _assemble(f.nu, f.c, f.U)
 
 
-# perfbench still calls these six names; ROADMAP item 4 ports it to factor, compose and
-# Factorization and deletes them.  Four distinct functions: a tracer counts each call once.
+# perfbench still calls or traces these eight names, outside __all__; ROADMAP item 4 ports
+# it off them, to factor, compose and Factorization, and deletes them.  Six distinct
+# functions: a tracer counts each call once.
 CompactFactorization = CanonicalFactorization = Factorization
 
 
@@ -549,6 +489,26 @@ def compose_compact(f: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def compose_canonical(f: Factorization, tol: float = DEFAULT_TOL) -> np.ndarray:
     return compose(f, tol)
+
+
+def normalize(S, check: AutCheckResult) -> tuple[float, np.ndarray]:
+    """``(sqrt(mu), S / sqrt(mu))``; kept for perfbench's tracer until ROADMAP item 4."""
+    S = as_square_matrix(S, "S", min_n=2)
+    if not check.is_automorphism:
+        raise NotAutomorphismError(
+            "normalize requires an accepted matrix "
+            f"(mu={check.mu:.6g}, residual={check.residual_congruence:.3e}, "
+            f"cone_forward={check.cone_forward})",
+            check,
+        )
+    nu = math.sqrt(check.mu)
+    return nu, S / nu
+
+
+def split_blocks(S) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks ``(a, b, c, D)`` of S; kept for perfbench's tracer until ROADMAP item 4."""
+    S = as_square_matrix(S, "S", min_n=2)
+    return float(S[0, 0]), S[0, 1:], S[1:, 0], S[1:, 1:]
 
 
 def _scaled_outer(x: np.ndarray, y: np.ndarray, scale: float) -> np.ndarray:

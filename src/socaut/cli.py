@@ -21,7 +21,6 @@ import numpy as np
 from ._validate import DEFAULT_TOL, as_nonnegative_float
 from .automorphism import (
     NotAutomorphismError,
-    _assemble,
     _check,
     _norms,
     _verify,
@@ -76,8 +75,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     S = load_matrix(args.input)
-    f = factor(S, args.tol)  # gates U; builds no V
-    residual = _relative_residual(_assemble(f.nu, f.c, f.U), S)
+    f = factor(S, args.tol)  # builds no V
+    residual = _relative_residual(compose(f, args.tol), S)  # U passed factor's gate
     doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual, form=args.form)
     _emit(doc, args.output, args.quiet)
     return EXIT_OK

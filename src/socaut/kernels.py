@@ -21,7 +21,6 @@ from ._validate import FrozenValue, as_index, as_nonnegative_float, as_vector, f
 __all__ = [
     "RankOneSqrt",
     "sqrt_rank_one",
-    "inv_sqrt_rank_one",
     "householder_to_direction",
     "orthogonality_residual",
     "sample_haar_orthogonal",
@@ -131,11 +130,6 @@ def sqrt_rank_one(c) -> np.ndarray:
     return RankOneSqrt.from_vector(c).matrix()
 
 
-def inv_sqrt_rank_one(c) -> np.ndarray:
-    """Return ``sqrt(I + c c^T)^{-1}`` as a dense matrix."""
-    return RankOneSqrt.from_vector(c).inverse_matrix()
-
-
 def householder_to_direction(c) -> np.ndarray:
     """Orthogonal (reflector) ``V`` with ``V e1 = c / ||c||``.
 
@@ -187,13 +181,8 @@ def _gram_defect(M: np.ndarray) -> np.ndarray:
 
 def _square_block(m: int) -> np.ndarray:
     """An uninitialised m x m array at the head of a block of (m + 1)^2
-    floats.  A membership test on an n x n S (m = n - 1) forms U and its
-    Gram matrix in such blocks and frees them between the n x n arrays
-    that follow (S's compositions, the next sample), which fit the holes
-    they leave.  m^2 blocks, 8 (2m + 1) bytes short, fit none of them: the
-    allocator grows the heap instead, by a block for each such hole, and
-    how many it holds depends on the history of the process, so the peak
-    memory of a loop of such calls varied from run to run."""
+    floats, so that the hole it leaves fits a later (m + 1) x (m + 1)
+    array (see ``automorphism._decide``)."""
     return np.empty((m + 1) ** 2)[: m * m].reshape(m, m)
 
 
@@ -323,3 +312,9 @@ def boost_matrix(alpha: float, n: int) -> np.ndarray:
     T[1, 0] = alpha
     T[1, 1] = h
     return T
+
+
+# perfbench still traces this name, outside __all__; ROADMAP item 4 deletes it.
+def inv_sqrt_rank_one(c) -> np.ndarray:
+    """``RankOneSqrt(c).inverse_matrix()``; kept for perfbench's tracer until ROADMAP item 4."""
+    return RankOneSqrt.from_vector(c).inverse_matrix()

@@ -104,22 +104,20 @@ def unit(n: int) -> SpinVector:
 def cone_classify(x: SpinVector, tol: float = DEFAULT_TOL) -> ConeRegion:
     """Classify ``x`` against the second-order cone with a scaled margin.
 
-    With slack ``s = x0 - ||xbar||`` and scale ``m = max(1, ||x||)``:
-    interior when ``s > tol*m``, boundary when ``|s| <= tol*m``, outside
-    otherwise.  Both sides are compared on ``x / 2^e``, with ``2^e`` the
-    power of two just above ``max|x_i|`` (but at least ``2^-1022``, so that
-    ``2^-e`` is finite), as ``s / 2^e`` against ``tol * max(2^-e, ||x /
-    2^e||)``: no square in ``||xbar||^2`` then overflows, and the largest does
-    not underflow.  The scaling is exact, so the verdict is the unscaled one
-    wherever ``||xbar||^2`` is representable, and scaling x by a power of two
-    does not change it.
+    With slack ``s = x0 - ||xbar||``: interior when ``s > tol*||x||``,
+    boundary when ``|s| <= tol*||x||``, outside otherwise; the margin has
+    no absolute term.  Both sides are compared on ``x / 2^e``, with ``2^e``
+    the power of two just above ``max|x_i|``: no square in ``||xbar||^2``
+    then overflows, and the largest does not underflow.  The scaling is
+    exact, so the verdict is the unscaled one wherever ``||xbar||^2`` is
+    representable, and scaling x by a power of two does not change it.
     """
     tol = as_nonnegative_float(tol, "tol")
-    e = max(math.frexp(max(abs(x.x0), float(np.abs(x.xbar).max())))[1], -1022)
+    e = math.frexp(max(abs(x.x0), float(np.abs(x.xbar).max())))[1]
     x0 = math.ldexp(x.x0, -e)
     tail_norm = _norm(np.ldexp(x.xbar, -e))
     slack = x0 - tail_norm
-    scale = max(math.ldexp(1.0, -e), float(np.hypot(x0, tail_norm)))
+    scale = float(np.hypot(x0, tail_norm))
     if slack > tol * scale:
         return ConeRegion.INTERIOR
     if abs(slack) <= tol * scale:

@@ -26,7 +26,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from socaut import (
     DEFAULT_TOL,
-    BlockView,
     ConeRegion,
     Factorization,
     NotAutomorphismError,
@@ -41,13 +40,11 @@ from socaut import (
     factor,
     householder_to_direction,
     jordan_product,
-    normalize,
     orthogonality_residual,
     property_report,
     sample_automorphism,
     sample_haar_orthogonal,
     signature_matrix,
-    split_blocks,
     unit,
 )
 from socaut import automorphism, cli, kernels
@@ -74,7 +71,7 @@ NAN_MU_REASON = "congruence scale mu=nan: S[0,0]^2 and ||S[1:,0]||^2 both overfl
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Names of the validations and block helpers ``socaut.automorphism`` calls."""
+    """Names of the validations and public checks ``socaut.automorphism`` calls."""
     calls = []
     validate = automorphism.as_square_matrix
 
@@ -90,53 +87,9 @@ def calls(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(automorphism, "as_square_matrix", counting_validate)
-    for name in ("check_automorphism", "normalize", "split_blocks"):
-        monkeypatch.setattr(automorphism, name, counting(name, getattr(automorphism, name)))
+    name = "check_automorphism"
+    monkeypatch.setattr(automorphism, name, counting(name, getattr(automorphism, name)))
     return calls
-
-
-class TestSplitBlocks:
-    def test_identity(self):
-        bl = split_blocks(np.eye(3))
-        assert bl.a == 1.0
-        assert_array_equal(bl.b, np.zeros(2))
-        assert_array_equal(bl.c, np.zeros(2))
-        assert_array_equal(bl.D, np.eye(2))
-
-    def test_boost_layout(self):
-        bl = split_blocks(boost_matrix(1.0, 3))
-        s2 = math.sqrt(2.0)
-        assert bl.a == s2
-        assert_array_equal(bl.b, [1.0, 0.0])
-        assert_array_equal(bl.c, [1.0, 0.0])
-        assert_array_equal(bl.D, np.diag([s2, 1.0]))
-
-    def test_reassemble_lossless(self, rng):
-        S = rng.standard_normal((7, 7))
-        assert_array_equal(split_blocks(S).reassemble(), S)
-
-    def test_rejects_small_or_nonsquare(self):
-        with pytest.raises(ValueError):
-            split_blocks(np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            split_blocks(np.ones((2, 3)))
-
-    @pytest.mark.parametrize(
-        "blocks,fragment",
-        [
-            ((1.0, np.zeros(3), np.zeros(2), np.eye(4)), "blocks must fit one square matrix"),
-            ((1.0, np.zeros(2), np.zeros(2), np.eye(3)), "blocks must fit one square matrix"),
-            ((1.0, np.zeros((1, 2)), np.zeros(2), np.eye(2)), "b must be one-dimensional"),
-            ((1.0, np.zeros(2), np.zeros(2), np.ones((2, 3))), "D must be a square matrix"),
-            ((1.0, np.zeros(0), np.zeros(0), np.eye(0)), "at least 1 entries"),
-            ((math.nan, np.zeros(2), np.zeros(2), np.eye(2)), "a must be a finite number"),
-            ((1.0, np.zeros(2), [math.inf, 0.0], np.eye(2)), "c must have finite entries"),
-        ],
-        ids=["b3-c2-D4", "D-too-big", "2d-b", "nonsquare-D", "empty", "nan-a", "inf-c"],
-    )
-    def test_direct_construction_validates(self, blocks, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            BlockView(*blocks)
 
 
 class TestCheckAutomorphism:
@@ -224,33 +177,6 @@ class TestCheckAutomorphism:
             check_automorphism(np.ones((3, 2)))
         with pytest.raises(ValueError):
             check_automorphism(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestNormalize:
-    def test_scaling(self):
-        S = 3.0 * np.eye(4)
-        nu, S_hat = normalize(S, check_automorphism(S))
-        assert nu == 3.0
-        assert_array_equal(S_hat, np.eye(4))
-
-    def test_boost_already_normalized(self):
-        S = boost_matrix(2.0, 4)
-        nu, S_hat = normalize(S, check_automorphism(S))
-        assert nu == pytest.approx(1.0, abs=1e-15)
-        assert_allclose(S_hat, S, rtol=1e-15)
-
-    def test_homogeneity(self):
-        S = 5.0 * boost_matrix(1.0, 3)
-        nu, S_hat = normalize(S, check_automorphism(S))
-        assert nu == pytest.approx(5.0, rel=1e-15)
-        assert_allclose(S_hat, boost_matrix(1.0, 3), rtol=1e-14)
-
-    def test_rejected_input_raises(self):
-        S = np.diag([1.0, 2.0])
-        with pytest.raises(NotAutomorphismError) as exc_info:
-            normalize(S, check_automorphism(S))
-        assert exc_info.value.check is not None
-        assert not exc_info.value.check.is_automorphism
 
 
 class TestFactor:
@@ -479,22 +405,23 @@ class TestFactorPath:
     """factor validates S once and returns the factors the membership test
     recovered from S itself, without calling check_automorphism."""
 
-    def test_validates_s_once_and_skips_normalize_and_split_blocks(self, calls):
+    def test_validates_s_once_and_skips_check_automorphism(self, calls):
         factor(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
         assert calls.count("as_square_matrix S") == 1
-        assert not {"check_automorphism", "normalize", "split_blocks"} & set(calls)
+        assert "check_automorphism" not in calls
 
     @pytest.mark.parametrize("n", [2, 5, 50])
-    def test_equals_the_public_normalize_and_split_route(self, n):
+    def test_equals_the_route_through_s_over_sqrt_mu(self, n):
         for S in random_automorphisms(3, n, seed0=700 + n):
-            nu, S_hat = normalize(S, check_automorphism(S))
+            nu = math.sqrt(check_automorphism(S).mu)
             assert nu != 1.0
-            blocks = split_blocks(S_hat)
-            gamma = RankOneSqrt.from_vector(blocks.c).gamma
-            U = blocks.D + gamma * np.outer(blocks.c, blocks.c @ blocks.D)
+            S_hat = S / nu
+            c, D = S_hat[1:, 0].copy(), S_hat[1:, 1:].copy()
+            gamma = RankOneSqrt.from_vector(c).gamma
+            U = D + gamma * np.outer(c, c @ D)
             f = factor(S)
             assert f.nu == nu
-            assert f.c.tobytes() == blocks.c.tobytes()
+            assert f.c.tobytes() == c.tobytes()
             assert f.U.tobytes() == U.tobytes()
 
 
@@ -837,7 +764,7 @@ class TestCanonicalFactors:
         # c = alpha V e1 with alpha = ||c|| >= 0, never a flipped sign.
         for i, S in enumerate(random_automorphisms(10, 5, seed0=50)):
             f = factor(S)
-            c = split_blocks(S).c / f.nu
+            c = S[1:, 0] / f.nu
             assert f.alpha >= 0.0
             assert_allclose(f.alpha * (f.V @ np.array([1.0, 0.0, 0.0, 0.0])), c, atol=1e-10)
 
@@ -1163,16 +1090,45 @@ class TestCanonicalView:
 FORMER_FUNCTIONS = ("factor_compact", "factor_canonical", "compose_compact", "compose_canonical")
 
 
-def test_former_names_are_four_forwarders_and_two_aliases():
+#: The other fenced functions perfbench traces, as (module, name).
+FENCED_SHIMS = (
+    (automorphism, "normalize"),
+    (automorphism, "split_blocks"),
+    (kernels, "inv_sqrt_rank_one"),
+)
+
+
+def test_fenced_names_are_distinct_callables_outside_all():
     # Kept, outside __all__, for callers not yet ported to factor and compose.
-    # A tracer wraps each function object once, so the four must be distinct
-    # functions, not one object under four names.
-    forwarders = [getattr(automorphism, name) for name in FORMER_FUNCTIONS]
-    assert len({id(fn) for fn in forwarders + [factor, compose]}) == 6
-    assert not set(FORMER_FUNCTIONS) & set(automorphism.__all__)
+    # A tracer wraps each function object once, so each must be its own
+    # function, not one object under several names.
+    fenced = [(automorphism, name) for name in FORMER_FUNCTIONS] + list(FENCED_SHIMS)
+    functions = [getattr(module, name) for module, name in fenced]
+    assert all(callable(fn) for fn in functions)
+    assert len({id(fn) for fn in functions + [factor, compose]}) == len(fenced) + 2
+    for module, name in fenced:
+        assert name not in module.__all__, name
     for name in ("CompactFactorization", "CanonicalFactorization"):
         assert getattr(automorphism, name) is Factorization
         assert name not in automorphism.__all__
+
+
+def test_a_fenced_shim_gives_the_bits_of_the_route_it_stands_for():
+    S = sample_automorphism(4, nu_range=(2.0, 3.0), seed=3)
+    check = check_automorphism(S)
+    nu, S_hat = automorphism.normalize(S, check)
+    assert nu == math.sqrt(check.mu)
+    assert S_hat.tobytes() == (S / nu).tobytes()
+    B = np.diag([1.0, 2.0])
+    with pytest.raises(NotAutomorphismError, match="requires an accepted matrix"):
+        automorphism.normalize(B, check_automorphism(B))
+    blocks = automorphism.split_blocks(S)
+    want = (S[0, 0], S[0, 1:], S[1:, 0], S[1:, 1:])
+    assert [np.asarray(x).tobytes() for x in blocks] == [np.asarray(x).tobytes() for x in want]
+    with pytest.raises(ValueError, match="at least 2x2"):
+        automorphism.split_blocks(np.ones((1, 1)))
+    c = S[1:, 0]
+    assert kernels.inv_sqrt_rank_one(c).tobytes() == RankOneSqrt(c).inverse_matrix().tobytes()
 
 
 @pytest.mark.parametrize("name", FORMER_FUNCTIONS)
@@ -1199,10 +1155,6 @@ FROZEN_VALUES = {
     "RankOneSqrt": (
         lambda S: RankOneSqrt(S[1:, 0]),
         lambda S: RankOneSqrt.from_vector(S[1:, 0]),
-    ),
-    "BlockView": (
-        lambda S: BlockView(float(S[0, 0]), S[0, 1:], S[1:, 0], S[1:, 1:]),
-        split_blocks,
     ),
     "Factorization": (
         lambda S: Factorization(1.0, S[1:, 0], S[1:, 1:]),
@@ -1365,9 +1317,9 @@ class TestGroupStructure:
         # For normalized members, ||b|| = ||c||: both orthogonal blocks
         # redistribute the same boost strength.
         for i, S in enumerate(random_automorphisms(20, 8, seed0=8000)):
-            nu, S_hat = normalize(S, check_automorphism(S))
-            bl = split_blocks(S_hat)
-            assert np.linalg.norm(bl.b) == pytest.approx(np.linalg.norm(bl.c), abs=1e-9)
+            S_hat = S / math.sqrt(check_automorphism(S).mu)
+            b, c = S_hat[0, 1:], S_hat[1:, 0]
+            assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(c), abs=1e-9)
 
     def test_cone_preservation(self):
         rng = np.random.default_rng(123)
@@ -1384,10 +1336,10 @@ class TestGroupStructure:
                 assert img is ConeRegion.BOUNDARY
 
 
-def split_blocks_residuals(S_hat):
-    """The two reported identity residuals, from split_blocks' block copies."""
-    bl = split_blocks(S_hat)
-    a, b, c, D = bl.a, bl.b, bl.c, bl.D
+def block_residuals(S_hat):
+    """The two reported identity residuals, from copies of S_hat's blocks."""
+    a = float(S_hat[0, 0])
+    b, c, D = S_hat[0, 1:].copy(), S_hat[1:, 0].copy(), S_hat[1:, 1:].copy()
     G = D.T @ D
     G[np.diag_indices(b.size)] -= 1.0
     return [
@@ -1545,10 +1497,10 @@ class TestPropertyReport:
         assert rep.boundary_drift_max == 0.0
         assert property_report(np.eye(3)) == rep  # sampling is off by default
 
-    def test_validates_s_once_and_skips_split_blocks(self, calls):
+    def test_validates_s_once_and_skips_check_automorphism(self, calls):
         property_report(sample_automorphism(5, nu_range=(0.5, 2.0), seed=4))
         assert calls.count("as_square_matrix S") == 1
-        assert "split_blocks" not in calls
+        assert "check_automorphism" not in calls
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1558,7 +1510,7 @@ class TestPropertyReport:
         log_noise=st.floats(-14.0, -6.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_residuals_match_the_split_blocks_route(self, n, alpha, nu, log_noise, seed):
+    def test_residuals_match_the_block_route(self, n, alpha, nu, log_noise, seed):
         # Both routes round products of entries of size up to a = sqrt(1 +
         # alpha^2) in another order, so they agree to c * n * eps * a^2, with
         # c = 4 for the residuals and 8 for the certificate (worst seen over
@@ -1572,7 +1524,7 @@ class TestPropertyReport:
         bound = 2.0 * float(np.linalg.norm(S_hat.T @ J @ S_hat - J)) / head
         got = [rep.residual_A2, rep.residual_A3]
         unit = n * EPS * (1.0 + alpha**2)
-        assert np.all(np.abs(np.subtract(got, split_blocks_residuals(S_hat))) <= 4.0 * unit)
+        assert np.all(np.abs(np.subtract(got, block_residuals(S_hat))) <= 4.0 * unit)
         assert abs(rep.cone_slack_bound - bound) <= 8.0 * unit
 
     @settings(max_examples=60, deadline=None)

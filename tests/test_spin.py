@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from socaut import (
     ConeRegion,
@@ -160,6 +160,10 @@ class TestConeClassify:
             (-1.0, [0.0], ConeRegion.OUTSIDE),
             (0.0, [0.0, 0.0], ConeRegion.BOUNDARY),
             (5.0, [3.0, 4.0], ConeRegion.BOUNDARY),
+            # Slack 2^k against ||x|| = 2^k sqrt(365): the margin has no absolute
+            # term, so 2^-40 reads interior as 2^-20 does, its slack far below tol.
+            (14.0 * 2.0**-20, np.array([3.0, 4.0, 12.0]) * 2.0**-20, ConeRegion.INTERIOR),
+            (14.0 * 2.0**-40, np.array([3.0, 4.0, 12.0]) * 2.0**-40, ConeRegion.INTERIOR),
         ],
     )
     def test_regions(self, x0, xbar, region):
@@ -192,26 +196,26 @@ class TestConeClassify:
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9])
     def test_three_regions_at_every_power_of_two_scale(self, tol):
-        # Slacks +1, 0, -1 against ||xbar|| = 13, exact at every scale 2^k.
+        # Slacks +1, 0, -1 against ||xbar|| = 13, exact at every scale 2^k,
+        # subnormal ones included.
         xbar = np.array([3.0, 4.0, 12.0])
         base = {14.0: ConeRegion.INTERIOR, 13.0: ConeRegion.BOUNDARY, 12.0: ConeRegion.OUTSIDE}
-        for k in range(-1000, 1001, 25):
+        for k in range(-1074, 1000):
             for x0, region in base.items():
                 x = SpinVector(math.ldexp(x0, k), np.ldexp(xbar, k))
-                norm = math.hypot(x0, 13.0)
-                # Outside the band when 2^k |slack| > tol max(1, 2^k ||x||).
-                clear = 2.0**k > tol * max(1.0, 2.0**k * norm)
+                # Outside the band when 2^k |slack| > tol 2^k ||x||: the same at every k.
+                clear = 1.0 > tol * math.hypot(x0, 13.0)
                 want = region if clear else ConeRegion.BOUNDARY
                 assert cone_classify(x, tol) is want, (k, x0)
 
     def test_verdict_is_the_unscaled_one_near_the_band_edge(self):
-        # Points whose slack sits within a few ulps of the margin tol * m, at
+        # Points whose slack sits within a few ulps of the margin tol * ||x||, at
         # scales where ||xbar||^2 is representable: the verdict must be the one
         # the unscaled formula gives, bit for bit.
         def unscaled(x, tol):
             tail_norm = float(np.linalg.norm(x.xbar))
             slack = x.x0 - tail_norm
-            scale = max(1.0, float(np.hypot(x.x0, tail_norm)))
+            scale = float(np.hypot(x.x0, tail_norm))
             if slack > tol * scale:
                 return ConeRegion.INTERIOR
             if abs(slack) <= tol * scale:
@@ -225,7 +229,10 @@ class TestConeClassify:
             tol = float(rng.choice([0.0, 1e-12, 1e-9, 1e-3]))
             xbar = rng.standard_normal(m) * 10.0 ** rng.uniform(-140.0, 140.0)
             tail_norm = float(np.linalg.norm(xbar))
-            edge = tail_norm + float(rng.choice([-1.0, 1.0])) * tol * max(1.0, tail_norm)
+            sign = float(rng.choice([-1.0, 1.0]))
+            edge = tail_norm
+            for _ in range(8):  # the margin moves with x0: iterate to its fixed point
+                edge = tail_norm + sign * tol * float(np.hypot(edge, tail_norm))
             x0 = float(np.nextafter(edge, math.inf * rng.choice([-1.0, 1.0])))
             for _ in range(int(rng.integers(0, 4))):
                 x0 = float(np.nextafter(x0, math.inf * rng.choice([-1.0, 1.0])))
