@@ -57,8 +57,8 @@ with tempfile.TemporaryDirectory(prefix="socaut_demo_") as tmp:
 
     # Rejections are exit codes, not exceptions: 1 for mathematical rejection,
     # 2 for malformed input (the parse diagnostic itself goes to stderr).
-    stretched = workdir / "stretched.txt"
-    stretched.write_text("1 0\n0 2\n")
+    stretched = workdir / "stretched.json"
+    stretched.write_text(dumps_matrix(np.diag([1.0, 2.0])))
     print("\ncheck diag(1,2) exit code:", main(["check", str(stretched), "--quiet"]))
     broken = workdir / "broken.json"
     broken.write_text('{"n": 2, "data": [[1, 0]]}')

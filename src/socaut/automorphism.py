@@ -157,11 +157,6 @@ class Factorization(FrozenValue):
         self._set(nu=nu, c=c, U=U)
 
     @property
-    def n(self) -> int:
-        """Ambient dimension ``1 + len(U)``."""
-        return 1 + len(self.U)
-
-    @property
     def a(self) -> float:
         """``sqrt(1 + ||c||^2)``."""
         return RankOneSqrt.from_vector(self.c).a

@@ -3,8 +3,7 @@
 Matrix document: JSON text with fields ``n`` (integer) and ``data`` (n rows
 of n numbers).  Every number is serialized with 17 significant decimal
 digits, which round-trips doubles exactly, so parse -> emit is byte-stable.
-A bare whitespace-separated k x k numeric grid (k inferred) is also accepted
-on input; its tokens are ASCII numbers without digit-group underscores.
+It is the only text form of a matrix: other text is refused.
 
 Factorization document: JSON text with ``form`` ("canonical" or "compact"),
 ``nu``, the form's own fields (``alpha``/``V`` or ``c``), ``U``, and two
@@ -190,20 +189,19 @@ def dumps_matrix(M, compact: bool = False) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse a matrix document or a bare numeric grid into an ndarray.
+    """Parse a matrix document into an ndarray.
 
-    Raises FileFormatError with a diagnostic naming the offending row,
-    column, or token.
+    Raises FileFormatError with a diagnostic naming the offending field,
+    row or entry; text that is not JSON is refused as a whole.
     """
-    stripped = text.strip()
-    if not stripped:
+    text = text.strip()
+    if not text:
         raise FileFormatError("empty input")
-    if stripped.startswith(("{", "[")):
-        return _parse_matrix_json(stripped)
-    return _parse_matrix_grid(stripped)
-
-
-def _parse_matrix_json(text: str) -> np.ndarray:
+    if not text.startswith(("{", "[")):
+        raise FileFormatError(
+            "not a matrix document: a matrix document is a JSON object "
+            "with the fields 'n' and 'data'"
+        )
     obj = _loads(text)
     _check_keys(obj, {"n", "data"}, set(), "matrix document")
     n = obj["n"]
@@ -215,42 +213,6 @@ def _parse_matrix_json(text: str) -> np.ndarray:
     if isinstance(data, list) and len(data) != n:
         raise FileFormatError(f"data has {len(data)} rows, expected n = {n}")
     return _parse_array(data, "data", square=True)
-
-
-def _grid_number(token: str) -> float:
-    # float() also reads "1_0" as 10 and non-ASCII digits such as "\uff11".
-    if "_" in token or not token.isascii():
-        raise ValueError(token)
-    return float(token)
-
-
-def _parse_matrix_grid(text: str) -> np.ndarray:
-    tokens = text.split()
-    try:
-        # Checked once for the whole grid; tokens hold no whitespace, so an
-        # underscore in the text is an underscore in some token.
-        if "_" in text or not "".join(tokens).isascii():
-            raise ValueError(text)
-        values = np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        # Error path only: find the token that is not a plain number.
-        for idx, token in enumerate(tokens):
-            try:
-                _grid_number(token)
-            except ValueError:
-                raise FileFormatError(
-                    f"grid token {idx + 1} ({token!r}) is not a number"
-                ) from None
-        raise
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise FileFormatError(f"grid token {bad + 1} is not finite")
-    k = math.isqrt(len(tokens))
-    if k * k != len(tokens) or k < 2:
-        raise FileFormatError(
-            f"grid must contain k*k numbers for some k >= 2, got {len(tokens)}"
-        )
-    return values.reshape(k, k)
 
 
 def _read(path) -> str:

@@ -222,8 +222,8 @@ def test_cli_exit_codes_and_file_round_trip(tmp_path, capsys):
     # Exit-code table: 0 accepted, 1 mathematical rejection, 2 malformed.
     good = tmp_path / "good.json"
     good.write_text(dumps_matrix(boost_matrix(1.0, 3)))
-    stretched = tmp_path / "stretched.txt"
-    stretched.write_text("1 0\n0 2\n")
+    stretched = tmp_path / "stretched.json"
+    stretched.write_text(dumps_matrix(np.diag([1.0, 2.0])))
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"n": 2, "data": [[1, 0], [0]]}')
     bad_fact = tmp_path / "bad_fact.json"

@@ -47,7 +47,14 @@ VERIFY_KEYS = [
 ]
 
 #: A tiny first column beside a huge D: D / nu overflows.
-OVERFLOWING_GRID = "1e-150 0\n0 1e300\n"
+OVERFLOWING = dumps_matrix(np.array([[1e-150, 0.0], [0.0, 1e300]]))
+#: diag(1, 2): accepted by no tol, though it keeps the cone.
+STRETCHED = dumps_matrix(np.diag([1.0, 2.0]))
+#: What a file that is not a JSON document reads on standard error.
+NOT_A_DOCUMENT = (
+    "error: not a matrix document: a matrix document is a JSON object "
+    "with the fields 'n' and 'data'\n"
+)
 
 
 def parse_report(text: str) -> dict:
@@ -66,9 +73,9 @@ def boost_file(tmp_path):
 
 
 class TestCheck:
-    def test_accepts_identity_grid(self, tmp_path, capsys):
-        p = tmp_path / "eye.txt"
-        p.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    def test_accepts_identity(self, tmp_path, capsys):
+        p = tmp_path / "eye.json"
+        p.write_text(dumps_matrix(np.eye(4)))
         assert main(["check", str(p)]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["is_automorphism"] == "true"
@@ -76,8 +83,8 @@ class TestCheck:
         assert report["cone_forward"] == "true"
 
     def test_overflowing_recovery_reports_inf_without_warnings(self, tmp_path, capsys):
-        p = tmp_path / "tiny.txt"
-        p.write_text(OVERFLOWING_GRID)
+        p = tmp_path / "tiny.json"
+        p.write_text(OVERFLOWING)
         assert main(["check", str(p)]) == 1  # warnings are errors in this suite
         report = parse_report(capsys.readouterr().out)
         assert report["residual_congruence"] == "inf"
@@ -85,8 +92,8 @@ class TestCheck:
 
     def test_infinite_mu_reports_without_a_traceback(self, tmp_path, capsys):
         # mu = inf (the head's square overflows), and tol * m overflows too.
-        p = tmp_path / "inf.txt"
-        p.write_text("2e154 0 0\n1e154 1e308 1e308\n0 1e308 1e308\n")
+        p = tmp_path / "inf.json"
+        p.write_text(dumps_matrix([[2e154, 0, 0], [1e154, 1e308, 1e308], [0, 1e308, 1e308]]))
         assert main(["check", str(p), "--tol", "1e308"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -95,8 +102,8 @@ class TestCheck:
         assert report["mu"] == report["residual_congruence"] == "inf"
 
     def test_rejects_diagonal_stretch(self, tmp_path, capsys):
-        p = tmp_path / "d.txt"
-        p.write_text("1 0\n0 2\n")
+        p = tmp_path / "d.json"
+        p.write_text(STRETCHED)
         assert main(["check", str(p)]) == 1
         report = parse_report(capsys.readouterr().out)
         assert report["is_automorphism"] == "false"
@@ -112,15 +119,25 @@ class TestCheck:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("1 0 0 1_0\n", "grid token 4 ('1_0') is not a number"),
+            ("1 0 0 1_0\n", NOT_A_DOCUMENT),
             ('{"n": 2, "n": 2, "data": [[1, 0], [0, 1]]}', "duplicate field 'n'"),
         ],
     )
-    def test_non_plain_number_or_duplicate_field_exits_2(self, text, message, tmp_path, capsys):
+    def test_bare_grid_or_duplicate_field_exits_2(self, text, message, tmp_path, capsys):
         p = tmp_path / "m.txt"
         p.write_text(text)
         assert main(["check", str(p)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "factor", "verify"])
+    def test_a_bare_grid_is_refused_before_any_output(self, command, tmp_path, capsys):
+        # The grid of the identity, which each subcommand accepts as a document.
+        p = tmp_path / "eye.txt"
+        p.write_text("1 0\n0 1\n")
+        assert main([command, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == NOT_A_DOCUMENT
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -137,8 +154,8 @@ class TestCheck:
         assert parse_report(out.read_text())["is_automorphism"] == "true"
 
     def test_quiet_alone_still_exits_with_code(self, tmp_path, capsys):
-        p = tmp_path / "d.txt"
-        p.write_text("1 0\n0 2\n")
+        p = tmp_path / "d.json"
+        p.write_text(STRETCHED)
         assert main(["check", str(p), "--quiet"]) == 1
         assert capsys.readouterr().out == ""
 
@@ -214,8 +231,8 @@ class TestFactorCompose:
         assert abs(recorded[1] - recorded[0]) <= 4.0 * np.finfo(float).eps * recorded[0]
 
     def test_factor_rejects_non_automorphism(self, tmp_path, capsys):
-        p = tmp_path / "d.txt"
-        p.write_text("1 0\n0 2\n")
+        p = tmp_path / "d.json"
+        p.write_text(STRETCHED)
         assert main(["factor", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -387,13 +404,14 @@ class TestVerify:
         assert float(report["cone_slack_bound"]) <= 8.0 * unit
 
     def test_gross_rejection_exits_1_before_report(self, tmp_path, capsys):
-        p = tmp_path / "r.txt"
-        p.write_text("-1 0\n0 1\n")
+        p = tmp_path / "r.json"
+        p.write_text(dumps_matrix(np.diag([-1.0, 1.0])))
         assert main(["verify", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cannot certify: cone-reversing: (S e)_0 <= 0\n"
-        p.write_text("0.1 1\n1 0.1\n")  # first column (0.1, 1): mu = 0.01 - 1 < 0
+        # First column (0.1, 1): mu = 0.01 - 1 < 0.
+        p.write_text(dumps_matrix([[0.1, 1], [1, 0.1]]))
         assert main(["verify", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -413,8 +431,8 @@ class TestVerify:
         )
 
     def test_overflowing_normalization_exits_1_before_report(self, tmp_path, capsys):
-        p = tmp_path / "tiny.txt"
-        p.write_text(OVERFLOWING_GRID)
+        p = tmp_path / "tiny.json"
+        p.write_text(OVERFLOWING)
         assert main(["verify", str(p)]) == 1  # warnings are errors in this suite
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -622,7 +640,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_72_commands(self, tmp_path):
+    def test_cli_corpus_records_73_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -631,7 +649,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 72
+        assert len(labels) == 73
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -654,7 +672,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 72
+        assert len({p.stem for p in results.iterdir()}) == 73
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_cli_corpus_against_another_tree_lists_each_differing_file(self, tmp_path):

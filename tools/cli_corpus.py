@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 72 socaut commands and record what each one prints.
+"""Run a fixed corpus of 73 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR] [--against OTHER]
 
@@ -36,7 +36,9 @@ congruence test accepts and whose recovered U is not orthogonal
 (``DISAGREEMENTS``: the alpha = 40 boost, n = 3, with entry (2, 2) raised
 by 1e-3 at ``--tol 1e-4``, and the alpha = 1e4 boost, n = 6); ``check``
 and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose D / nu overflows
-(``tiny_column``); ``factor --form compact`` on an n = 6 member scaled by
+(``tiny_column``); ``check`` on the 2 x 2 identity written as a bare
+whitespace grid, which is not a matrix document (``grid``);
+``factor --form compact`` on an n = 6 member scaled by
 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample`` draws; ten calls
 with bad arguments (two pass ``verify`` the sampling options it does not
 have), the last a ``sample`` range whose entries overflow; ``compose`` on
@@ -116,8 +118,8 @@ LOOSE_CANONICAL = {**_CANONICAL, "V": [[0, 1.0001], [1, 0]], "tol": 1e-3}
 
 
 def input_paths(inputs: Path) -> dict[str, Path]:
-    """The input documents' paths in ``inputs`` by name: the nine matrices,
-    then the factorization documents under ``doc_LABEL``."""
+    """The input files' paths in ``inputs`` by name: the bare grid, the nine
+    matrices, then the factorization documents under ``doc_LABEL``."""
     names = [
         *MATRICES,
         *DISAGREEMENTS,
@@ -127,7 +129,7 @@ def input_paths(inputs: Path) -> dict[str, Path]:
         "doc_loose",
         "doc_loose_canonical",
     ]
-    return {name: inputs / f"{name}.json" for name in names}
+    return {"grid": inputs / "grid.txt"} | {name: inputs / f"{name}.json" for name in names}
 
 
 def write_inputs(inputs: Path) -> dict[str, Path]:
@@ -155,6 +157,7 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
     paths = input_paths(inputs)
     for name, S in matrices.items():
         paths[name].write_text(dumps_matrix(S))
+    paths["grid"].write_text("1 0\n0 1\n")
     loose = {"loose": LOOSE, "loose_canonical": LOOSE_CANONICAL}
     for label, doc in {**FACTORIZATIONS, **loose}.items():
         paths[f"doc_{label}"].write_text(json.dumps(doc, indent=2) + "\n")
@@ -194,6 +197,7 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
     cmds += [
         ("check_tiny_column", ["check", tiny]),
         ("verify_tiny_column", ["verify", tiny]),
+        ("check_grid", ["check", str(paths["grid"])]),
         ("factor_compact_scaled", ["factor", str(paths["scaled"]), "--form", "compact"]),
     ]
     ranges = ["--alpha-max", "100", "--nu-min", "0.5", "--nu-max", "2"]
