@@ -11,8 +11,7 @@ pointing forward.  Every such S factors as
 
 with P = sqrt(I + c c^T), U and V orthogonal, and alpha = ||c||.  Only
 V e1 = c / alpha enters the canonical product, so both lines are one
-Factorization(nu, c, U); "compact" and "canonical" are the two ways to
-write it as a document.
+Factorization(nu, c, U), and its document stores exactly (nu, c, U).
 """
 
 import json
@@ -50,14 +49,14 @@ print("\ncompact:   a =", f.a, " P is", f.P.shape)
 print("canonical: alpha =", f.alpha)
 print("||c - alpha V e1|| =", np.linalg.norm(f.c - f.alpha * f.V[:, 0]))
 
-# Written as a document, the form is chosen by the writer.  The compact
-# document stores c itself and reloads bit for bit; the canonical one stores
-# alpha and V, and reloads to c = alpha V e1, so within V's rounding.
-for form in ("compact", "canonical"):
-    doc = dumps_factorization(f, form=form)
-    g, _ = parse_factorization(doc)
-    print(f"\n{form} document fields:", ", ".join(json.loads(doc)))
-    print("reloaded reconstruction vs original:", np.linalg.norm(compose(g) - compose(f)))
+# The document stores nu, c and U themselves, so it reloads bit for bit and
+# writes back the same bytes.  (V is not stored: any V with V e1 = c / alpha
+# gives the same S, while nu, c and U are S's own polar factors.)
+doc = dumps_factorization(f)
+g, _ = parse_factorization(doc)
+print("\ndocument fields:", ", ".join(json.loads(doc)))
+print("reloaded reconstruction vs original:", np.linalg.norm(compose(g) - compose(f)))
+print("written back unchanged:", dumps_factorization(g) == doc)
 
 # A matrix that stretches one tail coordinate is not an automorphism: its
 # recovered U = [[2]] is not orthogonal, and ||U^T U - I||_F / m = 3 says how

@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory(prefix="socaut_demo_") as tmp:
     print("\n$ socaut check m.json")
     main(["check", str(matrix)])
 
-    # Factor to canonical form; the file records the achieved residual.
+    # Factor into the (nu, c, U) document; the file records the achieved residual.
     print("\n$ socaut factor m.json --output f.json")
     main(["factor", str(matrix), "--output", str(fact)])
     print(fact.read_text())

@@ -5,7 +5,7 @@ explicit automorphism group: an invertible S preserves the cone exactly when
 ``S^T J S = mu J = S J S^T`` with ``mu > 0`` and ``(S e)_0 > 0``, and every
 member factors into closed-form pieces (a scale, a hyperbolic boost, and two
 orthogonal blocks).  This package provides the membership test, the
-factorization (one type, written as a compact or a canonical document) and
+factorization (one type, written as one document of its (nu, c, U)) and
 its composition, seeded sampling, the spin-algebra layer behind the cone,
 two block-identity residuals and a cone certificate for S / nu, and a
 command-line front end (``socaut``).

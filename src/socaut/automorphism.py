@@ -20,10 +20,13 @@ far any cone point can be pushed out.
 The two forms are one value, ``Factorization(nu, c, U)``: only
 ``V e1 = c / alpha`` enters the canonical product, so both are the same
 ``(nu, c, U)`` and differ only in what is derived from it (a and P, or
-alpha and V) and in the document form fileio writes.  Membership is decided
-once, in ``_check``, by recovering these factors (see check_automorphism);
-factor returns the factors that test recovered, so the two cannot disagree,
-and the two share a one-entry memo of the last decision (``_decide``).
+alpha and V); fileio writes that ``(nu, c, U)`` as its one document.
+``nu [[a, c^T], [c, P]]`` and ``diag(1, U)`` are the polar factors of S,
+so the stored factors are unique; only the canonical V is not (see
+factor).  Membership is decided once, in ``_check``, by recovering these
+factors (see check_automorphism); factor returns the factors that test
+recovered, so the two cannot disagree, and the two share a one-entry memo
+of the last decision (``_decide``).
 compose runs one O(n^2) blockwise assembly of the compact form.
 ``_verify`` holds verify's gates and reads the congruence defect of S / nu
 off the parts ``_check`` recovered, in O(n^2): U's Gram defect and the
@@ -31,9 +34,8 @@ first-row defect; it keeps its own recovery, since it needs the Gram matrix
 that the memo does not keep.  U's residual
 ``||U^T U - I||_F`` is measured at most once and kept by its factorization:
 ``_check`` measures the U it recovers, and a caller-built or loaded U is
-measured where it is first gated (file load or compose).  A full V enters
-only from a canonical document, where fileio measures and gates it as it
-reduces V to c.
+measured where it is first gated (file load or compose).  No operation
+forms V; it is built only when a caller reads ``Factorization.V``.
 """
 
 from __future__ import annotations
@@ -133,10 +135,11 @@ class Factorization(FrozenValue):
         S = nu * [[a, c^T], [c, P]] @ diag(1, U)                    (compact)
           = nu * diag(1, V) @ T_alpha @ diag(1, V^T) @ diag(1, U)   (canonical)
 
-    Only nu, c and U are stored; a, P, alpha = ||c|| and V, the reflector
-    with ``V e1 = c / ||c||``, are derived on access, since only ``V e1``
-    enters the canonical product.  "Compact" and "canonical" name document
-    forms (``fileio.dumps_factorization(f, form=...)``), not types.  Shape
+    Only nu, c and U are stored, and the document fileio writes holds
+    exactly these; a, P, alpha = ||c|| and V, the reflector with
+    ``V e1 = c / ||c||``, are derived on access, since only ``V e1`` enters
+    the canonical product, so ``alpha`` and ``V`` are the library's view of
+    the canonical factors.  Shape
     and positivity are validated here, except for the factors the membership
     test has just recovered and checked (``_decide``); U's orthogonality is
     gated where U enters: factor, parse_factorization, compose.  The frozen
@@ -311,34 +314,27 @@ def _decide(S, tol) -> tuple[AutCheckResult, str, "Factorization | None"]:
     The memo ``_memo`` holds one entry, ``(ref, key, tol, check, reasons,
     f)``: a weak reference to the caller's S, a read-only copy of its
     bytes, the tol, the three results, with ``f`` the frozen Factorization
-    on accept (else None).  Only a C-contiguous float64 ndarray S is looked
-    up or stored.  A hit (``_hit``) needs S's shape, its bytes compared in
-    full (-0.0 and +0.0 differ) and tol to equal the entry's; it returns
-    the entry's values, so its bits are those of the call that made it, and
-    S is not validated again, since its bytes were.  Anything else runs
+    on accept (else None); so it holds two n x n arrays, the key and the
+    factors' U.  Only a C-contiguous float64 ndarray S is looked up or
+    stored.  A hit (``_hit``) needs S's shape, its bytes compared in full
+    (-0.0 and +0.0 differ) and tol to equal the entry's; it returns the
+    entry's values, so its bits are those of the call that made it, and S
+    is not validated again, since its bytes were.  Anything else runs
     ``_check``.  A miss on such an S first empties the memo, then stores a
-    new entry: the key copy is taken after the Gram matrix is freed, so the
-    call holds no more at its peak than ``_check``.  An entry lives while
-    the caller's S does (``_forget``) or until another S replaces it, and
-    holds two n x n arrays: the key and the factors' U.  Threads need no
-    lock: a reader takes the whole tuple and compares its full key, so a
-    race can only drop an entry, which costs a recovery, never a wrong
+    new entry, its key copied after the Gram matrix is freed, so the call
+    holds no more at its peak than ``_check``.  An entry lives while the
+    caller's S does (``_forget``) or until another S replaces it.  Threads
+    need no lock: a reader takes the whole tuple and compares its full key,
+    so a race can only drop an entry, which costs a recovery, never a wrong
     answer.
 
     The layout keeps the heap from fragmenting in a loop of sample, check,
-    factor and compose.  From ``_MAPPED_KEY_BYTES`` (n >= 363) the key is
-    held in an anonymous memory map (``_key``), which goes back to the
-    system with the entry; on the heap such a block, living from one check
-    to the next, pins holes, and at n = 1000 it raised the loop's peak RSS
-    from 132 MB to as much as 170 MB.  Below a megabyte the map's system
-    calls cost more than the copy.  ``_check`` forms U and its Gram matrix
-    each at the head of a block of n^2 floats (``kernels._square_block``)
-    and freezes (copies) U before it forms the Gram matrix, so it holds at
-    most two n x n arrays besides S, and its two blocks leave one hole of
-    S's size, which the caller's next n x n array fits.  (n-1)^2 blocks, 8
-    (2n - 1) bytes short, fit none of them: the allocator grows the heap by
-    a block for each such hole, and the peak memory of the loop varied by
-    up to three n x n blocks from run to run."""
+    factor and compose; the README's numerical notes give the measurements.
+    From ``_MAPPED_KEY_BYTES`` (n >= 363) the key is held in an anonymous
+    memory map (``_key``), which goes back to the system with the entry.
+    ``_check`` forms U and its Gram matrix each at the head of a block of
+    n^2 floats (``kernels._square_block``) and freezes (copies) U before it
+    forms the Gram matrix, so it holds at most two n x n arrays besides S."""
     global _memo
     keyed = type(S) is np.ndarray and S.dtype == np.float64 and S.flags.c_contiguous
     if keyed and (hit := _hit(S, tol)) is not None:
@@ -435,8 +431,14 @@ def factor(S, tol: float = DEFAULT_TOL) -> Factorization:
     O(n^2) update of the D block.  The result keeps U's measured residual
     and derives the canonical ``alpha = ||c||`` and V, the Householder
     reflector aligning ``e1`` with ``c`` (identity when ``c = 0``), on
-    access, so that ``c = alpha V e1`` with ``alpha >= 0``.  (V, U) are not
-    unique; only the reconstruction ``compose(result) ~ S`` is contractual.
+    access, so that ``c = alpha V e1`` with ``alpha >= 0``.  The stored
+    factors are unique: ``S = (nu [[a, c^T], [c, P]]) diag(1, U)`` is the
+    polar decomposition of the invertible S, a symmetric positive definite
+    factor times an orthogonal one (the Cartan decomposition: J. Faraut and
+    A. Korányi, *Analysis on Symmetric Cones*, 1994), so nu, c and U are
+    S's own.  Only the canonical V is not unique: any orthogonal V with
+    ``V e1 = c / alpha`` gives the same S.  The factors hold to rounding
+    that grows like ``eps a^2``, and ``compose(result) ~ S``.
     Raises NotAutomorphismError, carrying the check, exactly when
     check_automorphism rejects S; the message names the gate that decided.
     After check_automorphism or factor on the same S and tol, this reuses

@@ -75,15 +75,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     S = load_matrix(args.input)
-    f = factor(S, args.tol)  # builds no V
+    f = factor(S, args.tol)
     residual = _relative_residual(compose(f, args.tol), S)  # U passed factor's gate
-    doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual, form=args.form)
+    doc = dumps_factorization(f, tol=args.tol, reconstruction_residual=residual)
     _emit(doc, args.output, args.quiet)
     return EXIT_OK
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    f, tol = load_factorization(args.input)  # gates the orthogonal factors
+    f, tol = load_factorization(args.input)  # gates U
     S = compose(f, tol)  # gates the residuals the load kept, at the same tol
     result, _, reasons = _check(S, as_nonnegative_float(args.tol, "tol"))
     if not result.is_automorphism:
@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor an automorphism into a document")
     p.add_argument("input", help="matrix document path, or - for standard input")
-    p.add_argument(
-        "--form",
-        choices=("canonical", "compact"),
-        default="canonical",
-        help="factorization form (default canonical)",
-    )
     _add_common(p)
     p.set_defaults(func=_cmd_factor)
 

@@ -5,32 +5,25 @@ of n numbers).  Every number is serialized with 17 significant decimal
 digits, which round-trips doubles exactly, so parse -> emit is byte-stable.
 It is the only text form of a matrix: other text is refused.
 
-Factorization document: JSON text with ``form`` ("canonical" or "compact"),
-``nu``, the form's own fields (``alpha``/``V`` or ``c``), ``U``, and two
+Factorization document: JSON text with ``form`` (always "compact"), the
+factors ``nu``, ``c`` and ``U`` of one ``Factorization(nu, c, U)``, and two
 optional bookkeeping fields: ``tol`` (the tolerance the factors were
 validated at; also applied when loading) and ``reconstruction_residual``.
-Both forms write one ``Factorization(nu, c, U)``; the writer takes the form
-as an argument, and it and the parser read the fields from ``_FORMS``.
+It is the only factorization document, and parse -> emit is byte-stable
+too; the writer and the parser read the fields from ``_FIELDS``.
 
-Every array field (``data``, ``V``, ``U``, ``c``) goes through one codec:
+Every array field (``data``, ``c``, ``U``) goes through one codec:
 ``_parse_array`` checks shape and entry types row by row, then converts the
 field with one ``np.array`` call; ``_rows`` writes it through one ``%.17g``
 row template.  Entries are walked one by one only on the error path, to name
 the offender.
 
-A canonical document's ``V`` is handled here and nowhere else: it is
-measured once, reduced to ``c = alpha V[:, 0]``, and gated at the
-document's ``tol`` before U.  The loaded factorization stores only
-``(nu, c, U)``, and in the canonical form writes back ``||c||`` and the
-reflector of c, which match the document's alpha and V to rounding, not to
-the byte.
-
 Structural problems (bad syntax, duplicate, missing or mismatched fields,
-non-numbers, non-finite numbers, wrong shapes) raise FileFormatError.  Well-formed
-documents whose payload breaks a mathematical invariant (``nu <= 0``,
-``alpha < 0``, orthogonality residual beyond the declared tolerance) raise
-InvalidFactorizationError — the CLI maps the former to exit 2 and the latter
-to exit 1.
+non-numbers, non-finite numbers, wrong shapes, any other ``form``) raise
+FileFormatError.  Well-formed documents whose payload breaks a mathematical
+invariant (``nu <= 0``, U's orthogonality residual beyond the declared
+tolerance) raise InvalidFactorizationError — the CLI maps the former to
+exit 2 and the latter to exit 1.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ import numpy as np
 
 from ._validate import DEFAULT_TOL, as_float, as_nonnegative_float, as_square_matrix
 from .automorphism import Factorization
-from .kernels import _require_orthogonal, orthogonality_residual
 
 __all__ = [
     "FileFormatError",
@@ -228,16 +220,10 @@ def load_matrix(path) -> np.ndarray:
 # -- factorization documents -------------------------------------------------
 
 
-#: form -> {field: ndim} in document order.
-_FORMS = {
-    "canonical": {"nu": 0, "alpha": 0, "V": 2, "U": 2},
-    "compact": {"nu": 0, "c": 1, "U": 2},
-}
-#: ndim -> the message for a field whose size does not match U's.
-_SIZE_MISMATCH = {
-    1: "{name} has length {k} but U is {m}x{m}",
-    2: "{name} is {k}x{k} but U is {m}x{m}; sizes must match",
-}
+#: The one factorization form, which every document names.
+_FORM = "compact"
+#: field -> ndim, in document order.
+_FIELDS = {"nu": 0, "c": 1, "U": 2}
 
 
 def _field(name: str, value) -> str:
@@ -253,20 +239,15 @@ def dumps_factorization(
     f: Factorization,
     tol: float | None = None,
     reconstruction_residual: float | None = None,
-    *,
-    form: str,
 ) -> str:
-    """Serialize a Factorization as a ``form`` document, "canonical" or
-    "compact"; the form has no default, and an unknown one is a ValueError.
+    """Serialize a Factorization as a factorization document.
 
-    ``tol`` records the tolerance the orthogonal factors were validated at
+    ``tol`` records the tolerance the orthogonal factor was validated at
     (and governs re-validation on load); ``reconstruction_residual`` records
     the achieved factor-then-compose residual.  Both are omitted when None;
     a negative or non-finite ``tol`` and a non-finite residual raise
     ValueError, as parse_factorization would refuse them.
     """
-    if form not in _FORMS:
-        raise ValueError(f'form must be "canonical" or "compact", got {form!r}')
     if not isinstance(f, Factorization):
         raise TypeError(f"cannot serialize {type(f).__name__} as a factorization")
     extras = [] if tol is None else [("tol", as_nonnegative_float(tol, "tol"))]
@@ -276,58 +257,40 @@ def dumps_factorization(
                 f"reconstruction_residual must be finite, got {reconstruction_residual!r}"
             )
         extras.append(("reconstruction_residual", residual))
-    fields = [(name, getattr(f, name)) for name in _FORMS[form]]
-    lines = [f'  "form": "{form}"'] + [_field(*pair) for pair in fields + extras]
+    fields = [(name, getattr(f, name)) for name in _FIELDS]
+    lines = [f'  "form": "{_FORM}"'] + [_field(*pair) for pair in fields + extras]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def parse_factorization(text: str):
-    """Parse a factorization document of either form into a Factorization.
+    """Parse a factorization document into a Factorization.
 
     Returns ``(factorization, tol)`` where ``tol`` is the file-declared
-    tolerance (DEFAULT_TOL when absent).  Structural problems raise
-    FileFormatError, the first in document order; mathematical invariant
-    violations (nu <= 0, alpha < 0, a factor whose residual over m exceeds
-    ``tol``, V before U) raise InvalidFactorizationError; a canonical
-    document whose ``c = alpha V[:, 0]`` overflows raises ValueError before
-    V is gated.  Each orthogonal factor is measured once, here: V is
-    reduced to c, and the factorization keeps U's residual, which compose
-    gates at its own tol.
+    tolerance (DEFAULT_TOL when absent).  Structural problems, a ``form``
+    other than "compact" among them, raise FileFormatError, the first in
+    document order; mathematical invariant violations (nu <= 0, a U whose
+    residual over m exceeds ``tol``) raise InvalidFactorizationError.  U is
+    measured once, here, and the factorization keeps its residual, which
+    compose gates at its own tol.
     """
     obj = _loads(text.strip() or "{}")
-    form = obj.get("form")
-    if not isinstance(form, str) or form not in _FORMS:
-        raise FileFormatError(
-            f"field 'form' must be \"canonical\" or \"compact\", got {form!r}"
-        )
-    fields = _FORMS[form]
-    _check_keys(obj, {"form", *fields}, {"tol", "reconstruction_residual"}, f"{form} document")
+    if (form := obj.get("form")) != _FORM:
+        raise FileFormatError(f'field \'form\' must be "{_FORM}", got {form!r}')
+    _check_keys(obj, {"form", *_FIELDS}, {"tol", "reconstruction_residual"}, f"{_FORM} document")
     values = {
         name: _parse_array(obj[name], name, ndim == 2)
         if ndim else _require_number(obj[name], f"field {name!r}")
-        for name, ndim in fields.items()
+        for name, ndim in _FIELDS.items()
     }
     tol = _require_number(obj.get("tol", DEFAULT_TOL), "field 'tol'")
     if tol < 0.0:
         raise FileFormatError("field 'tol' must be >= 0")
     if "reconstruction_residual" in obj:
         _require_number(obj["reconstruction_residual"], "field 'reconstruction_residual'")
-    m = len(values["U"])
-    for name, ndim in fields.items():
-        if ndim and (k := len(values[name])) != m:
-            raise FileFormatError(_SIZE_MISMATCH[ndim].format(name=name, k=k, m=m))
+    if (k := len(values["c"])) != (m := len(values["U"])):
+        raise FileFormatError(f"c has length {k} but U is {m}x{m}")
     if values["nu"] <= 0.0:
         raise InvalidFactorizationError(f"nu must be > 0, got {format_float(values['nu'])}")
-    V = values.pop("V", None)
-    if V is not None:
-        alpha = values.pop("alpha")
-        if alpha < 0.0:
-            raise InvalidFactorizationError(f"alpha must be >= 0, got {format_float(alpha)}")
-        with np.errstate(over="ignore"):
-            values["c"] = alpha * V[:, 0]
-        if not np.isfinite(values["c"]).all():
-            raise ValueError(f"c = alpha V e1 must be finite, got alpha={alpha!r}")
-        _require_orthogonal(orthogonality_residual(V), m, "V", tol, InvalidFactorizationError)
     f = Factorization(**values)
     f._gate(tol, InvalidFactorizationError)  # U measured here once; compose reuses it
     return f, tol

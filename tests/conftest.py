@@ -83,6 +83,31 @@ def canonical(nu, alpha, V, U) -> Factorization:
     return Factorization(nu, alpha * np.asarray(V, dtype=float)[:, 0], U)
 
 
+def document_field(name: str, value) -> str:
+    """One line of a factorization document, written entry by entry: a
+    number, a vector on one line, or a matrix with one row per line, each
+    number formatted with ``format(x, ".17g")``."""
+
+    def row(values):
+        return "[" + ", ".join(format(float(x), ".17g") for x in values) + "]"
+
+    if np.ndim(value) == 0:
+        return '  "%s": %s' % (name, format(float(value), ".17g"))
+    if np.ndim(value) == 1:
+        return '  "%s": %s' % (name, row(value))
+    return '  "%s": [\n%s\n  ]' % (name, ",\n".join("    " + row(r) for r in value))
+
+
+def canonical_document(f: Factorization, tol: float, residual: float) -> str:
+    """The canonical document that ``socaut factor`` wrote by default before
+    the compact document became the only one: ``form``, ``nu``, the
+    canonical ``alpha`` and ``V``, ``U``, ``tol`` and the residual."""
+    values = {"nu": f.nu, "alpha": f.alpha, "V": f.V, "U": f.U, "tol": tol}
+    lines = ['  "form": "canonical"'] + [document_field(*item) for item in values.items()]
+    lines.append(document_field("reconstruction_residual", residual))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def stretched_haar(m: int, seed: int) -> np.ndarray:
     """A Haar orthogonal matrix with its first column stretched by 1e-6."""
     M = sample_haar_orthogonal(m, seed=seed)

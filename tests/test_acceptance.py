@@ -2,7 +2,7 @@
 
 One test per headline guarantee, each with its tolerance pinned inline:
 
-1. round-trip fidelity of both factorization forms across sizes
+1. round-trip fidelity of the factorization across sizes
 2. boost matrices satisfy the J-congruence and map the cone into itself
 3. block-identity residuals vanish on automorphisms and detect perturbations
 4. the membership classifier accepts all sampled automorphisms and rejects
@@ -12,7 +12,7 @@ One test per headline guarantee, each with its tolerance pinned inline:
 6. group laws: products and congruence-inverses stay in the group with
    multiplicative scale factors
 7. orthogonal embeddings preserve the Jordan product and fix the unit
-8. canonical factorization at n = 1000 within the time budget
+8. factorization at n = 1000 within the time budget
 9. CLI exit codes and file round-trip stability
 
 Each test reads as one pass/fail line under ``pytest -v``.
@@ -264,8 +264,7 @@ def test_cli_exit_codes_and_file_round_trip(tmp_path, capsys):
         src.write_text(dumps_matrix(S))
         fact = tmp_path / "f.json"
         out = tmp_path / "out.json"
-        form = "canonical" if i % 2 == 0 else "compact"
-        assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+        assert main(["factor", str(src), "--output", str(fact)]) == 0
         assert main(["compose", str(fact), "--output", str(out)]) == 0
         text = out.read_text()
         M = parse_matrix(text)

@@ -727,6 +727,32 @@ class TestOneVerdict:
         compose(f, tol)
 
 
+class TestUniqueFactors:
+    """The stored factors are S's polar decomposition
+    ``S = (nu [[a, c^T], [c, P]]) diag(1, U)``, which is unique for an
+    invertible S (the Cartan decomposition): the polar factor ``W Z^T`` of
+    ``np.linalg.svd(S)`` is a reference for ``diag(1, U)``, and the c that
+    built S is one for c.  Both errors grow like ``eps a^2``."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0, 1e2, 1e3])
+    @pytest.mark.parametrize("n", [4, 12, 100])
+    def test_factors_match_the_polar_decomposition(self, n, alpha):
+        rng = np.random.default_rng([n, int(alpha)])
+        scale = 4.0 * n * EPS * (1.0 + alpha * alpha)
+        for _ in range(10):
+            nu = float(10.0 ** rng.uniform(-3.0, 3.0))
+            g = rng.standard_normal(n - 1)
+            c = alpha * g / np.linalg.norm(g)
+            U = sample_haar_orthogonal(n - 1, seed=int(rng.integers(2**31)))
+            S = compose(Factorization(nu, c, U))
+            f = factor(S)
+            W, _, Zt = np.linalg.svd(S)
+            block = np.eye(n)
+            block[1:, 1:] = f.U
+            assert np.linalg.norm(block - W @ Zt) <= scale
+            assert np.linalg.norm(f.c - c) <= scale * max(1.0, alpha)
+
+
 class TestCanonicalFactors:
     def test_identity(self):
         f = factor(np.eye(5))
@@ -969,25 +995,21 @@ class TestKeptResiduals:
             f = factor(S)
             assert vars(f)["_residual"] == orthogonality_residual(f.U)
 
-    @pytest.mark.parametrize("form", ["compact", "canonical"])
-    def test_parse_then_compose_measures_each_loaded_factor_once(self, form, measured):
+    def test_parse_then_compose_measures_the_loaded_u_once(self, measured):
         f = factor(sample_automorphism(5, seed=3))
-        text = dumps_factorization(f, tol=1e-6, form=form)
-        doc = json.loads(text)
-        loaded = [np.array(doc[name]) for name in ("V", "U") if name in doc]
+        text = dumps_factorization(f, tol=1e-6)
+        loaded = np.array(json.loads(text)["U"])
         measured.clear()
         g, tol = parse_factorization(text)
         for gate_tol in (tol, DEFAULT_TOL):
             compose(g, gate_tol)
-        # The document's orthogonal factors, V before U, each measured once
-        # as it is loaded; a loaded V is reduced to c, so U is the one g keeps.
-        assert [M.tobytes() for M in measured] == [M.tobytes() for M in loaded]
+        # The document's U, measured once as it is loaded; g keeps that number.
+        assert [M.tobytes() for M in measured] == [loaded.tobytes()]
         assert measured[-1] is g.U
 
     def test_caller_built_factor_keeps_every_verdict_and_message(self, measured):
         # The same object composed at each tol: the kept residual must give the
-        # verdict and message of a fresh measurement.  (A canonical document's
-        # V is gated where it is read: tests/test_fileio.py.)
+        # verdict and message of a fresh measurement.
         m = 4
         U = stretched_haar(m, seed=4)
         f = Factorization(2.0, np.full(m, 0.5), U)
@@ -1159,8 +1181,7 @@ FROZEN_VALUES = {
     "Factorization": (
         lambda S: Factorization(1.0, S[1:, 0], S[1:, 1:]),
         factor,
-        lambda S: parse_factorization(dumps_factorization(factor(S), form="compact"))[0],
-        lambda S: parse_factorization(dumps_factorization(factor(S), form="canonical"))[0],
+        lambda S: parse_factorization(dumps_factorization(factor(S)))[0],
     ),
 }
 COPIERS = {

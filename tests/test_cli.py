@@ -29,7 +29,7 @@ from socaut.cli import main
 from socaut.fileio import dumps_matrix, parse_factorization, parse_matrix
 from socaut.automorphism import Factorization, PropertyReport
 
-from conftest import ROOT, rel_fro, run_socaut
+from conftest import ROOT, canonical_document, rel_fro, run_socaut
 
 
 REPORT_FIELDS = [field.name for field in dataclasses.fields(PropertyReport)]
@@ -161,34 +161,32 @@ class TestCheck:
 
 
 class TestFactorCompose:
-    @pytest.mark.parametrize("form", ["canonical", "compact"])
-    def test_round_trip_through_files(self, form, tmp_path, capsys):
+    def test_round_trip_through_files(self, tmp_path, capsys):
         S = sample_automorphism(5, alpha_max=4.0, nu_range=(0.5, 2.0), seed=99)
         src = tmp_path / "m.json"
         src.write_text(dumps_matrix(S))
         fact = tmp_path / "f.json"
-        assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+        assert main(["factor", str(src), "--output", str(fact)]) == 0
         f, tol = parse_factorization(fact.read_text())
         doc = fact.read_text()
-        assert f'"form": "{form}"' in doc
+        assert '"form": "compact"' in doc
         assert "reconstruction_residual" in doc
         out = tmp_path / "rt.json"
         assert main(["compose", str(fact), "--output", str(out)]) == 0
         M = parse_matrix(out.read_text())
         assert np.linalg.norm(M - S) / np.linalg.norm(S) <= 1e-8
 
-    @pytest.mark.parametrize("form", ["canonical", "compact"])
-    def test_cli_matches_the_gated_library_compose(self, form, tmp_path):
+    def test_cli_matches_the_gated_library_compose(self, tmp_path):
         # socaut compose is the public compose at the document's tol, bit for bit,
         # and factor records the residual of the factors it found relative to
-        # ||S||_F: a loaded canonical document's c = alpha V e1 may round apart.
+        # ||S||_F.
         member = sample_automorphism(6, alpha_max=50.0, nu_range=(0.5, 2.0), seed=31)
         for scale in (1.0, 2.0**-10):  # 2^-10 takes ||S||_F below 1
             S = scale * member
             src = tmp_path / "m.json"
             src.write_text(dumps_matrix(S))
             fact = tmp_path / "f.json"
-            assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+            assert main(["factor", str(src), "--output", str(fact)]) == 0
             f, tol = parse_factorization(fact.read_text())
             recorded = json.loads(fact.read_text())["reconstruction_residual"]
             assert recorded == rel_fro(compose(factor(S)), S)
@@ -204,16 +202,13 @@ class TestFactorCompose:
             src = tmp_path / "m.json"
             src.write_text(dumps_matrix(scale * S))
             fact = tmp_path / "f.json"
-            assert main(["factor", str(src), "--form", "compact", "--output", str(fact)]) == 0
+            assert main(["factor", str(src), "--output", str(fact)]) == 0
             recorded.append(json.loads(fact.read_text())["reconstruction_residual"])
         assert np.linalg.norm(2.0**-10 * S) < 1.0
         assert recorded[0] > 0.0
         assert recorded[1] == recorded[0]
 
-    @pytest.mark.parametrize("form", ["canonical", "compact"])
-    def test_reconstruction_residual_of_a_member_whose_squared_norm_overflows(
-        self, form, tmp_path
-    ):
+    def test_reconstruction_residual_of_a_member_whose_squared_norm_overflows(self, tmp_path):
         # ||S||_F^2 overflows once ||S||_F is above about 1.3e154; the scaling
         # by 2^508 is exact and leaves every entry below 2.6e153.
         S = sample_automorphism(300, 3.0, seed=1)
@@ -224,11 +219,19 @@ class TestFactorCompose:
             fact = tmp_path / "f.json"
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+                assert main(["factor", str(src), "--output", str(fact)]) == 0
             recorded.append(json.loads(fact.read_text())["reconstruction_residual"])
         assert np.linalg.norm(S) * 2.0**508 > np.sqrt(np.finfo(float).max)
         assert recorded[1] > 0.0
         assert abs(recorded[1] - recorded[0]) <= 4.0 * np.finfo(float).eps * recorded[0]
+
+    def test_factor_has_no_form_option(self, tmp_path, capsys):
+        src = tmp_path / "m.json"
+        src.write_text(dumps_matrix(sample_automorphism(4, seed=3)))
+        assert main(["factor", str(src), "--form", "compact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --form compact" in captured.err
 
     def test_factor_rejects_non_automorphism(self, tmp_path, capsys):
         p = tmp_path / "d.json"
@@ -243,10 +246,7 @@ class TestFactorCompose:
         assert f.alpha == pytest.approx(1.0, rel=1e-12)
 
     def test_compose_hand_case(self, tmp_path, capsys):
-        doc = (
-            '{"form": "canonical", "nu": 2, "alpha": 1, '
-            '"V": [[1, 0], [0, 1]], "U": [[1, 0], [0, 1]]}'
-        )
+        doc = '{"form": "compact", "nu": 2, "c": [1, 0], "U": [[1, 0], [0, 1]]}'
         p = tmp_path / "f.json"
         p.write_text(doc)
         assert main(["compose", str(p)]) == 0
@@ -295,23 +295,6 @@ class TestFactorCompose:
         p.write_text('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "U": [[1]]}')
         assert main(["compose", str(p)]) == 2
         assert "duplicate field 'U'" in capsys.readouterr().err
-
-    def test_compact_and_canonical_compose_to_identical_bytes(self, tmp_path):
-        S = sample_automorphism(4, alpha_max=2.0, nu_range=(1.0, 1.0), seed=5)
-        src = tmp_path / "m.json"
-        src.write_text(dumps_matrix(S))
-        outs = []
-        for form in ("canonical", "compact"):
-            fact = tmp_path / f"{form}.json"
-            assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
-            out = tmp_path / f"{form}.out.json"
-            assert main(["compose", str(fact), "--output", str(out)]) == 0
-            outs.append(out.read_bytes())
-        # Both factorized forms encode the same matrix; serialization makes
-        # agreement byte-level after one format round trip.
-        a = dumps_matrix(parse_matrix(outs[0].decode()))
-        b = dumps_matrix(parse_matrix(outs[1].decode()))
-        assert np.linalg.norm(parse_matrix(a) - parse_matrix(b)) <= 1e-12 * np.linalg.norm(S)
 
 
 class TestSample:
@@ -545,20 +528,17 @@ class TestGateSites:
         assert main(["sample", "5", "3", "--quiet"]) == 0
         assert gates == []
 
-    @pytest.mark.parametrize("form,compose_gates", [("canonical", 2), ("compact", 1)])
-    def test_factor_gates_u_and_compose_gates_each_loaded_factor(
-        self, form, compose_gates, gates, tmp_path
-    ):
+    def test_factor_gates_u_and_compose_gates_each_loaded_factor(self, gates, tmp_path):
         src = tmp_path / "m.json"
         src.write_text(dumps_matrix(sample_automorphism(5, seed=3)))
         fact = tmp_path / "f.json"
-        assert main(["factor", str(src), "--form", form, "--output", str(fact)]) == 0
+        assert main(["factor", str(src), "--output", str(fact)]) == 0
         assert gates == ["recovered"]
         gates.clear()
         assert main(["compose", str(fact), "--quiet"]) == 0
-        # V and U, or U, measured once in parse_factorization (compose_* reuses
-        # those numbers); then the product's membership test.
-        assert gates == ["loaded"] * compose_gates + ["recovered"]
+        # U measured once in parse_factorization (compose reuses that number);
+        # then the product's membership test.
+        assert gates == ["loaded", "recovered"]
 
 
 class TestProcessLevel:
@@ -597,7 +577,7 @@ class TestProcessLevel:
 
     def test_compose_c_whose_square_overflows_exits_2_without_warnings(self, tmp_path):
         doc = tmp_path / "f.json"
-        doc.write_text('{"form": "canonical", "nu": 1, "alpha": 1e200, "V": [[1]], "U": [[1]]}')
+        doc.write_text('{"form": "compact", "nu": 1, "c": [1e200], "U": [[1]]}')
         proc = run_socaut("compose", str(doc))
         assert proc.returncode == 2
         assert "c must have a finite squared norm" in proc.stderr
@@ -609,8 +589,17 @@ class TestProcessLevel:
         doc = '{"form": %s, "nu": 1, "c": [1], "U": [[1]]}' % form
         proc = run_socaut("compose", "-", input=doc)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: field 'form' must be \"canonical\" or \"compact\"")
+        assert proc.stderr.startswith("error: field 'form' must be \"compact\", got ")
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_compose_refuses_a_canonical_document_without_traceback(self, tmp_path):
+        S = sample_automorphism(6, alpha_max=10.0, nu_range=(0.5, 2.0), seed=31)
+        doc = tmp_path / "f.json"
+        doc.write_text(canonical_document(factor(S), 1e-9, 3e-16))
+        proc = run_socaut("compose", str(doc))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: field 'form' must be \"compact\", got 'canonical'\n"
         assert proc.stdout == ""
 
     def test_compose_product_that_overflows_exits_2_without_warnings(self, tmp_path):
@@ -640,7 +629,7 @@ class TestProcessLevel:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_cli_corpus_records_73_commands(self, tmp_path):
+    def test_cli_corpus_records_61_commands(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(tmp_path)],
             capture_output=True,
@@ -649,7 +638,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         results = tmp_path / "results"
         labels = {p.stem for p in results.iterdir()}
-        assert len(labels) == 73
+        assert len(labels) == 61
         for label in labels:
             assert int((results / f"{label}.exit").read_text()) in (0, 1, 2)
             assert (results / f"{label}.stdout").is_file()
@@ -672,7 +661,7 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert not (tmp_path / "out" / "inputs").exists()
         results = tmp_path / "out" / "results"
-        assert len({p.stem for p in results.iterdir()}) == 73
+        assert len({p.stem for p in results.iterdir()}) == 61
         assert (results / "check_gaussian.exit").read_text() == "0\n"
 
     def test_cli_corpus_against_another_tree_lists_each_differing_file(self, tmp_path):

@@ -21,7 +21,6 @@ from socaut import (
     boost_matrix,
     compose,
     factor,
-    householder_to_direction,
     orthogonality_residual,
     sample_automorphism,
     sample_haar_orthogonal,
@@ -38,7 +37,7 @@ from socaut.fileio import (
     parse_matrix,
 )
 
-from conftest import canonical, random_automorphisms, stretched_haar
+from conftest import canonical_document, document_field, random_automorphisms, stretched_haar
 
 
 EPS = float(np.finfo(float).eps)
@@ -172,7 +171,7 @@ class TestLoad:
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_load_factorization(self, source, tmp_path, monkeypatch):
         f = Factorization(2.0, [0.75, 0.0], np.eye(2))
-        text = dumps_factorization(f, tol=1e-6, form="compact")
+        text = dumps_factorization(f, tol=1e-6)
         if source == "stdin":
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             path = "-"
@@ -181,7 +180,7 @@ class TestLoad:
             Path(path).write_text(text)
         f, tol = load_factorization(path)
         assert tol == 1e-6
-        assert dumps_factorization(f, tol=tol, form="compact") == text
+        assert dumps_factorization(f, tol=tol) == text
 
 
 class TestFactorizationDocuments:
@@ -198,37 +197,36 @@ class TestFactorizationDocuments:
     def test_writer_refuses_what_the_reader_refuses(self, name, value, match):
         f = Factorization(nu=1.0, c=np.array([0.5]), U=np.eye(1))
         with pytest.raises(ValueError, match=match):
-            dumps_factorization(f, **{name: value}, form="compact")
+            dumps_factorization(f, **{name: value})
         # The document an unchecked writer would emit:
         extra = ',\n  "%s": %s\n}' % (name, format_float(value))
-        doc = dumps_factorization(f, form="compact").replace("\n}", extra)
+        doc = dumps_factorization(f).replace("\n}", extra)
         with pytest.raises(FileFormatError):
             parse_factorization(doc)
 
-    def test_canonical_round_trip(self):
-        V = sample_haar_orthogonal(3, seed=1)
-        f = canonical(2.5, 1.25, V, sample_haar_orthogonal(3, seed=2))
-        doc = dumps_factorization(f, tol=1e-9, reconstruction_residual=3e-16, form="canonical")
-        g, tol = parse_factorization(doc)
-        assert g.nu == f.nu
-        assert_array_equal(g.U, f.U)
-        assert tol == 1e-9
-        # A loaded V is reduced to c = alpha V e1 and reads back as c's
-        # reflector, so the document's alpha and V are kept only to rounding.
-        assert g.c.tobytes() == (f.alpha * f.V[:, 0]).tobytes()
-        assert g.alpha == pytest.approx(1.25, rel=1e-15)
-        assert np.abs(g.V - f.V).max() <= 1e-15
-        assert np.abs(g.V[:, 0] - V[:, 0]).max() <= 1e-15
-        assert np.linalg.norm(g.c - f.c) <= 4e-16 * 1.25
-
     def test_compact_round_trip(self):
         f = Factorization(nu=0.75, c=np.array([1.0, -2.0]), U=sample_haar_orthogonal(2, seed=3))
-        doc = dumps_factorization(f, form="compact")
+        doc = dumps_factorization(f)
         g, tol = parse_factorization(doc)
         assert g.nu == f.nu
         assert_array_equal(g.c, f.c)
         assert_array_equal(g.U, f.U)
         assert tol == 1e-9  # default when the file declares none
+        assert dumps_factorization(g) == doc  # written back byte for byte
+
+    def test_a_canonical_document_is_refused(self):
+        # The document socaut factor wrote by default before the compact one
+        # became the only factorization document.
+        S = sample_automorphism(6, alpha_max=10.0, nu_range=(0.5, 2.0), seed=31)
+        f = factor(S)
+        text = canonical_document(f, DEFAULT_TOL, 3e-16)
+        with pytest.raises(FileFormatError) as exc:
+            parse_factorization(text)
+        assert str(exc.value) == "field 'form' must be \"compact\", got 'canonical'"
+        # Its c = alpha V[:, 0] is the compact document's c to V's rounding.
+        doc = json.loads(text)
+        c = doc["alpha"] * np.array(doc["V"])[:, 0]
+        assert np.linalg.norm(c - f.c) <= 4.0 * EPS * f.alpha
 
     def test_declared_tol_governs_orthogonality(self):
         U = np.eye(2)
@@ -252,28 +250,18 @@ class TestFactorizationDocuments:
             # A non-string form is unhashable for the form table; it must not leak a TypeError.
             pytest.param(
                 '{"form": ["compact"], "nu": 1, "c": [1], "U": [[1]]}',
-                r"^field 'form' must be \"canonical\" or \"compact\", got \['compact'\]$",
+                r"^field 'form' must be \"compact\", got \['compact'\]$",
                 id="form-list",
             ),
             pytest.param(
                 '{"form": {"compact": 1}, "nu": 1, "c": [1], "U": [[1]]}',
-                r"^field 'form' must be \"canonical\" or \"compact\", got \{'compact': 1\}$",
+                r"^field 'form' must be \"compact\", got \{'compact': 1\}$",
                 id="form-object",
             ),
             ('{"form": "compact", "nu": 1, "U": [[1]]}', "missing"),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "alpha": 0}', "unexpected"),
-            (
-                '{"form": "canonical", "nu": 1, "alpha": 0, "c": [0], '
-                '"V": [[1]], "U": [[1]]}',
-                "unexpected",
-            ),
             ('{"form": "compact", "nu": "x", "c": [0], "U": [[1]]}', "nu"),
             ('{"form": "compact", "nu": 1, "c": [0, 0], "U": [[1]]}', "length 2"),
-            (
-                '{"form": "canonical", "nu": 1, "alpha": 0, "V": [[1, 0], [0, 1]], '
-                '"U": [[1]]}',
-                "must match",
-            ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1, 0]]}', "row 0 has 2"),
             ('{"form": "compact", "nu": 1, "c": [], "U": [[1]]}', "non-empty"),
             (
@@ -304,16 +292,6 @@ class TestFactorizationDocuments:
                 r"U\[0\]\[0\] is not finite",
                 id="huge-int-U",
             ),
-            (
-                '{"form": "canonical", "nu": 1, "alpha": 0, "V": [[1], [0, 1]], '
-                '"U": [[1, 0], [0, 1]]}',
-                "V row 0 has 1 entries",
-            ),
-            pytest.param(
-                '{"form": "canonical", "nu": 1, "alpha": %s, "V": [[1]], "U": [[1]]}' % HUGE,
-                "field 'alpha' is not finite",
-                id="huge-int-alpha",
-            ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[1]], "tol": -1}', "tol"),
             ('{"form": "compact", "nu": 0, "nu": 2, "c": [0], "U": [[1]]}', "^duplicate field 'nu'$"),
         ],
@@ -327,10 +305,6 @@ class TestFactorizationDocuments:
         [
             ('{"form": "compact", "nu": 0, "c": [0], "U": [[1]]}', "nu"),
             ('{"form": "compact", "nu": -1, "c": [0], "U": [[1]]}', "nu"),
-            (
-                '{"form": "canonical", "nu": 1, "alpha": -0.5, "V": [[1]], "U": [[1]]}',
-                "alpha",
-            ),
             ('{"form": "compact", "nu": 1, "c": [0], "U": [[2]]}', "orthogonal"),
             # U^T U overflows: the residual is inf, without a warning.
             pytest.param(
@@ -344,16 +318,6 @@ class TestFactorizationDocuments:
                 r"^U is not orthogonal within tolerance: residual inf > inf$",
                 id="U-gram-overflows-at-the-largest-tol",
             ),
-            pytest.param(
-                '{"form": "canonical", "nu": 1, "alpha": 0, "V": [[1e200, 0], [0, 1]], '
-                '"U": [[1, 0], [0, 1]], "tol": 1e308}',
-                r"^V is not orthogonal within tolerance: residual inf > inf$",
-                id="V-gram-overflows-at-the-largest-tol",
-            ),
-            (
-                '{"form": "canonical", "nu": 1, "alpha": 1, "V": [[0.5]], "U": [[1]]}',
-                "V is not orthogonal",
-            ),
         ],
     )
     def test_invariant_violations(self, text, fragment):
@@ -362,30 +326,21 @@ class TestFactorizationDocuments:
 
     def test_dumps_rejects_other_types(self):
         with pytest.raises(TypeError, match="cannot serialize ndarray"):
-            dumps_factorization(np.eye(2), form="compact")
+            dumps_factorization(np.eye(2))
 
-    def test_dumps_requires_a_form(self):
+    def test_dumps_takes_no_form(self):
         with pytest.raises(TypeError, match="form"):
-            dumps_factorization(Factorization(1.0, [0.5], np.eye(1)))
-
-    @pytest.mark.parametrize("form", ["polar", "Compact", None])
-    def test_dumps_refuses_an_unknown_form(self, form):
-        with pytest.raises(ValueError, match="^form must be "):
-            dumps_factorization(Factorization(1.0, [0.5], np.eye(1)), form=form)
+            dumps_factorization(Factorization(1.0, [0.5], np.eye(1)), form="compact")
 
     @pytest.mark.parametrize("n", [2, 3, 6, 10, 100])
-    def test_one_factorization_written_in_both_forms_reloads(self, n):
-        # The compact document stores c and U exactly; the canonical one stores
-        # alpha and V, whose product c = alpha V e1 holds c to V's rounding.
+    def test_a_written_factorization_reloads_bit_for_bit(self, n):
+        # The document stores nu, c and U exactly, so it writes back unchanged.
         for S in random_automorphisms(3, n, seed0=1200 + n):
             f = factor(S)
-            expected = compose(f)
-            g, _ = parse_factorization(dumps_factorization(f, form="compact"))
-            assert compose(g).tobytes() == expected.tobytes()
-            h, _ = parse_factorization(dumps_factorization(f, form="canonical"))
-            assert h.nu == f.nu and h.U.tobytes() == f.U.tobytes()
-            assert np.linalg.norm(h.c - f.c) <= 4.0 * EPS * f.alpha
-            assert np.abs(compose(h) - expected).max() <= 8.0 * EPS * f.nu * f.a**2
+            text = dumps_factorization(f)
+            g, _ = parse_factorization(text)
+            assert compose(g).tobytes() == compose(f).tobytes()
+            assert dumps_factorization(g) == text
 
     @pytest.mark.parametrize("big", [9007199254740993, 2**63 + 1])
     def test_integers_beyond_2_53_round_like_float(self, big):
@@ -397,63 +352,9 @@ class TestFactorizationDocuments:
         assert M[0, 0] == M[1, 1] == float(big)
 
 
-def _canonical_document(alpha: float, V, U, tol: float | None = None) -> str:
-    """A canonical document over a caller's V and U, which need not be orthogonal."""
-    doc = {"form": "canonical", "nu": 2.0, "alpha": alpha, "V": np.asarray(V).tolist()}
-    doc["U"] = np.asarray(U).tolist()
-    return json.dumps(doc if tol is None else {**doc, "tol": tol})
-
-
-class TestCanonicalDocuments:
-    """A canonical document's V is handled where it is read, and only there:
-    measured once, reduced to ``c = alpha V[:, 0]`` and gated at the
-    document's tol before U."""
-
-    def test_a_loaded_v_is_reduced_to_c(self, measured):
-        V, U = stretched_haar(4, seed=5), sample_haar_orthogonal(4, seed=6)
-        text = _canonical_document(3.0, V, U, tol=1e-5)
-        V, U = (np.array(json.loads(text)[name]) for name in ("V", "U"))
-        measured.clear()
-        f, tol = parse_factorization(text)
-        assert tol == 1e-5
-        assert f.c.tobytes() == (3.0 * V[:, 0]).tobytes()
-        assert f.alpha == float(np.linalg.norm(f.c))
-        assert f.V.tobytes() == householder_to_direction(f.c).tobytes()
-        # V, then U, each measured once; the factorization keeps U's residual only.
-        assert [M.tobytes() for M in measured] == [V.tobytes(), U.tobytes()]
-        assert vars(f)["_residual"] == orthogonality_residual(U)
-
-    def test_v_is_gated_at_the_documents_tol_before_u(self, measured):
-        # V and U both fail their gate, U by more: V's message comes first
-        # until the tol lets V through.
-        m = 4
-        V, U = stretched_haar(m, seed=4), sample_haar_orthogonal(m, seed=3)
-        U[:, 0] *= 1.0 + 1e-5
-        fresh = {"V": orthogonality_residual(V), "U": orthogonality_residual(U)}
-        between = fresh["V"] / m * 2.0
-        assert fresh["V"] <= between * m < fresh["U"]
-        for tol, name in ((0.0, "V"), (DEFAULT_TOL, "V"), (between, "U")):
-            measured.clear()
-            with pytest.raises(InvalidFactorizationError) as exc:
-                parse_factorization(_canonical_document(0.75, V, U, tol))
-            assert str(exc.value) == (
-                f"{name} is not orthogonal within tolerance: residual {fresh[name]:.3e} "
-                f"> {tol * m:.3e}"
-            )
-            assert len(measured) == (1 if name == "V" else 2)
-        f, tol = parse_factorization(_canonical_document(0.75, V, U, 1e-3))
-        expected = compose(canonical(2.0, 0.75, V, U), tol)
-        assert_array_equal(compose(f, tol), expected)
-
-    @pytest.mark.parametrize("V", [[[1e10]], [[1e10, 0.0], [0.0, 1.0]]], ids=["1x1", "2x2"])
-    def test_an_overflowing_c_is_refused_before_v_is_gated(self, V, measured):
-        # Only a V with an entry above 1 takes alpha V e1 past the double range,
-        # and such a V is not orthogonal: the overflow decides, as a plain ValueError.
-        message = r"^c = alpha V e1 must be finite, got alpha=1e\+300$"
-        with pytest.raises(ValueError, match=message) as exc:
-            parse_factorization(_canonical_document(1e300, V, np.eye(len(V))))
-        assert type(exc.value) is ValueError
-        assert measured == []
+class TestLoadedFactorizations:
+    """A loaded U is measured once, where it is read, and the factorization
+    keeps that residual."""
 
     @pytest.mark.parametrize(
         "copier",
@@ -461,8 +362,9 @@ class TestCanonicalDocuments:
         ids=["copy", "deepcopy", "pickle"],
     )
     def test_copies_of_a_loaded_factorization_keep_u_s_residual(self, copier, measured):
-        V, U = stretched_haar(4, seed=4), stretched_haar(4, seed=3)
-        f, tol = parse_factorization(_canonical_document(0.75, V, U, tol=1e-5))
+        U = stretched_haar(4, seed=3)
+        doc = {"form": "compact", "nu": 2.0, "c": [0.75, 0.0, 0.0, 0.0], "U": U.tolist()}
+        f, tol = parse_factorization(json.dumps({**doc, "tol": 1e-5}))
         g = copier(f)
         assert type(g) is Factorization
         assert vars(g)["_residual"] == vars(f)["_residual"] == orthogonality_residual(U)
@@ -509,30 +411,9 @@ class TestByteIdentity:
     def test_factorization_documents(self, m):
         U = _wide_matrix(m, seed=m + 100)
         c = _wide_matrix(m, seed=m + 200)[-1]
-        nu, alpha, tol, residual = 5e-324, 1e300, 1e-9, 3e-16
-
-        def field(name, value):
-            if np.ndim(value) == 0:
-                return '  "%s": %s' % (name, format(value, ".17g"))
-            if np.ndim(value) == 1:
-                return '  "%s": %s' % (name, _oracle_rows([value])[0])
-            return '  "%s": [\n%s\n  ]' % (
-                name,
-                ",\n".join("    " + row for row in _oracle_rows(value)),
-            )
-
-        def oracle(form, *fields):
-            lines = ['  "form": "%s"' % form] + [field(*f) for f in fields]
-            lines += [field("U", U), field("tol", tol), field("reconstruction_residual", residual)]
-            return "{\n" + ",\n".join(lines) + "\n}\n"
-
-        # The canonical form writes the alpha and V a factorization derives from
-        # its c; a reflector's entries are at most 1, so alpha carries the range.
-        built = canonical(nu, alpha, sample_haar_orthogonal(m, seed=m), U)
-        compact = Factorization(nu=nu, c=c, U=U)
-        assert dumps_factorization(built, tol, residual, form="canonical") == oracle(
-            "canonical", ("nu", nu), ("alpha", built.alpha), ("V", built.V)
-        )
-        assert dumps_factorization(compact, tol, residual, form="compact") == oracle(
-            "compact", ("nu", nu), ("c", c)
-        )
+        nu, tol, residual = 5e-324, 1e-9, 3e-16
+        fields = [("nu", nu), ("c", c), ("U", U), ("tol", tol)]
+        lines = ['  "form": "compact"'] + [document_field(*f) for f in fields]
+        lines.append(document_field("reconstruction_residual", residual))
+        oracle = "{\n" + ",\n".join(lines) + "\n}\n"
+        assert dumps_factorization(Factorization(nu=nu, c=c, U=U), tol, residual) == oracle

@@ -128,7 +128,7 @@ def test_the_cli_gives_the_librarys_verdict_under_exact_symmetries(tmp_path):
             ]
             assert run_cli(["verify", str(doc)]) == (0 if ok else 1, report(values), "")
 
-        code, out, err = run_cli(["factor", str(doc), "--form", "compact"])
+        code, out, err = run_cli(["factor", str(doc)])
         try:
             f = fresh(factor, X, 1e-9)
         except NotAutomorphismError as exc:

@@ -1,4 +1,4 @@
-"""Run a fixed corpus of 73 socaut commands and record what each one prints.
+"""Run a fixed corpus of 61 socaut commands and record what each one prints.
 
     python tools/cli_corpus.py OUTDIR [--src SRC] [--inputs DIR] [--against OTHER]
 
@@ -26,37 +26,34 @@ from them differs too.  ``--inputs DIR`` reads the input documents from DIR
 second run of ``--against`` reads the first run's inputs this way, so only
 the ``sample_*`` commands depend on each tree's sampler.
 
-The corpus: ``check``, ``factor`` (both forms) and ``verify`` on five
-matrices (an n = 300 member, its 1e-7-perturbed copy, a 50 x 50 Gaussian,
-an n = 300 member with nu = 1.03, and the n = 6 boost with its corner
-raised by 1e-3); ``compose`` of the four factor documents of the two
-members; ``check``, ``factor`` and ``verify`` with ``--tol 1e-12`` on the
-two members; ``check`` and ``factor`` on two matrices that a two-sided
-congruence test accepts and whose recovered U is not orthogonal
-(``DISAGREEMENTS``: the alpha = 40 boost, n = 3, with entry (2, 2) raised
-by 1e-3 at ``--tol 1e-4``, and the alpha = 1e4 boost, n = 6); ``check``
-and ``verify`` on ``[[1e-150, 0], [0, 1e300]]``, whose D / nu overflows
-(``tiny_column``); ``check`` on the 2 x 2 identity written as a bare
-whitespace grid, which is not a matrix document (``grid``);
-``factor --form compact`` on an n = 6 member scaled by
+The corpus: ``check``, ``factor`` and ``verify`` on five matrices (an
+n = 300 member, its 1e-7-perturbed copy, a 50 x 50 Gaussian, an n = 300
+member with nu = 1.03, and the n = 6 boost with its corner raised by
+1e-3); ``compose`` of the two members' factor documents; ``check``,
+``factor`` and ``verify`` with ``--tol 1e-12`` on the two members;
+``check`` and ``factor`` on two matrices that a two-sided congruence test
+accepts and whose recovered U is not orthogonal (``DISAGREEMENTS``: the
+alpha = 40 boost, n = 3, with entry (2, 2) raised by 1e-3 at ``--tol
+1e-4``, and the alpha = 1e4 boost, n = 6); ``check`` and ``verify`` on
+``[[1e-150, 0], [0, 1e300]]``, whose D / nu overflows (``tiny_column``);
+``check`` on the 2 x 2 identity written as a bare whitespace grid, which is
+not a matrix document (``grid``); ``factor`` on an n = 6 member scaled by
 2^-10, so that ||S||_F < 1 (``scaled``); three ``sample`` draws; ten calls
 with bad arguments (two pass ``verify`` the sampling options it does not
 have), the last a ``sample`` range whose entries overflow; ``compose`` on
-nineteen hand-written factorization documents (``FACTORIZATIONS``): seven
-malformed (one with a list as its ``form``), five that break an invariant
-(one a U whose U^T U overflows), one (alpha = 1e8) whose product the
+fifteen hand-written factorization documents (``FACTORIZATIONS``): six
+malformed (one with a list as its ``form``), three that break an invariant
+(one a U whose U^T U overflows), one (c = [1e8, 0]) whose product the
 membership test refuses (mu cancels to 0), one whose ``||c||^2``
 overflows, one whose product overflows while ``||c||^2`` does not
-(nu = 1e300, ||c|| = 1e10), and four with two faults each (one whose
-``c = alpha V e1`` overflows with a V that is not orthogonal, one whose V
-and U are both sheared, where V must be named); ``compose --tol 1e-3`` on
-a document that declares ``tol`` 1e-3 and whose U is orthogonal
-only to that tolerance (``LOOSE``), which a compose gating at the default
-tol would refuse, and ``compose`` on it at the default ``--tol``, whose
-re-check of the composed matrix refuses it on the recovered U; and
-``compose`` on its canonical twin, whose V is
-orthogonal only to the declared tol (``LOOSE_CANONICAL``), which passes
-only if V is gated at the document's tol.
+(nu = 1e300, ||c|| = 1e10), two with two faults each, and a canonical
+document with the fields that earlier versions of ``socaut factor`` wrote
+by default (form, nu, alpha, V, U, tol, reconstruction_residual), which is
+refused; ``compose --tol 1e-3`` on a
+document that declares ``tol`` 1e-3 and whose U is orthogonal only to that
+tolerance (``LOOSE``), which a compose gating at the default tol would
+refuse, and ``compose`` on it at the default ``--tol``, whose re-check of
+the composed matrix refuses it on the recovered U.
 """
 
 from __future__ import annotations
@@ -83,38 +80,37 @@ DISAGREEMENTS = {"stretched": "1e-4", "wide": "1e-9"}
 _ROT = [[0.6, 0.8], [-0.8, 0.6]]
 _SWAP = [[0, 1], [1, 0]]
 _SHEAR = [[1, 0.1], [0, 1]]
-_CANONICAL = {"form": "canonical", "nu": 2.0, "alpha": 0.75, "V": _ROT, "U": _SWAP}
 _COMPACT = {"form": "compact", "nu": 2.0, "c": [0.75, 0.0], "U": _SWAP}
 
 #: label -> a factorization document that ``compose`` refuses.
 FACTORIZATIONS = {
     "missing_field": {k: v for k, v in _COMPACT.items() if k != "U"},
-    "unexpected_field": {**_CANONICAL, "extra": 1},
+    "unexpected_field": {**_COMPACT, "extra": 1},
     "bad_form": {**_COMPACT, "form": "polar"},
     "form_list": {**_COMPACT, "form": ["compact"]},
-    "v_u_size": {**_CANONICAL, "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
     "c_u_length": {**_COMPACT, "c": [0.75, 0.0, 0.0]},
     "non_number": {**_COMPACT, "U": [[0, "1"], [1, 0]]},
     "nu_zero": {**_COMPACT, "nu": 0},
-    "alpha_negative": {**_CANONICAL, "alpha": -0.5},
     "u_not_orthogonal": {**_COMPACT, "U": _SHEAR},
-    "v_not_orthogonal": {**_CANONICAL, "V": _SHEAR},
     "u_gram_overflow": {"form": "compact", "nu": 1, "c": [1], "U": [[1e200]]},
-    "alpha_wide": {**_CANONICAL, "alpha": 1e8},
-    "alpha_overflow": {**_CANONICAL, "alpha": 1e200},
+    "c_wide": {**_COMPACT, "c": [1e8, 0]},
+    "c_overflow": {**_COMPACT, "c": [1e200, 0]},
     "product_overflow": {**_COMPACT, "nu": 1e300, "c": [1e10, 0], "U": [[1, 0], [0, 1]]},
     "nu_zero_c_u_length": {**_COMPACT, "nu": 0, "c": [0.75]},
-    "alpha_not_number_u_ragged": {**_CANONICAL, "alpha": "x", "U": [[0, 1], [1]]},
-    "c_overflow_v_not_orthogonal": {**_CANONICAL, "alpha": 1e300, "V": [[1e10, 0], [0, 1]]},
-    "v_u_not_orthogonal": {**_CANONICAL, "V": _SHEAR, "U": _SHEAR},
+    "c_not_number_u_ragged": {**_COMPACT, "c": "x", "U": [[0, 1], [1]]},
+    "canonical": {
+        "form": "canonical",
+        "nu": 2.0,
+        "alpha": 0.75,
+        "V": _ROT,
+        "U": _SWAP,
+        "tol": 1e-9,
+        "reconstruction_residual": 0.0,
+    },
 }
 #: A document that ``compose --tol 1e-3`` accepts only at its declared tol:
 #: U's residual is about 2e-4, within 1e-3 * 2 but not 1e-9 * 2.
 LOOSE = {**_COMPACT, "U": [[0, 1.0001], [1, 0]], "tol": 1e-3}
-#: LOOSE's canonical twin, with V the loose factor: V enters the product only
-#: as c, so ``compose`` at the default ``--tol`` accepts it if and only if
-#: the load gates V at the declared tol.
-LOOSE_CANONICAL = {**_CANONICAL, "V": [[0, 1.0001], [1, 0]], "tol": 1e-3}
 
 
 def input_paths(inputs: Path) -> dict[str, Path]:
@@ -127,7 +123,6 @@ def input_paths(inputs: Path) -> dict[str, Path]:
         "scaled",
         *(f"doc_{label}" for label in FACTORIZATIONS),
         "doc_loose",
-        "doc_loose_canonical",
     ]
     return {"grid": inputs / "grid.txt"} | {name: inputs / f"{name}.json" for name in names}
 
@@ -158,8 +153,7 @@ def write_inputs(inputs: Path) -> dict[str, Path]:
     for name, S in matrices.items():
         paths[name].write_text(dumps_matrix(S))
     paths["grid"].write_text("1 0\n0 1\n")
-    loose = {"loose": LOOSE, "loose_canonical": LOOSE_CANONICAL}
-    for label, doc in {**FACTORIZATIONS, **loose}.items():
+    for label, doc in {**FACTORIZATIONS, "loose": LOOSE}.items():
         paths[f"doc_{label}"].write_text(json.dumps(doc, indent=2) + "\n")
     return paths
 
@@ -172,14 +166,12 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         m = str(paths[name])
         cmds += [
             (f"check_{name}", ["check", m]),
-            (f"factor_canonical_{name}", ["factor", m]),
-            (f"factor_compact_{name}", ["factor", m, "--form", "compact"]),
+            (f"factor_compact_{name}", ["factor", m]),
             (f"verify_{name}", ["verify", m]),
         ]
     for name in MEMBERS:
-        for form in ("canonical", "compact"):
-            doc = results / f"factor_{form}_{name}.stdout"
-            cmds.append((f"compose_{form}_{name}", ["compose", str(doc)]))
+        doc = results / f"factor_compact_{name}.stdout"
+        cmds.append((f"compose_compact_{name}", ["compose", str(doc)]))
     for name in MEMBERS:
         m = str(paths[name])
         cmds += [
@@ -198,7 +190,7 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
         ("check_tiny_column", ["check", tiny]),
         ("verify_tiny_column", ["verify", tiny]),
         ("check_grid", ["check", str(paths["grid"])]),
-        ("factor_compact_scaled", ["factor", str(paths["scaled"]), "--form", "compact"]),
+        ("factor_compact_scaled", ["factor", str(paths["scaled"])]),
     ]
     ranges = ["--alpha-max", "100", "--nu-min", "0.5", "--nu-max", "2"]
     cmds += [
@@ -226,7 +218,6 @@ def commands(paths: dict[str, Path], results: Path) -> list[tuple[str, list[str]
     ]
     cmds.append(("compose_doc_loose", ["compose", str(paths["doc_loose"]), "--tol", "1e-3"]))
     cmds.append(("compose_doc_loose_default_tol", ["compose", str(paths["doc_loose"])]))
-    cmds.append(("compose_doc_loose_canonical", ["compose", str(paths["doc_loose_canonical"])]))
     return cmds
 
 
