@@ -9,6 +9,7 @@ import math
 import pickle
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from socaut import (
     boost_matrix,
     compose,
     factor,
+    householder_to_direction,
     orthogonality_residual,
     sample_automorphism,
     sample_haar_orthogonal,
@@ -352,9 +354,58 @@ class TestFactorizationDocuments:
         assert M[0, 0] == M[1, 1] == float(big)
 
 
+def _compact_document(c, U, tol: float | None = None) -> str:
+    """A compact document over a caller's c and U, which need not be orthogonal."""
+    doc = {"form": "compact", "nu": 2.0, "c": np.asarray(c).tolist(), "U": np.asarray(U).tolist()}
+    return json.dumps(doc if tol is None else {**doc, "tol": tol})
+
+
 class TestLoadedFactorizations:
     """A loaded U is measured once, where it is read, and the factorization
     keeps that residual."""
+
+    def test_a_loaded_c_gives_the_canonical_alpha_and_v(self, measured):
+        c, U = np.array([0.5, -1.5, 0.25, 2.0]), stretched_haar(4, seed=6)
+        text = _compact_document(c, U, tol=1e-5)
+        measured.clear()
+        f, tol = parse_factorization(text)
+        assert tol == 1e-5
+        assert f.c.tobytes() == c.tobytes()
+        # The library's view of the canonical factors is derived from c alone.
+        assert f.alpha == float(np.linalg.norm(c))
+        assert f.V.tobytes() == householder_to_direction(c).tobytes()
+        assert [M.tobytes() for M in measured] == [U.tobytes()]
+        assert vars(f)["_residual"] == orthogonality_residual(U)
+
+    def test_u_is_gated_at_the_documents_tol(self, measured):
+        m = 4
+        c, U = np.full(m, 0.75), stretched_haar(m, seed=4)
+        fresh = orthogonality_residual(U)
+        assert fresh > DEFAULT_TOL * m
+        for tol in (0.0, DEFAULT_TOL):
+            measured.clear()
+            with pytest.raises(InvalidFactorizationError) as exc:
+                parse_factorization(_compact_document(c, U, tol))
+            assert str(exc.value) == (
+                f"U is not orthogonal within tolerance: residual {fresh:.3e} > {tol * m:.3e}"
+            )
+            assert len(measured) == 1
+        f, tol = parse_factorization(_compact_document(c, U, 1e-3))
+        assert_array_equal(compose(f, tol), compose(Factorization(2.0, c, U), tol))
+
+    @pytest.mark.parametrize("c", [[1e200], [1e200, 0.0]], ids=["1x1", "2x2"])
+    def test_a_c_whose_square_overflows_loads_and_compose_refuses_it(self, c, measured):
+        # ||c|| is finite, so the document is well formed; only the product
+        # needs ||c||^2, and compose refuses it as a plain ValueError.
+        f, tol = parse_factorization(_compact_document(c, np.eye(len(c))))
+        assert f.alpha == 1e200
+        assert len(measured) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^c must have a finite squared norm") as exc:
+                compose(f, tol)
+        assert type(exc.value) is ValueError
+        assert len(measured) == 1
 
     @pytest.mark.parametrize(
         "copier",
